@@ -14,17 +14,14 @@ qmath        Pauli/tau operator bases, states, fidelities, RNG streams
 gates        native gate set and circuits
 quorum       quorum construction, P matrix, structural witnesses
 dotmodel     six-level two-electron charge/spin model and sweeps
-measure      shot sampling, readout degradation, noisy-angle averaging
+measure      shot sampling, readout degradation, exact averaging over
+             Gaussian gate-angle noise
 reconstruct  linear inversion, covariance prediction, maximum likelihood
+_kernels     the likelihood-ascent loop behind the maximum likelihood
 cli          command line front end (``spintomo ...``)
-
-Hot numerical kernels (noisy-circuit averaging, likelihood ascent) are
-compiled with numba when available; set ``SPINTOMO_NO_NUMBA=1`` to force
-the pure-numpy fallback.  ``spintomo._kernels.ACTIVE_BACKEND`` reports
-which path is live.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import _kernels, dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, exchange_J, min_singlet_gap, spectrum_sweep

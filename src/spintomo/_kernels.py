@@ -1,407 +1,111 @@
-"""Hot inner loops: compiled (numba) and vectorized-numpy twins.
+"""Likelihood ascent, the inner loop of the maximum-likelihood reconstruction.
 
-Two kernels dominate runtime: Monte Carlo averaging of circuit-conjugated
-projectors over noisy gate angles, and the likelihood-ascent loop of the
-constrained reconstruction.  Each exists in a numba njit version and a
-pure-numpy version.  The numpy path is selected when the environment
-variable SPINTOMO_NO_NUMBA is set to 1/true/yes/on, or when numba is not
-importable; otherwise the compiled path is the default.
-
-Both paths consume identical pre-drawn inputs (angle samples, initial
-iterates), so they agree up to floating-point reduction order.
-benchmarks/bench_kernels.py times them against each other.
+Kept apart from ``reconstruct`` so that its one entry point, ``mle_ascend``,
+can be timed and traced on its own.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
-from .gates import GateKind, gate_matrix_stack
-
-log = logging.getLogger(__name__)
-
-# integer gate codes, fixed by enumeration order in gates.KIND_CODES
-_CODE_EXCHANGE = 0
-_CODE_Z1 = 1
-_CODE_Z2 = 2
-_CODE_ZBOTH = 3
-_CODE_GRADZ = 4
-_CODE_ESR = 5
-
-_CODE_TO_KIND = {
-    _CODE_EXCHANGE: GateKind.EXCHANGE_PULSE,
-    _CODE_Z1: GateKind.Z_ROT_QUBIT1,
-    _CODE_Z2: GateKind.Z_ROT_QUBIT2,
-    _CODE_ZBOTH: GateKind.Z_ROT_BOTH,
-    _CODE_GRADZ: GateKind.GRADIENT_Z,
-    _CODE_ESR: GateKind.ESR_X_QUBIT1,
-}
-
 _Q_FLOOR = 1e-12
-_ARMIJO_C = 1e-4
-_MAX_BACKTRACKS = 60
-# stagnation stop: this many consecutive accepted steps with relative
-# objective gain below _FTOL counts as converged (the gradient need not
-# vanish at a rank-deficient boundary optimum)
+_MAX_DAMPINGS = 60
+# an accepted step with relative objective gain below _FTOL ends the
+# ascent: the iterate is a maximum to working precision
 _FTOL = 1e-14
-_STALL_LIMIT = 8
+
+# the 16 real coordinates x of a lower-triangular T with real diagonal:
+# coordinate k is the real (unit 1) or imaginary (unit 1j) part of
+# T[_ROW[k], _COL[k]]
+_TRIL_ROW, _TRIL_COL = np.tril_indices(4)
+_OFF_DIAGONAL = _TRIL_ROW != _TRIL_COL
+_ROW = np.concatenate([_TRIL_ROW, _TRIL_ROW[_OFF_DIAGONAL]])
+_COL = np.concatenate([_TRIL_COL, _TRIL_COL[_OFF_DIAGONAL]])
+_UNIT = np.concatenate([np.ones(10), np.full(6, 1j)])
 
 
-def _flag_disables_numba() -> bool:
-    return os.environ.get("SPINTOMO_NO_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+def _to_coordinates(t_mat):
+    entries = t_mat[_ROW, _COL]
+    return np.where(_UNIT == 1, entries.real, entries.imag)
 
 
-# ---------------------------------------------------------------- numpy path
+def _to_matrix(x):
+    t_mat = np.zeros((4, 4), dtype=np.complex128)
+    np.add.at(t_mat, (_ROW, _COL), x * _UNIT)
+    return t_mat
 
 
-def average_conjugated_numpy(codes, angles, base):
-    """Accumulate U(alpha)^dag B U(alpha) over angle samples.
-
-    codes: (g,) int gate codes; angles: (s, g) per-sample angles;
-    base: (4, 4) Hermitian.  Returns (sum of conjugated matrices,
-    sum of squared moduli per entry) for mean / standard-error work.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    base = np.asarray(base, dtype=np.complex128)
-    s = angles.shape[0]
-    u = np.broadcast_to(np.eye(4, dtype=np.complex128), (s, 4, 4)).copy()
-    for g, code in enumerate(codes):
-        stack = gate_matrix_stack(_CODE_TO_KIND[int(code)], angles[:, g])
-        u = np.einsum("sij,sjk->sik", stack, u)
-    eff = np.einsum("sji,jk,skl->sil", np.conj(u), base, u)
-    acc = eff.sum(axis=0)
-    acc2 = (eff.real**2 + eff.imag**2).sum(axis=0)
-    return acc, acc2
+def _quadratic_forms(projs):
+    """Real symmetric A_j with tr(P_j T^dag T) = x^T A_j x; tr(T^dag T) = x^T x."""
+    same_row = _ROW[:, None] == _ROW[None, :]
+    entries = projs[:, _COL[None, :], _COL[:, None]]  # [j, k, l] -> P_j[col_l, col_k]
+    return (np.conj(_UNIT)[:, None] * _UNIT[None, :] * same_row * entries).real
 
 
-def _rho_q_numpy(t_mat, projs):
-    rho = t_mat.conj().T @ t_mat
-    tau = np.trace(rho).real
-    rho = rho / tau
-    q = np.einsum("jab,ba->j", projs, rho).real
-    return rho, tau, q
-
-
-def _loglik_numpy(q, m, nw):
+def _loglik(q, m, nw):
     qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
     return float(np.sum(nw * (m * np.log(qc) + (1.0 - m) * np.log1p(-qc))))
 
 
-_LOWER_MASK = np.tril(np.ones((4, 4)))
-
-
-def _grad_numpy(t_mat, projs, q, tau, m, nw):
-    qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
-    w = nw * (m / qc - (1.0 - m) / (1.0 - qc))
-    mid = np.einsum("j,jab->ab", w, projs) - np.sum(w * q) * np.eye(4)
-    grad = (2.0 / tau) * (t_mat @ mid)
-    grad = grad * _LOWER_MASK
-    idx = np.arange(4)
-    grad[idx, idx] = grad[idx, idx].real
-    return grad
-
-
-def mle_ascend_numpy(projs, m, nw, t0, gtol, max_iter):
+def mle_ascend(projs, m, nw, t0, gtol, max_iter):
     """Likelihood ascent over the triangular square-root parametrization.
 
     Maximizes the weighted binomial log-likelihood of rho(T) = T^dag T /
-    tr(T^dag T) by gradient ascent restricted to the lower triangle
-    (real diagonal), with Barzilai-Borwein step sizes guarded by an
-    Armijo backtracking line search.  Stops when the gradient norm drops
-    below gtol or when the objective stagnates (rank-deficient optima
-    sit on the boundary of the parametrization, where the gradient need
-    not vanish).  Returns (T, scaled loglik, iterations, converged).
+    tr(T^dag T) over the 16 real coordinates x of a lower-triangular T
+    with real diagonal.  The objective depends on x only through
+    x / |x|, so the iterate stays on the unit sphere and each step is a
+    damped Newton step in its tangent space: the damping is the least
+    that makes the negated Hessian positive definite, raised fourfold
+    until the step ascends and lowered fourfold after each accepted
+    step.  Rank-deficient optima, where plain gradient ascent crawls,
+    are reached in a few steps.  Stops when the gradient norm drops
+    below gtol, when a step gains less than a relative 1e-14, or when
+    no damped step ascends.  Returns (T, scaled loglik, iterations,
+    converged).
     """
+    forms = _quadratic_forms(np.asarray(projs))
     t_mat = np.asarray(t0, dtype=np.complex128).copy()
-    rho, tau, q = _rho_q_numpy(t_mat, projs)
-    lik = _loglik_numpy(q, m, nw)
-    grad = _grad_numpy(t_mat, projs, q, tau, m, nw)
-    eta = 1.0
-    prev_t = None
-    prev_g = None
-    stall = 0
+    x = _to_coordinates(t_mat)
+    x = x / np.linalg.norm(x)
+
+    def evaluate(x):
+        ax = forms @ x
+        q = ax @ x
+        return ax, q, _loglik(q, m, nw)
+
+    ax, q, lik = evaluate(x)
+    damping = 0.0
     for it in range(max_iter):
-        gnorm2 = float(np.sum(grad.real**2 + grad.imag**2))
-        gnorm = np.sqrt(gnorm2)
-        if gnorm < gtol:
+        qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
+        d1 = nw * (m / qc - (1.0 - m) / (1.0 - qc))
+        d2 = nw * (m / qc**2 + (1.0 - m) / (1.0 - qc) ** 2)
+        dq = 2.0 * (ax - q[:, None] * x)  # gradients of q_j on the unit sphere
+        grad = d1 @ dq
+        if np.linalg.norm(grad) < gtol:
             return t_mat, lik, it, True
-        if prev_t is not None:
-            st = t_mat - prev_t
-            sg = grad - prev_g
-            denom = float(np.sum((np.conj(st) * sg).real))
-            if denom < 0.0:
-                num = float(np.sum(st.real**2 + st.imag**2))
-                eta = min(max(num / -denom, 1e-12), 1e12)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            t_new = t_mat + eta * grad
-            _, tau_new, q_new = _rho_q_numpy(t_new, projs)
-            lik_new = _loglik_numpy(q_new, m, nw)
-            if lik_new >= lik + _ARMIJO_C * eta * gnorm2:
-                accepted = True
+        # minus the Hessian; its terms along x drop out in the tangent space
+        neg_hess = (dq.T * d2) @ dq - 2.0 * np.einsum("j,jkl->kl", d1, forms)
+        neg_hess += 2.0 * np.dot(d1, q) * np.eye(16)
+        tangent = np.linalg.qr(np.column_stack([x, np.eye(16)[:, :15]]))[0][:, 1:]
+        curv, vecs = np.linalg.eigh(tangent.T @ neg_hess @ tangent)
+        basis = tangent @ vecs
+        grad_b = basis.T @ grad
+        scale = max(1.0, abs(curv[-1]))
+        damping = max(damping, 1e-12 * scale - curv[0])
+        for _ in range(_MAX_DAMPINGS):
+            x_new = x + basis @ (grad_b / (curv + damping))
+            x_new /= np.linalg.norm(x_new)
+            ax_new, q_new, lik_new = evaluate(x_new)
+            if lik_new > lik:
                 break
-            eta *= 0.5
-        if not accepted:
-            # no step of any size ascends: at the optimum if already stalled
-            return t_mat, lik, it, stall > 0
-        if lik_new - lik <= _FTOL * (1.0 + abs(lik)):
-            stall += 1
+            damping = max(4.0 * damping, 1e-12 * scale)
         else:
-            stall = 0
-        prev_t, prev_g = t_mat, grad
-        t_mat, lik = t_new, lik_new
-        grad = _grad_numpy(t_mat, projs, q_new, tau_new, m, nw)
-        if stall >= _STALL_LIMIT:
+            # no step of any damping ascends: a maximum to working precision
+            return t_mat, lik, it, True
+        gain = lik_new - lik
+        x, ax, q, lik = x_new, ax_new, q_new, lik_new
+        t_mat = _to_matrix(x)
+        damping *= 0.25
+        if gain <= _FTOL * (1.0 + abs(lik)):
             return t_mat, lik, it + 1, True
     return t_mat, lik, max_iter, False
-
-
-# ---------------------------------------------------------------- numba path
-
-_numba_err = None
-if _flag_disables_numba():
-    _numba_err = "disabled by SPINTOMO_NO_NUMBA"
-else:
-    try:
-        import numba as nb
-    except ImportError:
-        _numba_err = "numba not importable"
-
-if _numba_err is None:
-
-    @nb.njit(cache=True, inline="always")
-    def _gate_into(code, angle, out):
-        for i in range(4):
-            for j in range(4):
-                out[i, j] = 0.0 + 0.0j
-        if code == 0:  # exchange pulse: I + (e^{i a} - 1) P_S
-            f = (np.cos(angle) - 1.0) + 1j * np.sin(angle)
-            out[0, 0] = 1.0
-            out[3, 3] = 1.0
-            out[1, 1] = 1.0 + 0.5 * f
-            out[2, 2] = 1.0 + 0.5 * f
-            out[1, 2] = -0.5 * f
-            out[2, 1] = -0.5 * f
-        elif code == 5:  # resonant x rotation of qubit 1
-            c = np.cos(angle)
-            s = 1j * np.sin(angle)
-            out[0, 0] = c
-            out[1, 1] = c
-            out[2, 2] = c
-            out[3, 3] = c
-            out[0, 2] = s
-            out[2, 0] = s
-            out[1, 3] = s
-            out[3, 1] = s
-        else:  # diagonal z-type rotations
-            if code == 1:
-                m0, m1, m2, m3 = 1.0, 1.0, -1.0, -1.0
-            elif code == 2:
-                m0, m1, m2, m3 = 1.0, -1.0, 1.0, -1.0
-            elif code == 3:
-                m0, m1, m2, m3 = 2.0, 0.0, 0.0, -2.0
-            else:
-                m0, m1, m2, m3 = 0.0, 0.5, -0.5, 0.0
-            out[0, 0] = np.exp(1j * angle * m0)
-            out[1, 1] = np.exp(1j * angle * m1)
-            out[2, 2] = np.exp(1j * angle * m2)
-            out[3, 3] = np.exp(1j * angle * m3)
-
-    @nb.njit(cache=True)
-    def _average_conjugated_numba(codes, angles, base):
-        nsamp, ngate = angles.shape
-        acc = np.zeros((4, 4), np.complex128)
-        acc2 = np.zeros((4, 4), np.float64)
-        u = np.empty((4, 4), np.complex128)
-        nxt = np.empty((4, 4), np.complex128)
-        g = np.empty((4, 4), np.complex128)
-        w = np.empty((4, 4), np.complex128)
-        for s in range(nsamp):
-            for i in range(4):
-                for j in range(4):
-                    u[i, j] = 1.0 + 0.0j if i == j else 0.0 + 0.0j
-            for k in range(ngate):
-                _gate_into(codes[k], angles[s, k], g)
-                for i in range(4):
-                    for j in range(4):
-                        z = 0.0 + 0.0j
-                        for l in range(4):
-                            z += g[i, l] * u[l, j]
-                        nxt[i, j] = z
-                u, nxt = nxt, u
-            # w = base @ u, then eff = u^dag @ w
-            for i in range(4):
-                for j in range(4):
-                    z = 0.0 + 0.0j
-                    for l in range(4):
-                        z += base[i, l] * u[l, j]
-                    w[i, j] = z
-            for i in range(4):
-                for j in range(4):
-                    z = 0.0 + 0.0j
-                    for l in range(4):
-                        z += np.conj(u[l, i]) * w[l, j]
-                    acc[i, j] += z
-                    acc2[i, j] += z.real * z.real + z.imag * z.imag
-        return acc, acc2
-
-    @nb.njit(cache=True, inline="always")
-    def _rho_q_nb(t_mat, projs, rho, q):
-        tau = 0.0
-        for i in range(4):
-            for j in range(4):
-                z = 0.0 + 0.0j
-                for l in range(4):
-                    z += np.conj(t_mat[l, i]) * t_mat[l, j]
-                rho[i, j] = z
-            tau += rho[i, i].real
-        for i in range(4):
-            for j in range(4):
-                rho[i, j] /= tau
-        for k in range(projs.shape[0]):
-            z = 0.0
-            for a in range(4):
-                for b in range(4):
-                    z += (projs[k, a, b] * rho[b, a]).real
-            q[k] = z
-        return tau
-
-    @nb.njit(cache=True, inline="always")
-    def _loglik_nb(q, m, nw):
-        total = 0.0
-        for j in range(q.shape[0]):
-            qc = min(max(q[j], _Q_FLOOR), 1.0 - _Q_FLOOR)
-            total += nw[j] * (m[j] * np.log(qc) + (1.0 - m[j]) * np.log(1.0 - qc))
-        return total
-
-    @nb.njit(cache=True, inline="always")
-    def _grad_nb(t_mat, projs, q, tau, m, nw, grad, mid):
-        wsum = 0.0
-        for i in range(4):
-            for j in range(4):
-                mid[i, j] = 0.0 + 0.0j
-        for k in range(projs.shape[0]):
-            qc = min(max(q[k], _Q_FLOOR), 1.0 - _Q_FLOOR)
-            wk = nw[k] * (m[k] / qc - (1.0 - m[k]) / (1.0 - qc))
-            wsum += wk * q[k]
-            for a in range(4):
-                for b in range(4):
-                    mid[a, b] += wk * projs[k, a, b]
-        for a in range(4):
-            mid[a, a] -= wsum
-        scale = 2.0 / tau
-        for i in range(4):
-            for j in range(4):
-                if j > i:
-                    grad[i, j] = 0.0 + 0.0j
-                else:
-                    z = 0.0 + 0.0j
-                    for l in range(4):
-                        z += t_mat[i, l] * mid[l, j]
-                    grad[i, j] = scale * (z.real + 0.0j if i == j else z)
-
-    @nb.njit(cache=True)
-    def _mle_ascend_numba(projs, m, nw, t0, gtol, max_iter):
-        t_mat = t0.copy()
-        rho = np.empty((4, 4), np.complex128)
-        q = np.empty(projs.shape[0], np.float64)
-        q_new = np.empty(projs.shape[0], np.float64)
-        grad = np.empty((4, 4), np.complex128)
-        mid = np.empty((4, 4), np.complex128)
-        prev_t = np.empty((4, 4), np.complex128)
-        prev_g = np.empty((4, 4), np.complex128)
-        t_new = np.empty((4, 4), np.complex128)
-        tau = _rho_q_nb(t_mat, projs, rho, q)
-        lik = _loglik_nb(q, m, nw)
-        _grad_nb(t_mat, projs, q, tau, m, nw, grad, mid)
-        eta = 1.0
-        have_prev = False
-        stall = 0
-        for it in range(max_iter):
-            gnorm2 = 0.0
-            for i in range(4):
-                for j in range(4):
-                    gnorm2 += grad[i, j].real ** 2 + grad[i, j].imag ** 2
-            if np.sqrt(gnorm2) < gtol:
-                return t_mat, lik, it, True
-            if have_prev:
-                denom = 0.0
-                num = 0.0
-                for i in range(4):
-                    for j in range(4):
-                        ds = t_mat[i, j] - prev_t[i, j]
-                        dg = grad[i, j] - prev_g[i, j]
-                        denom += (np.conj(ds) * dg).real
-                        num += ds.real**2 + ds.imag**2
-                if denom < 0.0:
-                    eta = min(max(num / -denom, 1e-12), 1e12)
-            accepted = False
-            lik_new = lik
-            tau_new = tau
-            for _ in range(_MAX_BACKTRACKS):
-                for i in range(4):
-                    for j in range(4):
-                        t_new[i, j] = t_mat[i, j] + eta * grad[i, j]
-                tau_new = _rho_q_nb(t_new, projs, rho, q_new)
-                lik_new = _loglik_nb(q_new, m, nw)
-                if lik_new >= lik + _ARMIJO_C * eta * gnorm2:
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                # no step of any size ascends: at the optimum if already stalled
-                return t_mat, lik, it, stall > 0
-            if lik_new - lik <= _FTOL * (1.0 + abs(lik)):
-                stall += 1
-            else:
-                stall = 0
-            for i in range(4):
-                for j in range(4):
-                    prev_t[i, j] = t_mat[i, j]
-                    prev_g[i, j] = grad[i, j]
-                    t_mat[i, j] = t_new[i, j]
-            have_prev = True
-            lik = lik_new
-            for j in range(q.shape[0]):
-                q[j] = q_new[j]
-            _grad_nb(t_mat, projs, q, tau_new, m, nw, grad, mid)
-            if stall >= _STALL_LIMIT:
-                return t_mat, lik, it + 1, True
-        return t_mat, lik, max_iter, False
-
-    def average_conjugated_numba(codes, angles, base):
-        return _average_conjugated_numba(
-            np.ascontiguousarray(codes, dtype=np.int64),
-            np.ascontiguousarray(angles, dtype=np.float64),
-            np.ascontiguousarray(base, dtype=np.complex128),
-        )
-
-    def mle_ascend_numba(projs, m, nw, t0, gtol, max_iter):
-        t_mat, lik, its, conv = _mle_ascend_numba(
-            np.ascontiguousarray(projs, dtype=np.complex128),
-            np.ascontiguousarray(m, dtype=np.float64),
-            np.ascontiguousarray(nw, dtype=np.float64),
-            np.ascontiguousarray(t0, dtype=np.complex128),
-            float(gtol),
-            int(max_iter),
-        )
-        return t_mat, lik, its, bool(conv)
-
-    average_conjugated = average_conjugated_numba
-    mle_ascend = mle_ascend_numba
-    ACTIVE_BACKEND = "numba"
-else:
-    average_conjugated_numba = None
-    mle_ascend_numba = None
-    average_conjugated = average_conjugated_numpy
-    mle_ascend = mle_ascend_numpy
-    ACTIVE_BACKEND = "numpy"
-    log.info("using numpy kernels (%s)", _numba_err)

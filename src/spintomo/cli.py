@@ -127,8 +127,13 @@ def _check_fields(cfg: dict, required: dict, optional: dict, where: str) -> None
         if name not in cfg:
             raise ConfigError(f"missing {where} field: {name}")
     for name, types in {**required, **optional}.items():
-        if name in cfg and not isinstance(cfg[name], types):
+        if name in cfg and not _is_a(cfg[name], types):
             raise ConfigError(f"{where} field {name!r} has the wrong type")
+
+
+def _is_a(value, types) -> bool:
+    """isinstance, except that JSON true/false is not a number (bool subclasses int)."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _write_csv(path: Path, meta: dict, header: str, rows) -> None:
@@ -261,7 +266,7 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
     raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
 
 
-def _effective_quorum(cfg: dict, seed: int) -> tuple:
+def _effective_quorum(cfg: dict) -> tuple:
     """Ideal quorum plus the projectors the detector actually realizes."""
     q = mub_quorum()
     effective = list(q.projectors)
@@ -270,18 +275,20 @@ def _effective_quorum(cfg: dict, seed: int) -> tuple:
     if noise_cfg is not None:
         try:
             noise = NoiseModel.from_json(noise_cfg)
+            averaged = [
+                average_projector(
+                    prep.measurement_circuit(),
+                    Projector(prep.base_state.projector(), prep.base_label),
+                    noise,
+                )
+                for prep in mub_preparations()
+            ]
         except ValueError as exc:
             raise ConfigError(f"bad noise model: {exc}") from exc
-        effective = []
-        for prep, ideal in zip(mub_preparations(), q.projectors):
-            base_proj = Projector(prep.base_state.projector(), prep.base_label)
-            avg = average_projector(
-                prep.measurement_circuit(), base_proj, noise, seed=seed
-            )
-            effective.append(
-                Projector(avg.projector.matrix, ideal.label, ideal.basis_index,
-                          kind="averaged")
-            )
+        effective = [
+            Projector(avg.projector.matrix, ideal.label, ideal.basis_index, kind="averaged")
+            for avg, ideal in zip(averaged, q.projectors)
+        ]
         altered = True
     fidelity = cfg.get("readout_fidelity")
     if fidelity is not None:
@@ -298,16 +305,18 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
         optional={"readout_fidelity": (int, float), "noise": dict},
         where="tomography config",
     )
+    if reps < 0 or reps == 1:
+        raise ConfigError("--reps must be 0 (no covariance study) or at least 2")
     truth = _truth_from_config(cfg["state"])
     fidelity = cfg.get("readout_fidelity")
     if fidelity is not None and not 0.5 < float(fidelity) <= 1.0:
         raise ConfigError("readout_fidelity must lie in (1/2, 1]")
 
-    ideal_q, eff_q = _effective_quorum(cfg, seed)
+    ideal_q, eff_q = _effective_quorum(cfg)
     pm = pmatrix(eff_q)
     shots = cfg["shots"]
     if isinstance(shots, list):
-        if len(shots) != 15 or not all(isinstance(n, int) and n >= 1 for n in shots):
+        if len(shots) != 15 or not all(_is_a(n, int) and n >= 1 for n in shots):
             raise ConfigError("shots list must hold 15 positive integers")
         shots_arr = np.array(shots, dtype=np.int64)
     else:
@@ -685,7 +694,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_tomo)
     p_tomo.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_tomo.add_argument("--reps", type=int, default=0,
-                        help="extra repetitions for the covariance study")
+                        help="repetitions for the covariance study (0 for none, else >= 2)")
     p_tomo.add_argument("--exact", action="store_true",
                         help="feed exact Born probabilities instead of sampled counts")
 

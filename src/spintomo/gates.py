@@ -34,19 +34,21 @@ class GateKind(str, Enum):
     ESR_X_QUBIT1 = "esr_x_qubit1"
 
 
-#: integer codes shared with the compiled kernels
-KIND_CODES = {kind: code for code, kind in enumerate(GateKind)}
-
-_SINGLET_PROJECTOR = SINGLET.projector()
-_SIGMA_1X = two_qubit_pauli(1, 0)
-
-# z-type generators are diagonal; table of diagonal phase multipliers
-_DIAG_GENERATORS = {
-    GateKind.Z_ROT_QUBIT1: np.array([1.0, 1.0, -1.0, -1.0]),
-    GateKind.Z_ROT_QUBIT2: np.array([1.0, -1.0, 1.0, -1.0]),
-    GateKind.Z_ROT_BOTH: np.array([2.0, 0.0, 0.0, -2.0]),
-    GateKind.GRADIENT_Z: np.array([0.0, 0.5, -0.5, 0.0]),
+_GENERATORS = {
+    GateKind.EXCHANGE_PULSE: SINGLET.projector(),
+    GateKind.Z_ROT_QUBIT1: two_qubit_pauli(3, 0),
+    GateKind.Z_ROT_QUBIT2: two_qubit_pauli(0, 3),
+    GateKind.Z_ROT_BOTH: two_qubit_pauli(3, 0) + two_qubit_pauli(0, 3),
+    GateKind.GRADIENT_Z: (two_qubit_pauli(3, 0) - two_qubit_pauli(0, 3)) / 4.0,
+    GateKind.ESR_X_QUBIT1: two_qubit_pauli(1, 0),
 }
+for _h in _GENERATORS.values():
+    _h.setflags(write=False)
+
+
+def generator(kind: GateKind) -> np.ndarray:
+    """Hermitian H with gate_matrix(kind, angle) = exp(i angle H), read-only."""
+    return _GENERATORS[GateKind(kind)]
 
 
 @dataclass(frozen=True)
@@ -77,33 +79,15 @@ def gate_unitary(gate: Gate) -> np.ndarray:
 
 
 def gate_matrix(kind: GateKind, angle: float) -> np.ndarray:
+    """exp(i angle H) from its closed form: the z-type generators are diagonal,
+    exchange and the resonant rotation have two distinct eigenvalues."""
+    kind = GateKind(kind)
+    h = _GENERATORS[kind]
     if kind == GateKind.EXCHANGE_PULSE:
-        return np.eye(4, dtype=np.complex128) + (np.exp(1j * angle) - 1.0) * _SINGLET_PROJECTOR
+        return np.eye(4, dtype=np.complex128) + (np.exp(1j * angle) - 1.0) * h
     if kind == GateKind.ESR_X_QUBIT1:
-        return np.cos(angle) * np.eye(4, dtype=np.complex128) + 1j * np.sin(angle) * _SIGMA_1X
-    mult = _DIAG_GENERATORS[GateKind(kind)]
-    return np.diag(np.exp(1j * angle * mult))
-
-
-def gate_matrix_stack(kind: GateKind, angles: np.ndarray) -> np.ndarray:
-    """Unitaries of one gate kind for a whole vector of angles, shape (n, 4, 4)."""
-    angles = np.asarray(angles, dtype=np.float64)
-    n = angles.shape[0]
-    if kind == GateKind.EXCHANGE_PULSE:
-        out = np.broadcast_to(np.eye(4, dtype=np.complex128), (n, 4, 4)).copy()
-        out += (np.exp(1j * angles) - 1.0)[:, None, None] * _SINGLET_PROJECTOR
-        return out
-    if kind == GateKind.ESR_X_QUBIT1:
-        return (
-            np.cos(angles)[:, None, None] * np.eye(4, dtype=np.complex128)
-            + 1j * np.sin(angles)[:, None, None] * _SIGMA_1X
-        )
-    mult = _DIAG_GENERATORS[GateKind(kind)]
-    out = np.zeros((n, 4, 4), dtype=np.complex128)
-    phases = np.exp(1j * angles[:, None] * mult)
-    idx = np.arange(4)
-    out[:, idx, idx] = phases
-    return out
+        return np.cos(angle) * np.eye(4, dtype=np.complex128) + 1j * np.sin(angle) * h
+    return np.diag(np.exp(1j * angle * np.diag(h).real))
 
 
 @dataclass(frozen=True)

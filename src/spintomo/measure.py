@@ -6,21 +6,20 @@ repetition index), so simulated experiments are reproducible and
 order-independent no matter how repetitions are scheduled.
 
 Readout infidelity contracts a projector toward the maximally mixed
-operator; coherent gate-angle errors are handled by Monte Carlo
-averaging of the circuit-conjugated readout operator over Gaussian
-angle draws.
+operator.  Coherent gate-angle errors replace the circuit-conjugated
+readout operator by its exact mean over Gaussian angle errors, from the
+characteristic function of the Gaussian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
-from .gates import Circuit, GateKind, KIND_CODES
+from .gates import Circuit, GateKind, generator
 from .qmath import as_operator, stream
 from .quorum import Projector
 
@@ -136,12 +135,10 @@ class AngleNoise:
 class NoiseModel:
     """Additive Gaussian angle error per gate instance, by gate kind.
 
-    Kinds absent from the table are noise-free.  ``samples`` sets the
-    Monte Carlo budget for projector averaging.
+    Kinds absent from the table are noise-free.
     """
 
     gates: dict = field(default_factory=dict)
-    samples: int = 10000
 
     def __post_init__(self):
         fixed = {}
@@ -151,13 +148,13 @@ class NoiseModel:
                 noise = AngleNoise(**noise)
             fixed[kind] = noise
         object.__setattr__(self, "gates", fixed)
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
 
     @classmethod
     def from_json(cls, data: dict) -> "NoiseModel":
-        data = dict(data)
-        samples = data.pop("samples", 10000)
+        if "samples" in data:
+            raise ValueError(
+                "'samples' is not a noise field: the average over angle errors is exact"
+            )
         gates = {}
         for key, params in data.items():
             kind = GateKind(key)  # raises on unknown gate names
@@ -167,15 +164,13 @@ class NoiseModel:
             gates[kind] = AngleNoise(
                 float(params.get("mean_rad", 0.0)), float(params.get("std_rad", 0.0))
             )
-        return cls(gates, int(samples))
+        return cls(gates)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             kind.value: {"mean_rad": n.mean_rad, "std_rad": n.std_rad}
             for kind, n in self.gates.items()
         }
-        out["samples"] = self.samples
-        return out
 
     def for_kind(self, kind: GateKind) -> AngleNoise:
         return self.gates.get(kind, AngleNoise(0.0, 0.0))
@@ -183,50 +178,46 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class AveragedProjector:
+    """An averaged readout operator.  The average is exact, so
+    ``max_standard_error`` is always 0.0; it stays for callers that
+    size a tolerance from it."""
+
     projector: Projector
-    max_standard_error: float
-    samples: int
+    max_standard_error: float = 0.0
 
 
 def average_projector(
-    circuit: Circuit,
-    base: Projector,
-    noise: NoiseModel,
-    seed: int = 0,
-    target_se: Optional[float] = None,
+    circuit: Circuit, base: Projector, noise: NoiseModel, seed: int = 0
 ) -> AveragedProjector:
-    """Monte Carlo mean of U(alpha)^dag P_base U(alpha) over noisy angles.
+    """Exact mean of U(alpha)^dag P_base U(alpha) over Gaussian gate angles.
 
     ``circuit`` is the gate sequence the device applies before the base
-    readout; each gate's angle is perturbed by its kind's Gaussian
-    error, freshly per sample.  The mean is symmetrized and trace
-    renormalized.  With all stds at zero this reproduces
-    evolve_projector(circuit.unitary()^dag, base) exactly.
+    readout; each gate's angle is perturbed by an independent Gaussian
+    error of its kind's mean and std.  In the eigenbasis of a gate's
+    generator H, entry (i, j) of the conjugated operator picks up
+    E[exp(i d a)] = exp(i d (angle + mean) - d^2 std^2 / 2) with
+    d = lambda_j - lambda_i; the gates are applied last first.  With all
+    stds at zero this is evolve_projector(circuit.unitary()^dag, base).
+    ``seed`` is accepted and ignored: nothing is sampled.
 
-    The entrywise standard error of the matrix mean is reported;
-    if target_se is given and not reached, raises RuntimeError.
+    Raises ValueError when an angle is so large that the phases overflow.
     """
-    gates = circuit.gates
-    nsamp = noise.samples
-    codes = np.array([KIND_CODES[g.kind] for g in gates], dtype=np.int64)
-    angles = np.empty((nsamp, len(gates)), dtype=np.float64)
-    for gi, g in enumerate(gates):
+    x = base.matrix
+    for g in reversed(circuit.gates):
         an = noise.for_kind(g.kind)
-        rng = stream("angle-noise", seed, circuit.label, gi)
-        angles[:, gi] = g.angle + an.mean_rad + an.std_rad * rng.standard_normal(nsamp)
-    acc, acc2 = _kernels.average_conjugated(codes, angles, base.matrix)
-    mean = acc / nsamp
-    var = np.maximum(acc2 - nsamp * (np.abs(mean) ** 2), 0.0) / max(nsamp - 1, 1)
-    max_se = float(np.sqrt(np.max(var) / nsamp))
-    if target_se is not None and max_se > target_se:
-        raise RuntimeError(
-            f"standard error {max_se:.3e} above target {target_se:.3e}; "
-            "increase the sample budget"
-        )
-    sym = 0.5 * (mean + mean.conj().T)
+        lam, vecs = np.linalg.eigh(generator(g.kind))
+        d = lam[None, :] - lam[:, None]
+        # a huge std damps a coherence to exactly 0; a huge angle overflows
+        # the phase to nan, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = np.exp(1j * d * (g.angle + an.mean_rad) - 0.5 * (d * an.std_rad) ** 2)
+        x = vecs @ ((vecs.conj().T @ x @ vecs) * factor) @ vecs.conj().T
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{base.label}: averaged readout is not finite (angle too large)")
+    sym = 0.5 * (x + x.conj().T)
     sym /= np.trace(sym).real
     proj = Projector(sym, f"{base.label}~avg", base.basis_index, kind="averaged")
-    return AveragedProjector(proj, max_se, nsamp)
+    return AveragedProjector(proj)
 
 
 def calibration_matrix(projectors: Sequence[Projector]) -> np.ndarray:

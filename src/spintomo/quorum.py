@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import qmath
-from .gates import Circuit, Gate, GateKind, circuit_apply, gate_matrix
+from .gates import Circuit, Gate, GateKind, circuit_apply, generator
 from .qmath import (
     DOWN,
     DOWN_Y,
@@ -55,8 +55,8 @@ class Projector:
     """Measurement operator tagged by how it was produced.
 
     kind is "ideal-pure" for rank-1 projectors, "degraded" for the
-    readout-fidelity-contracted form, "averaged" for Monte Carlo means
-    over imperfect circuits.  Only ideal-pure operators are required to
+    readout-fidelity-contracted form, "averaged" for exact means over
+    Gaussian gate-angle errors.  Only ideal-pure operators are required to
     be idempotent; all kinds are Hermitian, unit-trace and PSD.
     """
 
@@ -345,43 +345,36 @@ def projector_coefficients(state: PureState) -> np.ndarray:
 _BASE_PROJECTOR_STATES = (UP_UP, UP_DOWN, SINGLET)
 
 
-def accessible_subspace_dimension(
-    esr_allowed: bool, depth: int = 3, angle_count: int = 16
-) -> int:
+def accessible_subspace_dimension(esr_allowed: bool) -> int:
     """Dimension of the operator space reachable by evolved readouts.
 
-    Conjugates the three readout projectors by every composition of up
-    to ``depth`` gates drawn from the control set (exchange, z
-    rotations, optionally the resonant x rotation), with angles on a
-    uniform grid of ``angle_count`` points over [0, 2 pi).  Returns the
-    rank of the traceless coefficient span, using a singular-value
-    cutoff of 1e-8 relative to the largest.
-
-    The grid-and-depth sampling is a test heuristic, not a Lie-algebra
-    computation; depth 3 saturates both the restricted and the full
-    control set.
+    Conjugation by exp(i a H) moves an operator X along i[H, X] and its
+    repeated commutators, so the readouts that circuits of any depth
+    reach span the smallest space that holds the traceless parts of the
+    three readout projectors and is closed under X -> i[H, X] for every
+    control generator H: exchange and the z rotations, plus the
+    resonant x rotation when ``esr_allowed``.  Gram-Schmidt builds that
+    space; a residual norm below 1e-10 counts as linearly dependent.
     """
     kinds = [GateKind.EXCHANGE_PULSE, GateKind.Z_ROT_QUBIT1, GateKind.Z_ROT_QUBIT2]
     if esr_allowed:
         kinds.append(GateKind.ESR_X_QUBIT1)
-    angles = 2.0 * np.pi * np.arange(angle_count) / angle_count
-    singles = np.stack([gate_matrix(k, a) for k in kinds for a in angles])
+    generators = [generator(k) for k in kinds]
+    basis = []
 
-    bases = np.stack([s.projector() for s in _BASE_PROJECTOR_STATES])
-    traceless = PAULI_BASIS[1:]
+    def add(x: np.ndarray) -> None:
+        for b in basis:
+            x = x - np.vdot(b, x) * b
+        norm = np.linalg.norm(x)
+        if norm > 1e-10:
+            basis.append(x / norm)
 
-    def rows_of(unitaries: np.ndarray) -> np.ndarray:
-        conj = np.einsum("nij,pjl,nkl->npik", unitaries, bases, np.conj(unitaries))
-        return np.einsum("kij,npji->npk", traceless, conj).real.reshape(-1, 15)
-
-    chunks = [rows_of(np.eye(4, dtype=np.complex128)[None])]
-    level = np.eye(4, dtype=np.complex128)[None]
-    for _ in range(depth):
-        level = np.einsum("aij,bjk->abik", singles, level).reshape(-1, 4, 4)
-        chunks.append(rows_of(level))
-    stacked = np.concatenate(chunks)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.count_nonzero(sv > 1e-8 * sv[0]))
+    for state in _BASE_PROJECTOR_STATES:
+        add(state.projector() - np.eye(4) / 4.0)
+    for x in basis:  # the loop also visits every direction it appends
+        for h in generators:
+            add(1j * (h @ x - x @ h))
+    return len(basis)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spintomo.cli import (
     EXIT_CONFIG,
@@ -203,7 +204,7 @@ def test_tomography_noise_model_runs(tmp_path):
     payload = {
         "state": {"kind": "named", "name": "up_down"},
         "shots": 1000,
-        "noise": {"gradient_z": {"mean_rad": 0.0, "std_rad": 0.05}, "samples": 200},
+        "noise": {"gradient_z": {"mean_rad": 0.0, "std_rad": 0.05}},
     }
     cfg = _write_cfg(tmp_path, "t.json", payload)
     out = tmp_path / "out"
@@ -232,6 +233,53 @@ def test_tomography_rejects_bad_configs(tmp_path):
         {"state": {"kind": "random"}, "shots": 100, "noise": {"bogus_gate": {}}},
     )
     assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
+
+
+def test_tomography_rejects_noise_samples(tmp_path, capsys):
+    noise = {"gradient_z": {"mean_rad": 0.0, "std_rad": 0.05}, "samples": 200}
+    cfg = _tomo_cfg(tmp_path, noise=noise)
+    assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        {"gradient_z": {"mean_rad": 0.0, "std_rad": 1e308}},
+        {"z_rot_both": {"mean_rad": 1e308}},
+    ],
+    ids=["huge_std", "huge_mean"],
+)
+def test_tomography_extreme_noise_keeps_exit_contract(tmp_path, noise):
+    payload = {"state": {"kind": "named", "name": "singlet"}, "shots": 100, "noise": noise}
+    cfg = _write_cfg(tmp_path, "t.json", payload)
+    assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) in (
+        EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+def test_tomography_rejects_bad_reps(tmp_path):
+    cfg = _tomo_cfg(tmp_path)
+    out = tmp_path / "o"
+    for reps in ("-5", "1"):
+        argv = ["tomography", "--config", cfg, "--out", str(out), "--reps", reps]
+        assert main(argv) == EXIT_CONFIG
+    assert not (out / "result.json").exists()
+
+
+def test_configs_reject_bool_for_int(tmp_path):
+    out = str(tmp_path / "o")
+    for payload in (
+        {"state": {"kind": "named", "name": "singlet"}, "shots": True},
+        {"state": {"kind": "random"}, "shots": [100] * 14 + [True]},
+        {"state": {"kind": "random", "seed": True}, "shots": 100},
+        {"state": {"kind": "random", "rank": True}, "shots": 100},
+    ):
+        cfg = _write_cfg(tmp_path, "t.json", payload)
+        assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    cfg = _write_cfg(
+        tmp_path, "s.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": True}
+    )
+    assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------- plan

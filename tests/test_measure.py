@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spintomo.gates import Circuit, Gate, GateKind, evolve_projector
+from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix
 from spintomo.measure import (
     AngleNoise,
     AveragedProjector,
@@ -126,40 +126,33 @@ def test_degrade_projector_affine_in_operator():
 
 
 def test_noise_model_json_round_trip():
-    nm = NoiseModel(
-        {GateKind.EXCHANGE_PULSE: AngleNoise(0.01, 0.05)}, samples=500
-    )
+    nm = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.01, 0.05)})
     data = nm.to_json()
-    assert data == {
-        "exchange_pulse": {"mean_rad": 0.01, "std_rad": 0.05},
-        "samples": 500,
-    }
+    assert data == {"exchange_pulse": {"mean_rad": 0.01, "std_rad": 0.05}}
     again = NoiseModel.from_json(data)
-    assert again.gates == nm.gates and again.samples == 500
+    assert again.gates == nm.gates
     with pytest.raises(ValueError):
         NoiseModel.from_json({"not_a_gate": {"std_rad": 0.1}})
     with pytest.raises(ValueError):
         NoiseModel.from_json({"exchange_pulse": {"stdev": 0.1}})
-    with pytest.raises(ValueError):
-        NoiseModel({}, samples=1)
+    with pytest.raises(ValueError, match="exact"):
+        NoiseModel.from_json({"exchange_pulse": {"std_rad": 0.1}, "samples": 500})
     with pytest.raises(ValueError):
         AngleNoise(0.0, -0.1)
     assert nm.for_kind(GateKind.GRADIENT_Z) == AngleNoise(0.0, 0.0)
 
 
 def test_average_projector_zero_noise_is_exact():
-    # with all stds zero the Monte Carlo mean equals the deterministic
-    # conjugation by the adjoint circuit, sample after sample
-    noise = NoiseModel({}, samples=8)
+    # with all stds zero the average is the deterministic conjugation by
+    # the adjoint circuit
+    noise = NoiseModel({})
     for prep in mub_preparations()[3:6]:
         base = Projector(prep.base_state.projector(), prep.base_label)
         meas = prep.measurement_circuit()
         avg = average_projector(meas, base, noise, seed=1)
         expected = evolve_projector(meas.unitary().conj().T, base.matrix)
         np.testing.assert_allclose(avg.projector.matrix, expected, atol=1e-12)
-        # identical samples: variance is pure rounding residue
-        assert avg.max_standard_error < 1e-7
-        assert avg.samples == 8
+        assert avg.max_standard_error == 0.0
 
 
 def test_average_projector_gaussian_characteristic_oracle():
@@ -169,7 +162,7 @@ def test_average_projector_gaussian_characteristic_oracle():
     shrink = np.exp(-(std**2) / 2.0)
     circuit = Circuit((Gate(GateKind.GRADIENT_Z, mu),), label="grad-test")
     base = Projector(SINGLET.projector(), "P_S")
-    noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, std)}, samples=60000)
+    noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, std)})
     avg = average_projector(circuit, base, noise, seed=3)
     coeffs = pauli_expand(avg.projector.matrix)
     expected = np.zeros(16)
@@ -179,28 +172,57 @@ def test_average_projector_gaussian_characteristic_oracle():
     expected[10] = -0.5 * shrink * np.cos(mu)
     expected[6] = 0.5 * shrink * np.sin(mu)
     expected[9] = -0.5 * shrink * np.sin(mu)
-    tol = 8.0 * avg.max_standard_error + 1e-12
-    np.testing.assert_allclose(coeffs, expected, atol=tol)
-    assert avg.max_standard_error < 3e-3
+    np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
 
-def test_average_projector_target_se_enforced():
-    noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, 0.5)}, samples=16)
-    circuit = Circuit((Gate(GateKind.GRADIENT_Z, 1.0),), label="se-test")
-    base = Projector(SINGLET.projector(), "P_S")
-    with pytest.raises(RuntimeError):
-        average_projector(circuit, base, noise, seed=0, target_se=1e-9)
+def _monte_carlo_average(circuit, base, noise, samples, rng):
+    """Sampled mean of U^dag B U over the noisy angles, with the
+    entrywise standard error of that mean."""
+    effs = np.empty((samples, 4, 4), dtype=complex)
+    for s in range(samples):
+        u = np.eye(4, dtype=complex)
+        for g in circuit.gates:
+            an = noise.for_kind(g.kind)
+            angle = g.angle + an.mean_rad + an.std_rad * rng.standard_normal()
+            u = gate_matrix(g.kind, angle) @ u
+        effs[s] = u.conj().T @ base @ u
+    se = np.sqrt(effs.real.var(axis=0, ddof=1) + effs.imag.var(axis=0, ddof=1))
+    return effs.mean(axis=0), se / np.sqrt(samples)
+
+
+def test_average_projector_matches_monte_carlo_oracle():
+    # a MUB readout circuit with exchange, z and ESR gates, all noisy
+    noise = NoiseModel(
+        {
+            GateKind.EXCHANGE_PULSE: AngleNoise(0.02, 0.3),
+            GateKind.Z_ROT_QUBIT2: AngleNoise(-0.01, 0.2),
+            GateKind.Z_ROT_BOTH: AngleNoise(0.0, 0.25),
+            GateKind.ESR_X_QUBIT1: AngleNoise(0.03, 0.15),
+        }
+    )
+    prep = mub_preparations()[6]
+    circuit = prep.measurement_circuit()
+    assert {g.kind for g in circuit.gates} == set(noise.gates)
+    base = Projector(prep.base_state.projector(), prep.base_label)
+    exact = average_projector(circuit, base, noise).projector.matrix
+    mean, se = _monte_carlo_average(circuit, base.matrix, noise, 4000,
+                                    np.random.default_rng(17))
+    assert np.all(np.abs(exact - mean) <= 5.0 * se + 1e-12)
+    # the noise is strong enough to move the readout off its ideal form
+    ideal = evolve_projector(circuit.unitary().conj().T, base.matrix)
+    assert np.max(np.abs(exact - ideal)) > 20.0 * np.max(se)
 
 
 def test_average_projector_deterministic_in_seed():
-    noise = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.1)}, samples=100)
+    # nothing is sampled: the average does not depend on the seed at all
+    noise = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.1)})
     circuit = Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi / 2),), label="det-test")
     base = Projector(UP_DOWN.projector(), "P_ud")
     a = average_projector(circuit, base, noise, seed=5).projector.matrix
     b = average_projector(circuit, base, noise, seed=5).projector.matrix
     np.testing.assert_array_equal(a, b)
     c = average_projector(circuit, base, noise, seed=6).projector.matrix
-    assert np.max(np.abs(a - c)) > 1e-6
+    np.testing.assert_array_equal(a, c)
 
 
 def test_averaged_projector_is_valid_operator():
@@ -208,8 +230,7 @@ def test_averaged_projector_is_valid_operator():
         {
             GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.2),
             GateKind.ESR_X_QUBIT1: AngleNoise(0.01, 0.1),
-        },
-        samples=400,
+        }
     )
     prep = mub_preparations()[9]
     base = Projector(prep.base_state.projector(), prep.base_label)
@@ -219,6 +240,10 @@ def test_averaged_projector_is_valid_operator():
     np.testing.assert_allclose(np.trace(m).real, 1.0, atol=1e-12)
     assert np.linalg.eigvalsh(m)[0] > -1e-12
     assert isinstance(avg, AveragedProjector)
+    # an angle so large that the phases overflow is reported, not averaged
+    huge = NoiseModel({GateKind.ESR_X_QUBIT1: AngleNoise(1e308, 0.0)})
+    with pytest.raises(ValueError, match="not finite"):
+        average_projector(prep.measurement_circuit(), base, huge)
 
 
 def test_calibration_matrix_gram():

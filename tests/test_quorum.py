@@ -208,11 +208,6 @@ def test_accessible_subspace_ranks():
     assert accessible_subspace_dimension(esr_allowed=True) == 15
 
 
-def test_accessible_subspace_depth_zero():
-    # no gates at all: only the three base projectors' span
-    assert accessible_subspace_dimension(esr_allowed=False, depth=0) == 3
-
-
 def test_quorum_frozen_states_tuple():
     q = mub_quorum()
     assert isinstance(q.projectors, tuple) and isinstance(q.states, tuple)
