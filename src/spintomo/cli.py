@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .dotmodel import DotParams, spectrum_sweep
-from .gates import GateKind
+from .gates import GateKind, evolve_projector, gate_matrix
 from .measure import (
     MeasurementPlan,
     NoiseModel,
@@ -48,8 +48,10 @@ from .qmath import (
     UP_DOWN,
     UP_UP,
     DensityMatrix,
+    pauli_assemble,
     pauli_expand,
     random_density,
+    random_pure,
     state_fidelity,
     trace_distance,
 )
@@ -446,12 +448,16 @@ def cmd_plan(cfg: dict, out: Path) -> int:
         where="plan config",
     )
 
-    def as_list(v):
-        return [float(x) for x in (v if isinstance(v, list) else [v])]
+    def as_list(name, default=None):
+        value = cfg.get(name, default)
+        values = value if isinstance(value, list) else [value]
+        if not all(_is_a(x, (int, float)) for x in values):
+            raise ConfigError(f"plan config field {name!r} must hold numbers")
+        return [float(x) for x in values]
 
-    deltas = as_list(cfg["delta"])
-    p_limits = as_list(cfg["p_limit"])
-    fidelities = as_list(cfg.get("fidelity", 1.0))
+    deltas = as_list("delta")
+    p_limits = as_list("p_limit")
+    fidelities = as_list("fidelity", 1.0)
     rows = []
     for d in deltas:
         for pl in p_limits:
@@ -478,31 +484,34 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(check_id, measured, threshold, passed=None, detail="") -> CheckResult:
-    if passed is None:
-        passed = measured <= threshold
-    return CheckResult(check_id, bool(passed), float(measured), float(threshold), detail)
-
-
 def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = None) -> list:
     """Structural self-checks; quorum overrides exist for fault injection."""
     results = []
 
-    def guarded(check_id, threshold, fn, detail=""):
+    def guarded(fn, *checks, strict=False):
+        """Run fn once and record one result per (check_id, threshold, detail).
+
+        fn returns one measured value per check (a bare value for a single
+        check), which passes at or below its threshold (strictly below if
+        strict).  An exception fails every check with its message.
+        """
         try:
-            results.append(_check(check_id, fn(), threshold, detail=detail))
+            measured = np.atleast_1d(fn())
         except Exception as exc:  # noqa: BLE001 - report, do not crash the list
-            results.append(CheckResult(check_id, False, float("nan"), threshold, str(exc)))
+            results.extend(CheckResult(cid, False, float("nan"), threshold, str(exc))
+                           for cid, threshold, _ in checks)
+            return
+        for value, (cid, threshold, detail) in zip(measured, checks):
+            passed = value < threshold if strict else value <= threshold
+            results.append(CheckResult(cid, bool(passed), float(value), float(threshold), detail))
 
     q_mub = mub if mub is not None else mub_quorum()
     q_james = james if james is not None else james_quorum()
 
-    guarded("det_mub", 1e-12,
-            lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub))) - 1.0 / 32.0),
-            "| |det P| - 1/32 |")
-    guarded("det_james", 1e-12,
-            lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james))) - 1.0 / 512.0),
-            "| |det P| - 1/512 |")
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub))) - 1.0 / 32.0),
+            ("det_mub", 1e-12, "| |det P| - 1/32 |"))
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james))) - 1.0 / 512.0),
+            ("det_james", 1e-12, "| |det P| - 1/512 |"))
 
     def cross_check():
         mats = q_mub.matrices()
@@ -510,8 +519,8 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
             float(np.max(np.abs(mats[j - 1] - _closed_form_matrix(j)))) for j in range(1, 16)
         )
 
-    guarded("quorum_cross_check", 1e-12, cross_check,
-            "projectors vs closed-form Pauli terms")
+    guarded(cross_check,
+            ("quorum_cross_check", 1e-12, "projectors vs closed-form Pauli terms"))
 
     def esr_budget():
         worst = 0.0
@@ -523,7 +532,8 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
                 worst = max(worst, max(abs(g.angle) - np.pi / 4 for g in esr))
         return worst
 
-    guarded("esr_budget", 1e-12, esr_budget, "one pi/2 resonant pulse max, states 4..15")
+    guarded(esr_budget,
+            ("esr_budget", 1e-12, "one pi/2 resonant pulse max, states 4..15"))
 
     def mub_condition():
         bases = mub_bases()
@@ -537,20 +547,18 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
                         worst = max(worst, abs(ov - target))
         return worst
 
-    guarded("mub_condition", 1e-12, mub_condition, "all 400 basis-pair overlaps")
+    guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
-    try:
-        family = [UP_UP] + [constrained_random_state(s) for s in range(200)]
-        report = orthogonality_witness(family)
-        results.append(_check(
-            "tau_partial_sums", max(report.max_m1, report.max_sum_deviation), 1e-10,
-            detail="m1 = 0 and equal 3/8 partial sums, 200 constrained states"))
-        results.append(_check(
-            "tau_ratio", report.max_ratio_deviation, 1e-10,
-            detail="unit ratio of the two tau-subspace partial sums"))
-    except Exception as exc:  # noqa: BLE001
-        for cid in ("tau_partial_sums", "tau_ratio"):
-            results.append(CheckResult(cid, False, float("nan"), 1e-10, str(exc)))
+    def tau_witness():
+        report = orthogonality_witness(
+            [UP_UP] + [constrained_random_state(s) for s in range(200)]
+        )
+        return max(report.max_m1, report.max_sum_deviation), report.max_ratio_deviation
+
+    guarded(tau_witness,
+            ("tau_partial_sums", 1e-10,
+             "m1 = 0 and equal 3/8 partial sums, 200 constrained states"),
+            ("tau_ratio", 1e-10, "unit ratio of the two tau-subspace partial sums"))
 
     def gram_schmidt():
         report = gram_schmidt_det_check(q_mub)
@@ -558,15 +566,13 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
         dev = float(np.max(np.abs(report.lengths - expected[None, :])))
         return max(dev, abs(report.det_product - 1.0 / 32.0))
 
-    guarded("gram_schmidt_lengths", 1e-10, gram_schmidt,
-            "per-triple lengths sqrt(3/4), sqrt(2/3), sqrt(1/2); product 1/32")
+    guarded(gram_schmidt,
+            ("gram_schmidt_lengths", 1e-10,
+             "per-triple lengths sqrt(3/4), sqrt(2/3), sqrt(1/2); product 1/32"))
 
     def det_bound():
         dets = [abs(np.linalg.det(pmatrix_entries(q_mub))),
                 abs(np.linalg.det(pmatrix_entries(q_james)))]
-        from .qmath import random_pure
-        from .quorum import Projector
-
         for trial in range(100):
             states = [random_pure(1000 + 100 * trial + i) for i in range(15)]
             projs = tuple(
@@ -575,71 +581,40 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
             dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("random", projs)))))
         return float(max(dets))
 
-    try:
-        worst_det = det_bound()
-        results.append(
-            CheckResult(
-                "det_upper_bound_strict",
-                worst_det < DET_UPPER_BOUND,
-                worst_det,
-                DET_UPPER_BOUND,
-                "largest |det P| over mub, james, 100 random quorums (strict <)",
-            )
-        )
-    except Exception as exc:  # noqa: BLE001
-        results.append(
-            CheckResult("det_upper_bound_strict", False, float("nan"),
-                        DET_UPPER_BOUND, str(exc))
-        )
+    guarded(det_bound,
+            ("det_upper_bound_strict", DET_UPPER_BOUND,
+             "largest |det P| over mub, james, 100 random quorums (strict <)"),
+            strict=True)
 
-    guarded("subspace_no_esr", 0.0,
-            lambda: abs(accessible_subspace_dimension(esr_allowed=False) - 5),
-            "rank 5 without the resonant pulse")
-    guarded("subspace_with_esr", 0.0,
-            lambda: abs(accessible_subspace_dimension(esr_allowed=True) - 15),
-            "rank 15 with the resonant pulse")
+    guarded(lambda: abs(accessible_subspace_dimension(esr_allowed=False) - 5),
+            ("subspace_no_esr", 0.0, "rank 5 without the resonant pulse"))
+    guarded(lambda: abs(accessible_subspace_dimension(esr_allowed=True) - 15),
+            ("subspace_with_esr", 0.0, "rank 15 with the resonant pulse"))
 
-    def evolution_exchange():
-        from .gates import Circuit, Gate, evolve_projector
-        from .qmath import pauli_assemble
-
+    def evolution_error(kind, base, cos_terms, sin_terms):
+        """One gate conjugating a readout projector, against its Pauli
+        expansion I/4 - zz/4 + cos(angle) (cos terms) + sin(angle) (sin terms)."""
         worst = 0.0
-        for phi in (0.0, np.pi / 4, np.pi / 2, np.pi):
-            u = Circuit((Gate(GateKind.EXCHANGE_PULSE, phi),)).unitary()
-            lhs = evolve_projector(u, UP_DOWN.projector())
+        for angle in (0.0, np.pi / 4, np.pi / 2, np.pi):
+            lhs = evolve_projector(gate_matrix(kind, angle), base.projector())
             coeffs = np.zeros(16)
             coeffs[0] = 0.5
             coeffs[15] = -0.5
-            coeffs[12] = 0.5 * np.cos(phi)
-            coeffs[3] = -0.5 * np.cos(phi)
-            coeffs[6] = 0.5 * np.sin(phi)
-            coeffs[9] = -0.5 * np.sin(phi)
+            for k, c in cos_terms.items():
+                coeffs[k] = c * np.cos(angle)
+            for k, c in sin_terms.items():
+                coeffs[k] = c * np.sin(angle)
             worst = max(worst, float(np.max(np.abs(lhs - pauli_assemble(coeffs)))))
         return worst
 
-    guarded("evolution_exchange", 1e-12, evolution_exchange,
-            "exchange conjugation of P_ud, closed form")
-
-    def evolution_gradient():
-        from .gates import Circuit, Gate, evolve_projector
-        from .qmath import pauli_assemble
-
-        worst = 0.0
-        for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-            u = Circuit((Gate(GateKind.GRADIENT_Z, theta),)).unitary()
-            lhs = evolve_projector(u, SINGLET.projector())
-            coeffs = np.zeros(16)
-            coeffs[0] = 0.5
-            coeffs[15] = -0.5
-            coeffs[5] = -0.5 * np.cos(theta)
-            coeffs[10] = -0.5 * np.cos(theta)
-            coeffs[6] = -0.5 * np.sin(theta)
-            coeffs[9] = 0.5 * np.sin(theta)
-            worst = max(worst, float(np.max(np.abs(lhs - pauli_assemble(coeffs)))))
-        return worst
-
-    guarded("evolution_gradient", 1e-12, evolution_gradient,
-            "gradient conjugation of P_S, closed form")
+    for check_id, kind, base, cos_terms, sin_terms, detail in (
+        ("evolution_exchange", GateKind.EXCHANGE_PULSE, UP_DOWN,
+         {12: 0.5, 3: -0.5}, {6: 0.5, 9: -0.5}, "exchange conjugation of P_ud, closed form"),
+        ("evolution_gradient", GateKind.GRADIENT_Z, SINGLET,
+         {5: -0.5, 10: -0.5}, {6: -0.5, 9: 0.5}, "gradient conjugation of P_S, closed form"),
+    ):
+        guarded(lambda: evolution_error(kind, base, cos_terms, sin_terms),
+                (check_id, 1e-12, detail))
 
     return results
 

@@ -13,12 +13,12 @@ spins.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .qmath import SIGMA, SINGLET, UP_DOWN, UP_UP
 from .quorum import Projector
@@ -27,6 +27,10 @@ BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down", "S20", "S02")
 
 #: occupation asymmetry is checked against this fraction of the gap scale
 PERTURBATIVE_RATIO = 0.1
+
+#: all 720 orderings of the six levels, for the level-tracking assignment
+_PERMUTATIONS = np.array(list(itertools.permutations(range(6))))
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,8 @@ def spectrum_sweep(p: DotParams, eps_values: np.ndarray) -> np.ndarray:
     """Eigenvalues along a detuning sweep, continuity-tracked.
 
     Columns follow individual levels through crossings by maximizing
-    eigenvector overlap with the previous step (solved as an
-    assignment problem), so the returned curves are smooth even where
+    the total eigenvector overlap with the previous step over all 720
+    level orderings, so the returned curves are smooth even where
     plain ascending order would swap branches.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
@@ -168,7 +172,7 @@ def spectrum_sweep(p: DotParams, eps_values: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh(hamiltonian6(p.replace_epsilon(eps)))
         if prev_vecs is not None:
             overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
-            _, cols = linear_sum_assignment(-overlap)
+            cols = _PERMUTATIONS[np.argmax(overlap[range(6), _PERMUTATIONS].sum(axis=1))]
             vals = vals[cols]
             vecs = vecs[:, cols]
         out[row] = vals
@@ -181,17 +185,25 @@ def min_singlet_gap(p: DotParams, eps_window: tuple) -> float:
 
     Near eps = U this is the S-(0,2) anticrossing, whose gap is
     2 sqrt(2) |t| up to O(t^2/U) corrections from the far-detuned
-    (2,0) singlet.
+    (2,0) singlet.  A golden-section search narrows the window to a
+    width of 1e-12 (or a few ulps, for windows far from zero).
     """
     lo, hi = float(eps_window[0]), float(eps_window[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise ValueError("eps_window must be a finite ordered pair (lo, hi)")
 
     def gap(eps):
         vals = np.linalg.eigvalsh(singlet_block(p.replace_epsilon(eps)))
         return vals[1] - vals[0]
 
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)
+    tol = 1e-12 + 4.0 * np.spacing(max(abs(lo), abs(hi)))
+    while hi - lo > tol:
+        a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+        if gap(a) < gap(b):
+            hi = b
+        else:
+            lo = a
+    return float(gap(0.5 * (lo + hi)))
 
 
 class SweepProtocol(str, Enum):

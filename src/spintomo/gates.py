@@ -73,11 +73,6 @@ class Gate:
         return cls(GateKind(rec["kind"]), float(rec["angle_radians"]))
 
 
-def gate_unitary(gate: Gate) -> np.ndarray:
-    """4x4 unitary of a single gate, from the closed form exp(i angle G)."""
-    return gate_matrix(gate.kind, gate.angle)
-
-
 def gate_matrix(kind: GateKind, angle: float) -> np.ndarray:
     """exp(i angle H) from its closed form: the z-type generators are diagonal,
     exchange and the resonant rotation have two distinct eigenvalues."""
@@ -104,7 +99,11 @@ class Circuit:
                 raise TypeError("Circuit gates must be Gate instances")
 
     def unitary(self) -> np.ndarray:
-        return circuit_unitary(self)
+        """Product of the gate unitaries; the leftmost listed gate acts first."""
+        u = np.eye(4, dtype=np.complex128)
+        for g in self.gates:
+            u = gate_matrix(g.kind, g.angle) @ u
+        return u
 
     def adjoint(self) -> "Circuit":
         """Inverse circuit: reversed order, negated angles."""
@@ -126,17 +125,9 @@ class Circuit:
         return cls(tuple(Gate.from_record(r) for r in records), label)
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product of the gate unitaries; the leftmost listed gate acts first."""
-    u = np.eye(4, dtype=np.complex128)
-    for g in circuit.gates:
-        u = gate_unitary(g) @ u
-    return u
-
-
 def circuit_apply(circuit: Circuit, state: PureState) -> PureState:
     """Run the circuit on a state; output carries the canonical phase."""
-    return PureState.from_amplitudes(circuit_unitary(circuit) @ state.amplitudes)
+    return PureState.from_amplitudes(circuit.unitary() @ state.amplitudes)
 
 
 def evolve_projector(u: np.ndarray, projector: np.ndarray) -> np.ndarray:

@@ -158,12 +158,15 @@ class NoiseModel:
         gates = {}
         for key, params in data.items():
             kind = GateKind(key)  # raises on unknown gate names
+            if not isinstance(params, dict):
+                raise ValueError(f"noise for {key} must be an object")
             extra = set(params) - {"mean_rad", "std_rad"}
             if extra:
                 raise ValueError(f"unknown noise fields for {key}: {sorted(extra)}")
-            gates[kind] = AngleNoise(
-                float(params.get("mean_rad", 0.0)), float(params.get("std_rad", 0.0))
-            )
+            values = [params.get("mean_rad", 0.0), params.get("std_rad", 0.0)]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"noise fields for {key} must be numbers")
+            gates[kind] = AngleNoise(*(float(v) for v in values))
         return cls(gates)
 
     def to_json(self) -> dict:

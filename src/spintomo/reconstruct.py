@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .measure import ShotRecord
@@ -87,8 +86,10 @@ def covariance_bound(pm: PMatrix, n_shots: float) -> float:
 
 
 def psd_project(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Nearest physical state: clip negative eigenvalues, renormalize trace.
+    """Clip the negative eigenvalues at zero and renormalize the trace to one.
 
+    The result is a physical state, but not in general the nearest one
+    in Frobenius norm (that projection also lowers the kept eigenvalues).
     The optional floor lifts eigenvalues strictly above zero (used to
     seed the likelihood ascent, whose square-root parametrization needs
     a nonsingular starting point).
@@ -105,10 +106,13 @@ def seed_square_root(rho_linear: np.ndarray) -> np.ndarray:
 
     Eigenvalues are floored at 1e-9 and the trace renormalized, then the
     reversed-permutation Cholesky trick produces the lower-triangular
-    factor of the T^dag T (rather than T T^dag) convention.
+    factor of the T^dag T (rather than T T^dag) convention.  The upper
+    factor U of A = U^dag U is the transpose of the lower factor of A^T:
+    that reads the upper triangle of A, which is Hermitian only up to
+    rounding, just as an upper-triangular LAPACK Cholesky does.
     """
     rho = psd_project(rho_linear, floor=_SEED_EIGENVALUE_FLOOR)
-    upper = scipy.linalg.cholesky(_REVERSAL @ rho @ _REVERSAL, lower=False)
+    upper = np.linalg.cholesky((_REVERSAL @ rho @ _REVERSAL).T).T
     return _REVERSAL @ upper @ _REVERSAL
 
 

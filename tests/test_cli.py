@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spintomo
 from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -242,19 +247,23 @@ def test_tomography_rejects_noise_samples(tmp_path, capsys):
     assert "exact" in capsys.readouterr().err
 
 
+_ANY_CONTRACT_EXIT = (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
 @pytest.mark.parametrize(
-    "noise",
+    "noise, allowed",
     [
-        {"gradient_z": {"mean_rad": 0.0, "std_rad": 1e308}},
-        {"z_rot_both": {"mean_rad": 1e308}},
+        ({"gradient_z": {"mean_rad": 0.0, "std_rad": 1e308}}, _ANY_CONTRACT_EXIT),
+        ({"z_rot_both": {"mean_rad": 1e308}}, _ANY_CONTRACT_EXIT),
+        ({"gradient_z": 5}, (EXIT_CONFIG,)),
+        ({"gradient_z": {"std_rad": [1]}}, (EXIT_CONFIG,)),
     ],
-    ids=["huge_std", "huge_mean"],
+    ids=["huge_std", "huge_mean", "entry_not_object", "field_not_number"],
 )
-def test_tomography_extreme_noise_keeps_exit_contract(tmp_path, noise):
+def test_tomography_extreme_noise_keeps_exit_contract(tmp_path, noise, allowed):
     payload = {"state": {"kind": "named", "name": "singlet"}, "shots": 100, "noise": noise}
     cfg = _write_cfg(tmp_path, "t.json", payload)
-    assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) in (
-        EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) in allowed
 
 
 def test_tomography_rejects_bad_reps(tmp_path):
@@ -306,8 +315,9 @@ def test_plan_table(tmp_path):
 
 
 def test_plan_rejects_bad_values(tmp_path):
-    cfg = _write_cfg(tmp_path, "p.json", {"delta": 0.05})
-    assert main(["plan", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    for payload in ({"delta": 0.05}, {"delta": ["x"], "p_limit": 0.05}):
+        cfg = _write_cfg(tmp_path, "p.json", payload)
+        assert main(["plan", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 # -------------------------------------------------------------------- verify
@@ -342,3 +352,31 @@ def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+# -------------------------------------------------------------- dependencies
+
+_LOADED_SCIPY_MODULES = """
+import sys
+from spintomo.cli import main
+spec, tomo, out = sys.argv[1:]
+assert main(["spectrum", "--config", spec, "--out", out]) == 0
+assert main(["tomography", "--config", tomo, "--out", out, "--reps", "2"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: this test process may have scipy loaded already
+    spec = _write_cfg(
+        tmp_path, "s.json", {"dot": _dot(t=0.02), "eps_start": 0.0, "eps_stop": 1.2, "eps_count": 9}
+    )
+    tomo = _tomo_cfg(tmp_path)
+    src = str(Path(spintomo.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY_MODULES, spec, tomo, str(tmp_path / "o")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
