@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +80,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: binomial draws take int64 trial counts
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+#: the detuning grid and its levels are built in memory at once
+MAX_EPS_COUNT = 1_000_000
+
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
@@ -113,12 +119,29 @@ def _load_config(path: Optional[str]) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(
+            text, parse_int=_config_number, parse_float=_config_number,
+            parse_constant=_config_number,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
+
+
+def _config_number(text: str) -> int | float:
+    """A JSON number (or NaN/Infinity literal) of a config.  Number fields
+    are read as floats, so each must be a finite one: NaN, Infinity, 1e400
+    and integers beyond 1.8e308 are configuration errors."""
+    try:
+        value = int(text) if text.lstrip("-").isdigit() else float(text)
+        finite = math.isfinite(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config number {text[:20]} is out of range") from exc
+    if not finite:
+        raise ConfigError(f"config number {text[:20]} is not finite")
+    return value
 
 
 def _check_fields(cfg: dict, required: dict, optional: dict, where: str) -> None:
@@ -147,7 +170,12 @@ def _write_csv(path: Path, meta: dict, header: str, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON; a NaN or infinity is a numerical failure (exit 3)."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"{path.name} would hold a non-finite number: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _round_tree(obj):
@@ -175,8 +203,8 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
         params = DotParams.from_json(cfg["dot"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["eps_count"] < 1:
-        raise ConfigError("eps_count must be positive")
+    if not 1 <= cfg["eps_count"] <= MAX_EPS_COUNT:
+        raise ConfigError(f"eps_count must lie in 1..{MAX_EPS_COUNT}")
     grid = np.linspace(float(cfg["eps_start"]), float(cfg["eps_stop"]), cfg["eps_count"])
     levels = spectrum_sweep(params, grid)
     rows = [[float(e)] + [float(x) for x in row] for e, row in zip(grid, levels)]
@@ -264,7 +292,10 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
             raise ConfigError(f"unknown state name {name!r}; known: {known}")
         return DensityMatrix(_NAMED_STATES[name].projector())
     if kind == "random":
-        return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4))
+        try:
+            return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
 
 
@@ -318,12 +349,12 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
     pm = pmatrix(eff_q)
     shots = cfg["shots"]
     if isinstance(shots, list):
-        if len(shots) != 15 or not all(_is_a(n, int) and n >= 1 for n in shots):
-            raise ConfigError("shots list must hold 15 positive integers")
+        if len(shots) != 15 or not all(_is_a(n, int) and 1 <= n <= MAX_SHOTS for n in shots):
+            raise ConfigError(f"shots list must hold 15 integers in 1..{MAX_SHOTS}")
         shots_arr = np.array(shots, dtype=np.int64)
     else:
-        if shots < 1:
-            raise ConfigError("shots must be positive")
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must lie in 1..{MAX_SHOTS}")
         shots_arr = np.full(15, shots, dtype=np.int64)
 
     meta = _meta(cfg)
@@ -404,12 +435,16 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
             ",".join(f"k{k}" for k in range(1, 16)),
             [[float(x) for x in row] for row in emp],
         )
-        pred = covariance_predict(truth.matrix, pm, shots_arr)
-        rel = np.abs(np.diag(emp) - np.diag(pred)) / np.abs(np.diag(pred))
+        pred = np.diag(covariance_predict(truth.matrix, pm, shots_arr))
+        # a coefficient with zero predicted variance (to rounding: a
+        # deterministic outcome can leave -1e-18) has no relative deviation
+        varied = pred > 1e-12 * np.max(pred)
+        rel = np.abs(np.diag(emp)[varied] - pred[varied]) / pred[varied]
         payload["covariance_study"] = _round_tree(
             {
                 "repetitions": reps,
                 "max_diag_relative_deviation": float(np.max(rel)),
+                "zero_variance_coefficients": int(np.sum(~varied)),
             }
         )
 
@@ -631,7 +666,8 @@ def cmd_verify(out: Optional[Path]) -> int:
             {
                 "check_id": r.check_id,
                 "passed": r.passed,
-                "measured": _round17(r.measured),
+                # a check that raised has no measured value
+                "measured": _round17(r.measured) if np.isfinite(r.measured) else None,
                 "threshold": _round17(r.threshold),
                 "detail": r.detail,
             }

@@ -1,9 +1,10 @@
 """Measurement simulation: shot noise, readout degradation, gate noise.
 
-Counts are binomial draws of the Born probabilities.  Every draw gets
-its own counter-based random stream keyed by (seed, projector index,
-repetition index), so simulated experiments are reproducible and
-order-independent no matter how repetitions are scheduled.
+Counts are binomial draws of the Born probabilities.  Each projector has
+one counter-based shot stream keyed by (seed, projector index), and
+repetition r is the r-th draw of that stream, so simulated experiments
+are reproducible and do not depend on the order in which projectors or
+repetitions are computed.
 
 Readout infidelity contracts a projector toward the maximally mixed
 operator.  Coherent gate-angle errors replace the circuit-conjugated
@@ -73,18 +74,27 @@ def born_probabilities(rho, projectors: Sequence[Projector]) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
+def _shot_draws(n: int, p: float, seed: int, j: int, size: int) -> np.ndarray:
+    """The first ``size`` Binomial(n, p) draws of projector j's shot stream."""
+    return stream("shots", seed, j, 0).binomial(n, p, size=size)
+
+
 def simulate_counts(rho, plan: MeasurementPlan, repetition: int = 0) -> list:
     """One simulated run of the plan: a ShotRecord per projector.
 
-    Identical (rho, plan, repetition) always gives identical records.
+    Projector j's count is draw number ``repetition`` of its shot stream,
+    so identical (rho, plan, repetition) always gives identical records,
+    equal to row ``repetition`` of sample_frequencies.
     """
+    if repetition < 0:
+        raise ValueError("repetition must be nonnegative")
     probs = born_probabilities(rho, plan.projectors)
-    records = []
-    for j, (proj, n) in enumerate(zip(plan.projectors, plan.shots)):
-        rng = stream("shots", plan.seed, j, repetition)
-        k = int(rng.binomial(n, probs[j]))
-        records.append(ShotRecord.from_counts(proj.label, n, k))
-    return records
+    return [
+        ShotRecord.from_counts(
+            proj.label, n, int(_shot_draws(n, probs[j], plan.seed, j, repetition + 1)[-1])
+        )
+        for j, (proj, n) in enumerate(zip(plan.projectors, plan.shots))
+    ]
 
 
 def sample_frequencies(
@@ -92,18 +102,16 @@ def sample_frequencies(
 ) -> np.ndarray:
     """Frequency estimates over many repetitions, shape (reps, n_projectors).
 
-    Row r uses the same per-(seed, projector, repetition) streams as
-    simulate_counts with repetition=r.
+    Column j holds the first ``reps`` draws of projector j's shot stream,
+    so row r equals simulate_counts with repetition=r, and the first r
+    rows do not depend on ``reps``.
     """
     probs = born_probabilities(rho, projectors)
     shots_arr = np.broadcast_to(np.asarray(shots, dtype=np.int64), (len(projectors),))
-    out = np.empty((reps, len(projectors)))
-    for j in range(len(projectors)):
-        n = int(shots_arr[j])
-        p = probs[j]
-        for r in range(reps):
-            out[r, j] = stream("shots", seed, j, r).binomial(n, p) / n
-    return out
+    counts = [
+        _shot_draws(int(n), p, seed, j, reps) for j, (n, p) in enumerate(zip(shots_arr, probs))
+    ]
+    return np.stack(counts, axis=1) / shots_arr
 
 
 def degrade_projector(proj: Projector, fidelity: float) -> Projector:

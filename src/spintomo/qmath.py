@@ -275,8 +275,8 @@ def stream(*path) -> np.random.Generator:
 
     Distinct paths give statistically independent Philox streams, and a
     given path always yields the same stream, independent of the order
-    in which streams are created.  This is what makes per-projector and
-    per-repetition sampling reproducible under parallel execution.
+    in which streams are created.  This is what makes per-projector shot
+    sampling reproducible under parallel execution.
     """
     text = "/".join(str(p) for p in path)
     digest = hashlib.sha256(text.encode("utf-8")).digest()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,16 @@ def test_spectrum_rejects_bad_configs(tmp_path):
         tmp_path,
         "c.json",
         {"dot": bad_dot, "eps_start": 0, "eps_stop": 1, "eps_count": 3},
+    )
+    assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    # a sweep bound that parses to inf, and more points than allowed
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(
+        {"dot": _dot(t=0.02), "eps_start": 0.0, "eps_stop": "STOP", "eps_count": 3}
+    ).replace('"STOP"', "1e400"))
+    assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
+    cfg = _write_cfg(
+        tmp_path, "e.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": 10**30}
     )
     assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
     # broken JSON text
@@ -190,6 +201,42 @@ def test_tomography_covariance_study(tmp_path):
     assert len([l for l in emp if not l.startswith("#")]) == 16
 
 
+@pytest.mark.parametrize("name, certain", [("up_up", 3), ("triplet_zero", 2)])
+def test_covariance_study_leaves_out_zero_variance_coefficients(tmp_path, name, certain):
+    # deterministic outcomes give coefficients whose predicted and
+    # empirical variances are both zero (triplet_zero: -1e-18 by rounding)
+    cfg = _write_cfg(tmp_path, "t.json", {"state": {"kind": "named", "name": name}, "shots": 100})
+    out = tmp_path / "o"
+    assert main(["tomography", "--config", cfg, "--out", str(out), "--reps", "10"]) == EXIT_OK
+    study = _strict_json(out / "result.json")["covariance_study"]
+    assert study["zero_variance_coefficients"] == certain
+    assert 0.0 < study["max_diag_relative_deviation"] < 5.0
+
+
+def test_tomography_records_keep_020_counts(tmp_path):
+    # repetition 0 is the first draw of each projector's stream, so the
+    # counts of a run without --reps are those of spintomo 0.2.0
+    shots = list(range(100, 1600, 100))
+    payload = {"state": {"kind": "random", "seed": 7, "rank": 3}, "shots": shots}
+    cfg = _write_cfg(tmp_path, "t.json", payload)
+    out = tmp_path / "o"
+    assert main(["tomography", "--config", cfg, "--out", str(out), "--seed", "17"]) == EXIT_OK
+    rows = [l.split(",") for l in (out / "records.csv").read_text().splitlines()[4:]]
+    assert [int(r[1]) for r in rows] == shots
+    assert [int(r[2]) for r in rows] == [
+        8, 102, 37, 79, 71, 218, 137, 243, 228, 128, 227, 329, 246, 300, 482
+    ]
+
+
+def test_non_finite_output_exits_numerical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("spintomo.cli.state_fidelity", lambda a, b: float("nan"))
+    out = tmp_path / "o"
+    argv = ["tomography", "--config", _tomo_cfg(tmp_path), "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_tomography_named_state_with_degraded_readout(tmp_path):
     payload = {
         "state": {"kind": "named", "name": "singlet"},
@@ -238,6 +285,14 @@ def test_tomography_rejects_bad_configs(tmp_path):
         {"state": {"kind": "random"}, "shots": 100, "noise": {"bogus_gate": {}}},
     )
     assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    for payload in (
+        {"state": {"kind": "random", "rank": 7}, "shots": 10},
+        {"state": {"kind": "random", "rank": 0}, "shots": 10},
+        {"state": {"kind": "random"}, "shots": 2**63},  # beyond int64
+        {"state": {"kind": "random"}, "shots": [10] * 14 + [10**30]},
+    ):
+        cfg = _write_cfg(tmp_path, "e.json", payload)
+        assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
 
 
 def test_tomography_rejects_noise_samples(tmp_path, capsys):
@@ -289,6 +344,31 @@ def test_configs_reject_bool_for_int(tmp_path):
         tmp_path, "s.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": True}
     )
     assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("tomography", '{"state": {"kind": "random"}, "shots": 10, "readout_fidelity": BIG}'),
+        ("tomography", '{"state": {"kind": "random"}, "shots": 10, '
+                       '"noise": {"gradient_z": {"mean_rad": BIG}}}'),
+        ("tomography", '{"state": {"kind": "random"}, "shots": 1' + "0" * 5000 + "}"),
+        ("spectrum", '{"dot": {"epsilon": BIG, "U": 1, "t": 0.02, "h1": [0, 0, 0], '
+                     '"h2": [0, 0, 0]}, "eps_start": 0, "eps_stop": 1, "eps_count": 3}'),
+        ("plan", '{"delta": BIG, "p_limit": 0.05}'),
+        ("plan", '{"delta": NaN, "p_limit": 0.05}'),
+        ("tomography", '{"state": {"kind": "random"}, "shots": 10, '
+                       '"readout_fidelity": -Infinity}'),
+    ],
+    ids=["fidelity", "noise_mean", "digits_beyond_int_limit", "dot_field", "plan_delta",
+         "plan_nan", "fidelity_infinity"],
+)
+def test_configs_reject_non_finite_numbers(tmp_path, command, text):
+    # number fields are read with float(), which overflows past 1.8e308;
+    # json.loads reads NaN and Infinity literals
+    path = tmp_path / "c.json"
+    path.write_text(text.replace("BIG", "1" + "0" * 400))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------- plan
@@ -347,11 +427,108 @@ def test_verification_detects_perturbed_quorum():
     assert results["det_james"].passed
 
 
+def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):
+    def broken(states):
+        raise RuntimeError("witness unavailable")
+
+    monkeypatch.setattr("spintomo.cli.orthogonality_witness", broken)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
+    checks = {c["check_id"]: c for c in _strict_json(out / "verify.json")["checks"]}
+    for cid in ("tau_partial_sums", "tau_ratio"):
+        assert checks[cid]["measured"] is None
+        assert checks[cid]["detail"] == "witness unavailable"
+    assert checks["det_mub"]["passed"]
+    capsys.readouterr()
+
+
 def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------- exit contract
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+#: config values of the wrong type or out of range; json.loads reads NaN
+#: and Infinity literals, so configs may hold them
+_JUNK = (None, True, "x", [], {}, [1], -1, 0, 0.5, 1e308, float("nan"), float("inf"), 10**30,
+         10**400)
+_NAMES = ("singlet", "triplet_zero", "up_up", "up_down", "down_up", "down_down",
+          "maximally_mixed", "bogus")
+_GATES = ("exchange_pulse", "gradient_z", "z_rot_both", "esr_x_qubit1", "bogus")
+
+
+def _fuzz_tomography(rng, pick):
+    if rng.random() < 0.4:
+        state = pick(lambda: {"kind": "named", "name": rng.choice(_NAMES)})
+    else:
+        state = {"kind": pick(lambda: "random"), "seed": pick(lambda: rng.randrange(-5, 2**40)),
+                 "rank": pick(lambda: rng.randrange(-1, 8))}
+    if rng.random() < 0.5:
+        shots = pick(lambda: rng.choice((rng.randrange(-2, 5000), 2**62)))
+    else:
+        shots = [pick(lambda: rng.randrange(1, 3000)) for _ in range(rng.choice((15, 15, 14)))]
+    cfg = {"state": pick(lambda: state), "shots": shots}
+    if rng.random() < 0.4:
+        cfg["readout_fidelity"] = pick(lambda: rng.uniform(0.4, 1.05))
+    if rng.random() < 0.3:
+        cfg["noise"] = {
+            rng.choice(_GATES): pick(lambda: {"mean_rad": pick(lambda: rng.gauss(0, 0.1)),
+                                              "std_rad": pick(lambda: abs(rng.gauss(0, 0.1)))})
+            for _ in range(rng.randrange(4))
+        }
+    if rng.random() < 0.05:
+        del cfg[rng.choice(("state", "shots"))]
+    argv = ["tomography", "--seed", str(rng.randrange(2**31)),
+            "--reps", str(rng.choice((0, 0, 2, 5)))]
+    return argv + (["--exact"] if rng.random() < 0.2 else []), cfg
+
+
+def _fuzz_spectrum(rng, pick):
+    def vec():
+        return [rng.uniform(-0.1, 0.1) for _ in range(3)]
+
+    dot = {"epsilon": pick(lambda: rng.uniform(-2, 2)), "U": pick(lambda: rng.uniform(-0.5, 2)),
+           "t": pick(lambda: rng.uniform(0, 0.3)), "h1": pick(vec), "h2": pick(vec)}
+    if rng.random() < 0.1:
+        del dot[rng.choice(sorted(dot))]
+    cfg = {"dot": pick(lambda: dot), "eps_start": pick(lambda: rng.uniform(-2, 2)),
+           "eps_stop": pick(lambda: rng.uniform(-2, 2)),
+           "eps_count": pick(lambda: rng.randrange(-1, 12))}
+    return ["spectrum"], cfg
+
+
+def test_fuzzed_configs_keep_exit_contract(tmp_path, capsys):
+    """Seeded random and malformed configs: every run exits 0, 2 or 3 and
+    writes only strict JSON."""
+    rng = random.Random(20261018)
+
+    def pick(valid):
+        return rng.choice(_JUNK) if rng.random() < 0.1 else valid()
+
+    codes = []
+    for i in range(300):
+        argv, cfg = (_fuzz_tomography if i % 2 == 0 else _fuzz_spectrum)(rng, pick)
+        path, out = tmp_path / f"{i}.json", tmp_path / str(i)
+        path.write_text(json.dumps(cfg))
+        rc = main(argv + ["--config", str(path), "--out", str(out)])
+        assert rc in _ANY_CONTRACT_EXIT, (argv, cfg)
+        for written in out.glob("*.json"):
+            _strict_json(written)
+        codes.append(rc)
+    capsys.readouterr()
+    # the loop reaches every exit code, so it probes more than the parser
+    assert set(codes) == set(_ANY_CONTRACT_EXIT)
 
 
 # -------------------------------------------------------------- dependencies

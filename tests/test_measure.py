@@ -26,6 +26,7 @@ from spintomo.qmath import (
     DensityMatrix,
     pauli_expand,
     random_density,
+    stream,
 )
 from spintomo.quorum import Projector, mub_preparations, mub_quorum
 
@@ -97,6 +98,38 @@ def test_sample_frequencies_matches_simulate_counts():
     for rep in range(3):
         recs = simulate_counts(rho, _plan(shots=300, seed=9), repetition=rep)
         np.testing.assert_array_equal(freqs[rep], [r.estimate for r in recs])
+
+
+@pytest.mark.parametrize(
+    "rho, shots",
+    [(random_density(4, rank=3), tuple(range(40, 640, 40))), (UP_UP.projector(), 25)],
+    ids=["shots_list", "up_up"],
+)
+def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
+    projectors = mub_quorum().projectors
+    plan = MeasurementPlan(projectors, shots, 5)
+    full = sample_frequencies(rho, projectors, plan.shots, seed=5, reps=9)
+    # a longer study extends a shorter one: its first r rows do not move
+    for r in (0, 1, 4, 9):
+        np.testing.assert_array_equal(
+            full[:r], sample_frequencies(rho, projectors, plan.shots, seed=5, reps=r)
+        )
+    # column j is projector j's one stream, keyed as repetition 0 was in
+    # 0.2.0 and drawn one count at a time
+    probs = born_probabilities(rho, projectors)
+    for j, n in enumerate(plan.shots):
+        rng = stream("shots", 5, j, 0)
+        draws = [rng.binomial(n, probs[j]) / n for _ in range(9)]
+        np.testing.assert_array_equal(full[:, j], draws)
+    # row r is repetition r, whichever repetition is drawn first
+    for rep in (8, 0, 3, 1, 7, 2, 6, 4, 5):
+        recs = simulate_counts(rho, plan, repetition=rep)
+        assert [r.trials for r in recs] == list(plan.shots)
+        np.testing.assert_array_equal(full[rep], [r.estimate for r in recs])
+    certain = (probs == 0.0) | (probs == 1.0)  # up_up: two zeros and a one
+    assert np.all(full[:, certain] == probs[certain])
+    with pytest.raises(ValueError):
+        simulate_counts(rho, plan, repetition=-1)
 
 
 def test_degrade_projector_limits():
