@@ -21,7 +21,7 @@ _kernels     the likelihood-ascent loop behind the maximum likelihood
 cli          command line front end (``spintomo ...``)
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import _kernels, dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, exchange_J, min_singlet_gap, spectrum_sweep

@@ -36,6 +36,7 @@ from .measure import (
     NoiseModel,
     average_projector,
     born_probabilities,
+    calibration_matrix,
     degrade_projector,
     plan_shots,
     sample_frequencies,
@@ -61,9 +62,10 @@ from .quorum import (
     Projector,
     Quorum,
     QuorumDegenerateError,
-    _closed_form_matrix,
     accessible_subspace_dimension,
+    closed_form_deviation,
     constrained_random_state,
+    esr_budget_excess,
     gram_schmidt_det_check,
     james_quorum,
     mub_bases,
@@ -519,8 +521,13 @@ class CheckResult:
     detail: str = ""
 
 
-def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = None) -> list:
-    """Structural self-checks; quorum overrides exist for fault injection."""
+def run_verification() -> list:
+    """Run the structural checks of ``spintomo verify``, one CheckResult each.
+
+    These rows are the one definition of each structural claim of the
+    paper: the acceptance suite asserts on them, and ``mub_quorum``
+    guards itself with the same budget and cross-check measures.
+    """
     results = []
 
     def guarded(fn, *checks, strict=False):
@@ -540,47 +547,23 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
             passed = value < threshold if strict else value <= threshold
             results.append(CheckResult(cid, bool(passed), float(value), float(threshold), detail))
 
-    q_mub = mub if mub is not None else mub_quorum()
-    q_james = james if james is not None else james_quorum()
+    q_mub = mub_quorum()
+    q_james = james_quorum()
 
-    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub))) - 1.0 / 32.0),
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub.matrices()))) - 1.0 / 32.0),
             ("det_mub", 1e-12, "| |det P| - 1/32 |"))
-    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james))) - 1.0 / 512.0),
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james.matrices()))) - 1.0 / 512.0),
             ("det_james", 1e-12, "| |det P| - 1/512 |"))
-
-    def cross_check():
-        mats = q_mub.matrices()
-        return max(
-            float(np.max(np.abs(mats[j - 1] - _closed_form_matrix(j)))) for j in range(1, 16)
-        )
-
-    guarded(cross_check,
+    guarded(lambda: closed_form_deviation([p.prepared_state() for p in mub_preparations()]),
             ("quorum_cross_check", 1e-12, "projectors vs closed-form Pauli terms"))
-
-    def esr_budget():
-        worst = 0.0
-        for j, prep in enumerate(mub_preparations(), start=1):
-            esr = [g for g in prep.circuit.gates if g.kind == GateKind.ESR_X_QUBIT1]
-            expected = 0 if j <= 3 else 1
-            worst = max(worst, abs(len(esr) - expected))
-            if esr:
-                worst = max(worst, max(abs(g.angle) - np.pi / 4 for g in esr))
-        return worst
-
-    guarded(esr_budget,
+    guarded(lambda: esr_budget_excess(mub_preparations()),
             ("esr_budget", 1e-12, "one pi/2 resonant pulse max, states 4..15"))
 
     def mub_condition():
-        bases = mub_bases()
-        worst = 0.0
-        for bi in range(5):
-            for si in range(4):
-                for bj in range(5):
-                    for sj in range(4):
-                        ov = abs(bases[bi][si].overlap(bases[bj][sj])) ** 2
-                        target = (1.0 if si == sj else 0.0) if bi == bj else 0.25
-                        worst = max(worst, abs(ov - target))
-        return worst
+        """tr(P_a P_b) = |<a|b>|^2 is 1 or 0 within a basis and 1/4 across."""
+        projectors = [Projector(s.projector(), "basis") for basis in mub_bases() for s in basis]
+        target = np.kron(np.eye(5), np.eye(4) - 0.25) + 0.25
+        return float(np.max(np.abs(calibration_matrix(projectors) - target)))
 
     guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
@@ -606,15 +589,10 @@ def run_verification(mub: Optional[Quorum] = None, james: Optional[Quorum] = Non
              "per-triple lengths sqrt(3/4), sqrt(2/3), sqrt(1/2); product 1/32"))
 
     def det_bound():
-        dets = [abs(np.linalg.det(pmatrix_entries(q_mub))),
-                abs(np.linalg.det(pmatrix_entries(q_james)))]
-        for trial in range(100):
-            states = [random_pure(1000 + 100 * trial + i) for i in range(15)]
-            projs = tuple(
-                Projector(s.projector(), f"R{i:02d}") for i, s in enumerate(states)
-            )
-            dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("random", projs)))))
-        return float(max(dets))
+        randoms = [[random_pure(1000 + 100 * trial + i).projector() for i in range(15)]
+                   for trial in range(100)]
+        mats = np.concatenate([[q_mub.matrices(), q_james.matrices()], randoms])
+        return float(np.max(np.abs(np.linalg.det(pmatrix_entries(mats)))))
 
     guarded(det_bound,
             ("det_upper_bound_strict", DET_UPPER_BOUND,
@@ -722,15 +700,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            out = None
-            if args.out is not None:
-                out = Path(args.out)
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            try:
                 out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        if args.command == "verify":
             return cmd_verify(out)
-
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         cfg = _load_config(args.config)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out)

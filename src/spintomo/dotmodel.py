@@ -60,6 +60,9 @@ class DotParams:
         if extra:
             raise ValueError(f"unknown DotParams fields: {sorted(extra)}")
         try:
+            fields = [data["epsilon"], data["U"], data["t"], *data["h1"], *data["h2"]]
+            if any(isinstance(x, bool) for x in fields):
+                raise ValueError("DotParams fields must be numbers, not true/false")
             return cls(
                 epsilon=float(data["epsilon"]),
                 U=float(data["U"]),

@@ -189,7 +189,6 @@ def kron_state(first, second) -> PureState:
 UP = np.array([1.0, 0.0])
 DOWN = np.array([0.0, 1.0])
 UP_X = np.array([1.0, 1.0]) / np.sqrt(2.0)
-DOWN_X = np.array([1.0, -1.0]) / np.sqrt(2.0)
 UP_Y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
 DOWN_Y = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 

@@ -43,7 +43,6 @@ CROSS_CHECK_ATOL = 1e-12
 DET_FLOOR = 1e-9
 #: |det P| can never reach (3/4)^(15/2) for any projector quorum
 DET_UPPER_BOUND = 0.75 ** 7.5
-ESR_ANGLE_BUDGET = np.pi / 4 + 1e-12
 
 
 class QuorumDegenerateError(ValueError):
@@ -164,6 +163,11 @@ def _closed_form_matrix(j: int) -> np.ndarray:
     return m
 
 
+#: the 15 closed-form quorum projectors, built once at import
+_CLOSED_FORMS = np.stack([_closed_form_matrix(j) for j in range(1, 16)])
+_CLOSED_FORMS.setflags(write=False)
+
+
 def mub_preparations() -> tuple:
     """Preparation circuits of the 15 unbiased-bases quorum states."""
     g = Gate
@@ -203,42 +207,52 @@ def mub_preparations() -> tuple:
     return tuple(preps)
 
 
-def _enforce_esr_budget(preps: Sequence[Preparation]):
+def esr_budget_excess(preps: Sequence[Preparation]) -> float:
+    """How far a preparation table breaks the resonant-pulse budget.
+
+    States 1-3 may use no ESR gate and states 4-15 exactly one, of at
+    most pi/2 (|angle| <= pi/4).  Returns the largest miscount or the
+    largest angle beyond pi/4; 0.0 when the budget holds.
+    """
+    worst = 0.0
     for j, prep in enumerate(preps, start=1):
         esr = [g for g in prep.circuit.gates if g.kind == GateKind.ESR_X_QUBIT1]
-        if j <= 3:
-            if esr:
-                raise RuntimeError(f"{prep.label}: product-basis state must not use ESR")
-        else:
-            if len(esr) != 1 or abs(esr[0].angle) > ESR_ANGLE_BUDGET:
-                raise RuntimeError(
-                    f"{prep.label}: expected exactly one ESR gate within |angle| <= pi/4"
-                )
+        worst = max(worst, abs(len(esr) - (0 if j <= 3 else 1)))
+        if esr:
+            worst = max(worst, max(abs(g.angle) - np.pi / 4 for g in esr))
+    return worst
+
+
+def closed_form_deviation(states: Sequence[PureState]) -> float:
+    """Largest entry gap between the projectors of the 15 prepared states
+    and the closed-form Pauli terms of the quorum projectors."""
+    return max(
+        float(np.max(np.abs(s.projector() - c)))
+        for s, c in zip(states, _CLOSED_FORMS, strict=True)
+    )
 
 
 def mub_quorum() -> Quorum:
     """The 15-state unbiased-bases quorum, cross-checked two ways.
 
     Route one assembles each projector from its closed-form Pauli terms;
-    route two runs the preparation circuit on the base state.  Any
-    discrepancy beyond 1e-12 raises.
+    route two runs the preparation circuit on the base state.  Raises
+    when the circuits break the resonant-pulse budget or the two routes
+    disagree beyond 1e-12.
     """
     preps = mub_preparations()
-    _enforce_esr_budget(preps)
-    projectors = []
-    states = []
-    for j, prep in enumerate(preps, start=1):
-        closed = _closed_form_matrix(j)
-        state = prep.prepared_state()
-        from_circuit = state.projector()
-        dev = np.max(np.abs(closed - from_circuit))
-        if dev > CROSS_CHECK_ATOL:
-            raise RuntimeError(
-                f"{prep.label}: circuit and closed form disagree (max dev {dev:.3e})"
-            )
-        projectors.append(Projector(closed, prep.label, basis_index=(j - 1) // 3))
-        states.append(state)
-    return Quorum("mub", tuple(projectors), tuple(states))
+    excess = esr_budget_excess(preps)
+    if excess > CROSS_CHECK_ATOL:
+        raise RuntimeError(f"preparation circuits break the ESR budget by {excess:.3e}")
+    states = tuple(prep.prepared_state() for prep in preps)
+    dev = closed_form_deviation(states)
+    if dev > CROSS_CHECK_ATOL:
+        raise RuntimeError(f"circuit and closed form disagree (max dev {dev:.3e})")
+    projectors = tuple(
+        Projector(c, prep.label, basis_index=j // 3)
+        for j, (prep, c) in enumerate(zip(preps, _CLOSED_FORMS, strict=True))
+    )
+    return Quorum("mub", projectors, states)
 
 
 def james_quorum() -> Quorum:
@@ -287,14 +301,10 @@ class PMatrix:
     det: float
     inverse: np.ndarray
 
-    @property
-    def abs_det(self) -> float:
-        return abs(self.det)
 
-
-def pmatrix_entries(q: Quorum) -> np.ndarray:
-    mats = q.matrices()
-    return np.einsum("jab,kba->jk", mats, PAULI_BASIS[1:]).real
+def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
+    """P matrices of a stack of quorum matrices, shape (..., 15, 4, 4)."""
+    return np.einsum("...jab,kba->...jk", mats, PAULI_BASIS[1:]).real
 
 
 def pmatrix(q: Quorum) -> PMatrix:
@@ -303,7 +313,7 @@ def pmatrix(q: Quorum) -> PMatrix:
     Raises QuorumDegenerateError when |det| < 1e-9, since reconstruction
     divides by this determinant.
     """
-    entries = pmatrix_entries(q)
+    entries = pmatrix_entries(q.matrices())
     det = float(np.linalg.det(entries))
     if abs(det) < DET_FLOOR:
         raise QuorumDegenerateError(f"quorum {q.name!r}: |det| = {abs(det):.3e}")
@@ -462,7 +472,7 @@ def gram_schmidt_det_check(q: Quorum) -> GramSchmidtReport:
     of all 15 lengths equals |det P|.  Raises when rows of different
     triples fail orthogonality at 1e-10.
     """
-    rows = pmatrix_entries(q)
+    rows = pmatrix_entries(q.matrices())
     for i in range(15):
         for j in range(i + 1, 15):
             if i // 3 != j // 3:

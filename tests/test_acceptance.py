@@ -1,14 +1,19 @@
 """End-to-end acceptance checks, one summary line per criterion.
 
-Each test measures one contracted property at its stated tolerance,
+Each test checks one contracted property at its stated tolerance,
 prints a single PASS/FAIL line (visible with ``pytest -s``), and then
-asserts.  Runtime-capped criteria time themselves and fail on overrun.
+asserts.  Criteria 01-06 read the structural claims from the rows of
+``spintomo verify``, which computes each of them once, and add only
+what reaches further.  Runtime-capped criteria time themselves and
+fail on overrun.
 """
 
 import time
 
 import numpy as np
+import pytest
 
+from spintomo.cli import run_verification
 from spintomo.dotmodel import (
     DotParams,
     exact_exchange_splitting,
@@ -16,19 +21,16 @@ from spintomo.dotmodel import (
     hamiltonian6,
     min_singlet_gap,
 )
-from spintomo.gates import Circuit, Gate, GateKind, evolve_projector
 from spintomo.measure import (
+    ShotRecord,
     born_probabilities,
     degrade_projector,
     plan_shots,
     sample_frequencies,
 )
 from spintomo.qmath import (
-    SINGLET,
-    UP_DOWN,
     UP_UP,
     DensityMatrix,
-    pauli_assemble,
     pauli_expand,
     random_density,
     random_pure,
@@ -36,18 +38,11 @@ from spintomo.qmath import (
     stream,
 )
 from spintomo.quorum import (
-    DET_UPPER_BOUND,
-    Projector,
-    Quorum,
-    _closed_form_matrix,
     constrained_random_state,
     james_quorum,
-    mub_bases,
-    mub_preparations,
     mub_quorum,
     orthogonality_witness,
     pmatrix,
-    pmatrix_entries,
 )
 from spintomo.reconstruct import (
     covariance_bound,
@@ -57,8 +52,6 @@ from spintomo.reconstruct import (
     mle_from_frequencies,
     mle_reconstruct,
 )
-from spintomo.measure import ShotRecord
-from spintomo.quorum import accessible_subspace_dimension
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -66,118 +59,50 @@ def _report(num: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {num:02d}: {detail}"
 
 
-def test_criterion_01_quorum_determinants():
+@pytest.fixture(scope="module")
+def verification():
+    """The rows of ``spintomo verify``, where the structural claims are computed."""
+    return {r.check_id: r for r in run_verification()}
+
+
+def _rows(verification, *check_ids: str) -> tuple:
+    """Whether the named rows passed, and their one-line summary."""
+    rows = [verification[cid] for cid in check_ids]
+    return all(r.passed for r in rows), "; ".join(
+        f"{r.detail}: {r.measured:.2e} (tol {r.threshold:.3g})" for r in rows)
+
+
+def test_criterion_01_quorum_determinants(verification):
     t0 = time.perf_counter()
-    d_mub = abs(pmatrix(mub_quorum()).det)
-    d_james = abs(pmatrix(james_quorum()).det)
+    pmatrix(mub_quorum())
+    pmatrix(james_quorum())
     elapsed = time.perf_counter() - t0
-    dev = max(abs(d_mub - 1.0 / 32.0), abs(d_james - 1.0 / 512.0))
-    ok = dev <= 1e-12 and elapsed < 1.0
-    _report(
-        1,
-        ok,
-        f"|det| deviations from 1/32 and 1/512: {dev:.2e} (tol 1e-12); "
-        f"{elapsed:.2f} s (cap 1 s)",
-    )
+    ok, detail = _rows(verification, "det_mub", "det_james")
+    _report(1, ok and elapsed < 1.0, f"{detail}; both built in {elapsed:.2f} s (cap 1 s)")
 
 
-def test_criterion_02_circuit_projector_cross_check():
-    dev = 0.0
-    budget_ok = True
-    for j, prep in enumerate(mub_preparations(), start=1):
-        circuit_proj = prep.prepared_state().projector()
-        dev = max(dev, float(np.max(np.abs(circuit_proj - _closed_form_matrix(j)))))
-        esr = [g for g in prep.circuit.gates if g.kind == GateKind.ESR_X_QUBIT1]
-        if j <= 3:
-            budget_ok &= not esr
-        else:
-            budget_ok &= len(esr) == 1 and abs(esr[0].angle) == np.pi / 4
-    ok = dev <= 1e-12 and budget_ok
-    _report(
-        2,
-        ok,
-        f"circuit vs closed-form projectors: max dev {dev:.2e} (tol 1e-12); "
-        f"one pi/4 resonant pulse each for states 4-15: {budget_ok}",
-    )
+def test_criterion_02_circuit_projector_cross_check(verification):
+    _report(2, *_rows(verification, "quorum_cross_check", "esr_budget"))
 
 
-def test_criterion_03_unbiased_basis_overlaps():
-    bases = mub_bases()
-    worst = 0.0
-    for bi in range(5):
-        for si in range(4):
-            for bj in range(5):
-                for sj in range(4):
-                    ov = abs(bases[bi][si].overlap(bases[bj][sj])) ** 2
-                    target = (1.0 if si == sj else 0.0) if bi == bj else 0.25
-                    worst = max(worst, abs(ov - target))
-    ok = worst <= 1e-12
-    _report(3, ok, f"400 pairwise overlaps: max dev {worst:.2e} (tol 1e-12)")
+def test_criterion_03_unbiased_basis_overlaps(verification):
+    _report(3, *_rows(verification, "mub_condition"))
 
 
-def test_criterion_04_tau_witness_and_strict_det_bound():
+def test_criterion_04_tau_witness_and_strict_det_bound(verification):
     family = [UP_UP] + [constrained_random_state(s) for s in range(1000)]
-    report = orthogonality_witness(family)
-    sums_dev = report.max_sum_deviation
-    dets = [
-        abs(np.linalg.det(pmatrix_entries(mub_quorum()))),
-        abs(np.linalg.det(pmatrix_entries(james_quorum()))),
-    ]
-    for trial in range(100):
-        projs = tuple(
-            Projector(random_pure(1000 + 100 * trial + i).projector(), f"R{i:02d}")
-            for i in range(15)
-        )
-        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("random", projs)))))
-    worst_det = max(dets)
-    ok = sums_dev <= 1e-10 and worst_det < DET_UPPER_BOUND
-    _report(
-        4,
-        ok,
-        f"tau partial sums vs 3/8 over 1000 constrained states: "
-        f"max dev {sums_dev:.2e} (tol 1e-10); "
-        f"max |det| {worst_det:.4f} < {DET_UPPER_BOUND:.4f} (strict)",
-    )
+    sums_dev = orthogonality_witness(family).max_sum_deviation
+    ok, detail = _rows(verification, "tau_partial_sums", "tau_ratio", "det_upper_bound_strict")
+    _report(4, ok and sums_dev <= 1e-10, f"{detail}; tau partial sums vs 3/8 over 1000 "
+            f"constrained states: max dev {sums_dev:.2e} (tol 1e-10)")
 
 
-def test_criterion_05_accessible_subspace_dimensions():
-    no_esr = accessible_subspace_dimension(esr_allowed=False)
-    with_esr = accessible_subspace_dimension(esr_allowed=True)
-    ok = no_esr == 5 and with_esr == 15
-    _report(5, ok, f"operator-span ranks: {no_esr} (want 5), {with_esr} (want 15)")
+def test_criterion_05_accessible_subspace_dimensions(verification):
+    _report(5, *_rows(verification, "subspace_no_esr", "subspace_with_esr"))
 
 
-def test_criterion_06_evolution_closed_forms():
-    worst = 0.0
-    for angle in (0.0, np.pi / 4, np.pi / 2, np.pi):
-        u = Circuit((Gate(GateKind.EXCHANGE_PULSE, angle),)).unitary()
-        lhs = evolve_projector(u, UP_DOWN.projector())
-        coeffs = np.zeros(16)
-        coeffs[0] = 0.5
-        coeffs[15] = -0.5
-        coeffs[12] = 0.5 * np.cos(angle)
-        coeffs[3] = -0.5 * np.cos(angle)
-        coeffs[6] = 0.5 * np.sin(angle)
-        coeffs[9] = -0.5 * np.sin(angle)
-        worst = max(worst, float(np.max(np.abs(lhs - pauli_assemble(coeffs)))))
-
-        u = Circuit((Gate(GateKind.GRADIENT_Z, angle),)).unitary()
-        lhs = evolve_projector(u, SINGLET.projector())
-        coeffs = np.zeros(16)
-        coeffs[0] = 0.5
-        coeffs[15] = -0.5
-        coeffs[5] = -0.5 * np.cos(angle)
-        coeffs[10] = -0.5 * np.cos(angle)
-        coeffs[6] = -0.5 * np.sin(angle)
-        coeffs[9] = 0.5 * np.sin(angle)
-        worst = max(worst, float(np.max(np.abs(lhs - pauli_assemble(coeffs)))))
-    ok = worst <= 1e-12
-    _report(
-        6,
-        ok,
-        f"exchange and gradient conjugation closed forms at four angles: "
-        f"max dev {worst:.2e} (tol 1e-12)",
-    )
+def test_criterion_06_evolution_closed_forms(verification):
+    _report(6, *_rows(verification, "evolution_exchange", "evolution_gradient"))
 
 
 def test_criterion_07_round_trip_and_rms_slope():

@@ -18,7 +18,14 @@ from spintomo.cli import (
     main,
     run_verification,
 )
-from spintomo.quorum import Projector, Quorum, mub_quorum
+from spintomo.gates import Circuit, Gate
+from spintomo.quorum import (
+    Preparation,
+    Projector,
+    Quorum,
+    mub_preparations,
+    mub_quorum,
+)
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -340,10 +347,13 @@ def test_configs_reject_bool_for_int(tmp_path):
     ):
         cfg = _write_cfg(tmp_path, "t.json", payload)
         assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    cfg = _write_cfg(
-        tmp_path, "s.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": True}
-    )
-    assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    for payload in (
+        {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": True},
+        {"dot": dict(_dot(), U=True, epsilon=False, h1=[0, True, 0]),
+         "eps_start": 0, "eps_stop": 1, "eps_count": 3},
+    ):
+        cfg = _write_cfg(tmp_path, "s.json", payload)
+        assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -416,15 +426,32 @@ def test_verify_all_checks_pass(tmp_path, capsys):
     assert {"det_mub", "det_james", "mub_condition", "tau_partial_sums"} <= ids
 
 
-def test_verification_detects_perturbed_quorum():
+def test_verification_detects_perturbed_quorum(monkeypatch):
     q = mub_quorum()
     projs = list(q.projectors)
     mat = 0.9 * projs[4].matrix + 0.1 * np.eye(4) / 4.0  # PSD, trace 1, smaller det
     projs[4] = Projector(mat, projs[4].label, projs[4].basis_index, kind="averaged")
     broken = Quorum("mub-broken", tuple(projs), q.states)
-    results = {r.check_id: r for r in run_verification(mub=broken)}
+    monkeypatch.setattr("spintomo.cli.mub_quorum", lambda: broken)
+    results = {r.check_id: r for r in run_verification()}
     assert not results["det_mub"].passed
     assert results["det_james"].passed
+
+
+def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
+    preps = list(mub_preparations())
+    *head, last = preps[6].circuit.gates  # P07 ends in a z rotation by -pi/4
+    preps[6] = Preparation(preps[6].label, preps[6].base_label,
+                           Circuit((*head, Gate(last.kind, last.angle / 2))))
+    monkeypatch.setattr("spintomo.cli.mub_preparations", lambda: tuple(preps))
+    results = {r.check_id: r for r in run_verification()}
+    assert not results["quorum_cross_check"].passed
+    assert results["quorum_cross_check"].measured > 0.1
+    assert results["esr_budget"].passed and results["det_mub"].passed
+    # the quorum guard reads the same measure and refuses the table
+    monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(preps))
+    with pytest.raises(RuntimeError, match="closed form disagree"):
+        mub_quorum()
 
 
 def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):
@@ -450,6 +477,26 @@ def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
 
 
 # ----------------------------------------------------------- exit contract
+
+
+@pytest.mark.parametrize("command", ["spectrum", "quorum", "tomography", "plan", "verify"])
+def test_unusable_out_dir_exits_config(tmp_path, command, capsys):
+    configs = {
+        "spectrum": {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": 3},
+        "quorum": {"name": "mub"},
+        "tomography": {"state": {"kind": "named", "name": "singlet"}, "shots": 100},
+        "plan": {"delta": 0.05, "p_limit": 0.05},
+    }
+    args = [command]
+    if command in configs:
+        args += ["--config", _write_cfg(tmp_path, "c.json", configs[command])]
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert "cannot create output directory" in capsys.readouterr().err
+
+
 
 
 def _strict_json(path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spintomo.gates import Gate, GateKind
+from spintomo.gates import Circuit, Gate, GateKind
 from spintomo.qmath import (
     DOWN_UP,
     PAULI_BASIS,
@@ -16,11 +16,13 @@ from spintomo.qmath import (
 )
 from spintomo.quorum import (
     DET_UPPER_BOUND,
+    Preparation,
     Projector,
     Quorum,
     QuorumDegenerateError,
     accessible_subspace_dimension,
     constrained_random_state,
+    esr_budget_excess,
     gram_schmidt_det_check,
     james_quorum,
     mub_bases,
@@ -74,7 +76,7 @@ def test_mub_preparations_structure():
             assert not esr
         else:
             assert len(esr) == 1
-            assert abs(esr[0].angle) <= np.pi / 4 + 1e-12
+            assert abs(esr[0].angle) == np.pi / 4  # exactly one pi/2 pulse
 
 
 def test_measurement_circuit_inverts_preparation():
@@ -105,7 +107,7 @@ def test_mub_condition_all_bases():
 
 def test_pmatrix_entries_against_manual_traces():
     q = mub_quorum()
-    entries = pmatrix_entries(q)
+    entries = pmatrix_entries(q.matrices())
     assert entries.shape == (15, 15)
     for j in range(15):
         for k in range(15):
@@ -164,7 +166,7 @@ def test_det_upper_bound_strict_everywhere():
             Projector(random_pure(5000 + 31 * trial + i).projector(), f"r{i}")
             for i in range(15)
         )
-        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("rand", projs)))))
+        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("rand", projs).matrices()))))
     assert max(dets) < DET_UPPER_BOUND
 
 
@@ -213,19 +215,18 @@ def test_quorum_frozen_states_tuple():
     assert isinstance(q.projectors, tuple) and isinstance(q.states, tuple)
 
 
-def test_esr_budget_enforced_at_construction():
-    # the constructor itself runs the budget check; a manual circuit with
-    # two resonant pulses must be rejected by the internal audit
-    from spintomo.quorum import Preparation, _enforce_esr_budget
-
-    bad = Preparation(
-        label="bad",
-        base_label="up_up",
-        circuit=mub_preparations()[3].circuit.extended(
-            [Gate(GateKind.ESR_X_QUBIT1, np.pi / 4)]
-        ),
-    )
+def test_esr_budget_enforced_at_construction(monkeypatch):
+    # a pi pulse overshoots the budget by pi/4, a second resonant pulse
+    # breaks it by one gate, and mub_quorum refuses to build from either
     preps = list(mub_preparations())
-    preps[3] = bad
-    with pytest.raises(RuntimeError):
-        _enforce_esr_budget(preps)
+    assert esr_budget_excess(preps) == 0.0
+    doubled = tuple(Gate(g.kind, 2 * g.angle) for g in preps[9].circuit.gates)
+    wide = preps[:9] + [Preparation("wide", "singlet", Circuit(doubled))] + preps[10:]
+    assert esr_budget_excess(wide) == pytest.approx(np.pi / 4)
+    extra = Gate(GateKind.ESR_X_QUBIT1, np.pi / 4)
+    preps[3] = Preparation("bad", "up_up", preps[3].circuit.extended([extra]))
+    assert esr_budget_excess(preps) == 1.0
+    for table in (wide, preps):
+        monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(table))
+        with pytest.raises(RuntimeError, match="ESR budget"):
+            mub_quorum()
