@@ -14,10 +14,11 @@ qmath        Pauli/tau operator bases, states, fidelities, RNG streams
 gates        native gate set and circuits
 quorum       quorum construction, P matrix, structural witnesses
 dotmodel     six-level two-electron charge/spin model and sweeps
-measure      shot sampling, readout degradation, exact averaging over
-             Gaussian gate-angle noise
-reconstruct  linear inversion, covariance prediction, maximum likelihood
-_kernels     the likelihood-ascent loop behind the maximum likelihood
+measure      shot counts (one sampler for a run and a study), readout
+             degradation, exact averaging over Gaussian gate-angle noise
+reconstruct  one entry point for linear inversion and maximum likelihood,
+             covariance prediction
+_kernels     the binomial likelihood and its ascent loop
 cli          command line front end (``spintomo ...``)
 """
 
@@ -27,9 +28,7 @@ from . import _kernels, dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, exchange_J, min_singlet_gap, spectrum_sweep
 from .gates import Circuit, Gate, GateKind, evolve_projector
 from .measure import (
-    MeasurementPlan,
     NoiseModel,
-    ShotRecord,
     average_projector,
     born_probabilities,
     degrade_projector,
@@ -58,9 +57,8 @@ from .reconstruct import (
     ReconstructionResult,
     covariance_bound,
     covariance_predict,
-    linear_reconstruct,
+    linear_from_frequencies,
     mle_from_frequencies,
-    mle_reconstruct,
 )
 
 __all__ = [
@@ -72,8 +70,8 @@ __all__ = [
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",
     "pmatrix",
     "DotParams", "exchange_J", "min_singlet_gap", "spectrum_sweep",
-    "MeasurementPlan", "NoiseModel", "ShotRecord", "average_projector",
-    "born_probabilities", "degrade_projector", "plan_shots", "simulate_counts",
+    "NoiseModel", "average_projector", "born_probabilities", "degrade_projector",
+    "plan_shots", "simulate_counts",
     "ReconstructionResult", "covariance_bound", "covariance_predict",
-    "linear_reconstruct", "mle_from_frequencies", "mle_reconstruct",
+    "linear_from_frequencies", "mle_from_frequencies",
 ]

@@ -1,7 +1,7 @@
-"""Likelihood ascent, the inner loop of the maximum-likelihood reconstruction.
+"""The binomial likelihood and its ascent, the inner loop of the MLE.
 
-Kept apart from ``reconstruct`` so that its one entry point, ``mle_ascend``,
-can be timed and traced on its own.
+Kept apart from ``reconstruct`` so that the ascent, ``mle_ascend``, can
+be timed and traced on its own.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ _MAX_DAMPINGS = 60
 # an accepted step with relative objective gain below _FTOL ends the
 # ascent: the iterate is a maximum to working precision
 _FTOL = 1e-14
+# the ascent ends below this gradient norm, or after MAX_ITER steps
+GTOL = 1e-8
+MAX_ITER = 10000
 
 # the 16 real coordinates x of a lower-triangular T with real diagonal:
 # coordinate k is the real (unit 1) or imaginary (unit 1j) part of
@@ -42,12 +45,14 @@ def _quadratic_forms(projs):
     return (np.conj(_UNIT)[:, None] * _UNIT[None, :] * same_row * entries).real
 
 
-def _loglik(q, m, nw):
+def loglik(q, m, nw):
+    """Binomial log-likelihood of frequencies m, weights nw, probabilities q
+    clamped into (0, 1) (an unphysical linear estimate may leave them)."""
     qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
     return float(np.sum(nw * (m * np.log(qc) + (1.0 - m) * np.log1p(-qc))))
 
 
-def mle_ascend(projs, m, nw, t0, gtol, max_iter):
+def mle_ascend(projs, m, nw, t0):
     """Likelihood ascent over the triangular square-root parametrization.
 
     Maximizes the weighted binomial log-likelihood of rho(T) = T^dag T /
@@ -59,9 +64,9 @@ def mle_ascend(projs, m, nw, t0, gtol, max_iter):
     until the step ascends and lowered fourfold after each accepted
     step.  Rank-deficient optima, where plain gradient ascent crawls,
     are reached in a few steps.  Stops when the gradient norm drops
-    below gtol, when a step gains less than a relative 1e-14, or when
-    no damped step ascends.  Returns (T, scaled loglik, iterations,
-    converged).
+    below GTOL, when a step gains less than a relative 1e-14, when no
+    damped step ascends, or after MAX_ITER steps.  Returns (T, scaled
+    loglik, iterations, converged).
     """
     forms = _quadratic_forms(np.asarray(projs))
     t_mat = np.asarray(t0, dtype=np.complex128).copy()
@@ -71,17 +76,17 @@ def mle_ascend(projs, m, nw, t0, gtol, max_iter):
     def evaluate(x):
         ax = forms @ x
         q = ax @ x
-        return ax, q, _loglik(q, m, nw)
+        return ax, q, loglik(q, m, nw)
 
     ax, q, lik = evaluate(x)
     damping = 0.0
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
         d1 = nw * (m / qc - (1.0 - m) / (1.0 - qc))
         d2 = nw * (m / qc**2 + (1.0 - m) / (1.0 - qc) ** 2)
         dq = 2.0 * (ax - q[:, None] * x)  # gradients of q_j on the unit sphere
         grad = d1 @ dq
-        if np.linalg.norm(grad) < gtol:
+        if np.linalg.norm(grad) < GTOL:
             return t_mat, lik, it, True
         # minus the Hessian; its terms along x drop out in the tangent space
         neg_hess = (dq.T * d2) @ dq - 2.0 * np.einsum("j,jkl->kl", d1, forms)
@@ -108,4 +113,4 @@ def mle_ascend(projs, m, nw, t0, gtol, max_iter):
         damping *= 0.25
         if gain <= _FTOL * (1.0 + abs(lik)):
             return t_mat, lik, it + 1, True
-    return t_mat, lik, max_iter, False
+    return t_mat, lik, MAX_ITER, False

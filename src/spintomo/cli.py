@@ -32,14 +32,12 @@ from . import __version__
 from .dotmodel import DotParams, spectrum_sweep
 from .gates import GateKind, evolve_projector, gate_matrix
 from .measure import (
-    MeasurementPlan,
     NoiseModel,
     average_projector,
     born_probabilities,
     calibration_matrix,
     degrade_projector,
     plan_shots,
-    sample_frequencies,
     simulate_counts,
 )
 from .qmath import (
@@ -76,7 +74,7 @@ from .quorum import (
     pmatrix_entries,
     quorum_records,
 )
-from .reconstruct import covariance_predict, mle_from_frequencies, psd_project
+from .reconstruct import covariance_predict, linear_coefficients, mle_from_frequencies, psd_project
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,10 +92,6 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _round17(x: float) -> float:
-    return float(_fmt(float(x)))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -180,17 +174,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _round_tree(obj):
-    """Apply the 17-significant-digit float policy recursively."""
-    if isinstance(obj, float):
-        return _round17(obj)
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    return obj
-
-
 # ------------------------------------------------------------------ spectrum
 
 
@@ -234,9 +217,9 @@ def cmd_quorum(cfg: dict, out: Path) -> int:
 
     payload = dict(meta)
     payload["name"] = q.name
-    payload["determinant"] = _round17(pm.det)
-    payload["abs_determinant"] = _round17(abs(pm.det))
-    payload["projectors"] = _round_tree(quorum_records(q))
+    payload["determinant"] = pm.det
+    payload["abs_determinant"] = abs(pm.det)
+    payload["projectors"] = quorum_records(q)
     _write_json(out / "quorum.json", payload)
 
     _write_csv(
@@ -257,7 +240,7 @@ def cmd_quorum(cfg: dict, out: Path) -> int:
                     "gates": prep.circuit.to_records(),
                 }
             )
-        _write_json(out / "circuits.json", dict(meta, circuits=_round_tree(circuits)))
+        _write_json(out / "circuits.json", dict(meta, circuits=circuits))
 
     print(f"quorum {q.name}: |det P| = {_fmt(abs(pm.det))}")
     print(f"wrote {out / 'quorum.json'}, {out / 'pmatrix.csv'}"
@@ -301,8 +284,8 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
     raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
 
 
-def _effective_quorum(cfg: dict) -> tuple:
-    """Ideal quorum plus the projectors the detector actually realizes."""
+def _effective_quorum(cfg: dict) -> Quorum:
+    """The MUB quorum as the detector actually realizes it."""
     q = mub_quorum()
     effective = list(q.projectors)
     altered = False
@@ -330,7 +313,7 @@ def _effective_quorum(cfg: dict) -> tuple:
         effective = [degrade_projector(p, float(fidelity)) for p in effective]
         altered = True
     name = "mub-effective" if altered else q.name
-    return q, Quorum(name, tuple(effective), q.states)
+    return Quorum(name, tuple(effective), q.states)
 
 
 def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> int:
@@ -347,8 +330,7 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
     if fidelity is not None and not 0.5 < float(fidelity) <= 1.0:
         raise ConfigError("readout_fidelity must lie in (1/2, 1]")
 
-    ideal_q, eff_q = _effective_quorum(cfg)
-    pm = pmatrix(eff_q)
+    eff_q = _effective_quorum(cfg)
     shots = cfg["shots"]
     if isinstance(shots, list):
         if len(shots) != 15 or not all(_is_a(n, int) and 1 <= n <= MAX_SHOTS for n in shots):
@@ -360,48 +342,45 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
         shots_arr = np.full(15, shots, dtype=np.int64)
 
     meta = _meta(cfg)
+    # the run is row 0 of the covariance study, which --exact still samples
+    counts = None
+    if reps > 0 or not exact:
+        counts = simulate_counts(truth, eff_q.projectors, shots_arr, seed, max(reps, 1))
+    records = None
     if exact:
         freqs = born_probabilities(truth, eff_q.projectors)
-        records = None
     else:
-        plan = MeasurementPlan(eff_q.projectors, tuple(int(n) for n in shots_arr), seed)
-        records = simulate_counts(truth, plan)
-        freqs = np.array([r.estimate for r in records])
+        # Python-int true division: exact beyond 2**53 shots, where int64 division is not
+        records = [[p.label, n, c, c / n] for p, n, c in
+                   zip(eff_q.projectors, shots_arr.tolist(), counts[0].tolist())]
+        freqs = np.array([r[3] for r in records])
 
     # both estimators, always: fast linear inversion and the physical MLE
     result = mle_from_frequencies(freqs, shots_arr, eff_q)
     rho_mle = result.rho_mle.matrix
     rho_lin = result.rho_linear
     linear_psd = result.linear_psd
-    covariance = result.covariance_predicted
+    pm = result.pm
 
     payload = dict(meta)
     payload["exact"] = bool(exact)
-    payload["rho_real"] = _round_tree([[float(x) for x in row] for row in rho_mle.real])
-    payload["rho_imag"] = _round_tree([[float(x) for x in row] for row in rho_mle.imag])
-    payload["pauli_coeffs"] = _round_tree(
-        [float(x) for x in result.rho_mle.pauli_coeffs]
-    )
-    payload["loglik"] = _round17(result.loglik)
+    payload["rho_real"] = rho_mle.real.tolist()
+    payload["rho_imag"] = rho_mle.imag.tolist()
+    payload["pauli_coeffs"] = result.rho_mle.pauli_coeffs.tolist()
+    payload["loglik"] = result.loglik
     payload["psd_flag"] = True
     payload["converged"] = result.converged
     payload["iterations"] = result.iterations
 
     lin_projected = psd_project(rho_lin)
     payload["linear"] = {
-        "rho_real": _round_tree([[float(x) for x in row] for row in rho_lin.real]),
-        "rho_imag": _round_tree([[float(x) for x in row] for row in rho_lin.imag]),
-        "pauli_coeffs": _round_tree(
-            [float(x) for x in pauli_expand(0.5 * (rho_lin + rho_lin.conj().T))]
-        ),
-        "loglik": _round17(_binomial_loglik(freqs, shots_arr, eff_q, rho_lin)),
+        "rho_real": rho_lin.real.tolist(),
+        "rho_imag": rho_lin.imag.tolist(),
+        "pauli_coeffs": pauli_expand(0.5 * (rho_lin + rho_lin.conj().T)).tolist(),
+        "loglik": result.linear_loglik,
         "psd_flag": bool(linear_psd),
-        "psd_projection_real": _round_tree(
-            [[float(x) for x in row] for row in lin_projected.real]
-        ),
-        "psd_projection_imag": _round_tree(
-            [[float(x) for x in row] for row in lin_projected.imag]
-        ),
+        "psd_projection_real": lin_projected.real.tolist(),
+        "psd_projection_imag": lin_projected.imag.tolist(),
     }
 
     diag = {
@@ -412,43 +391,40 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
             state_fidelity(rho_lin, truth.matrix) if linear_psd else None
         ),
     }
-    payload["diagnostics"] = _round_tree(diag)
+    payload["diagnostics"] = diag
 
     if records is not None:
         _write_csv(
             out / "records.csv",
             meta,
             "projector_label,trials,successes,estimate",
-            [[r.projector_label, r.trials, r.successes, float(r.estimate)] for r in records],
+            records,
         )
     _write_csv(
         out / "covariance_predicted.csv",
         meta,
         ",".join(f"k{k}" for k in range(1, 16)),
-        [[float(x) for x in row] for row in covariance],
+        result.covariance_predicted.tolist(),
     )
 
     if reps > 0:
-        coeff_rows = _repeat_linear(truth, eff_q, pm, shots_arr, seed, reps)
-        emp = np.cov(coeff_rows, rowvar=False, ddof=1)
+        emp = np.cov(linear_coefficients(counts / shots_arr, pm), rowvar=False, ddof=1)
         _write_csv(
             out / "covariance_empirical.csv",
             meta,
             ",".join(f"k{k}" for k in range(1, 16)),
-            [[float(x) for x in row] for row in emp],
+            emp.tolist(),
         )
         pred = np.diag(covariance_predict(truth.matrix, pm, shots_arr))
         # a coefficient with zero predicted variance (to rounding: a
         # deterministic outcome can leave -1e-18) has no relative deviation
         varied = pred > 1e-12 * np.max(pred)
         rel = np.abs(np.diag(emp)[varied] - pred[varied]) / pred[varied]
-        payload["covariance_study"] = _round_tree(
-            {
-                "repetitions": reps,
-                "max_diag_relative_deviation": float(np.max(rel)),
-                "zero_variance_coefficients": int(np.sum(~varied)),
-            }
-        )
+        payload["covariance_study"] = {
+            "repetitions": reps,
+            "max_diag_relative_deviation": float(np.max(rel)),
+            "zero_variance_coefficients": int(np.sum(~varied)),
+        }
 
     _write_json(out / "result.json", payload)
     print(
@@ -457,21 +433,6 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
     )
     print(f"wrote {out / 'result.json'}")
     return EXIT_OK
-
-
-def _binomial_loglik(freqs, shots, q: Quorum, rho_hat) -> float:
-    # raw traces, no PSD validation: the linear estimate may sit outside
-    # the state set, so clamp its predicted probabilities instead
-    probs = np.einsum("jab,ba->j", q.matrices(), rho_hat).real
-    probs = np.clip(probs, 1e-12, 1 - 1e-12)
-    n = np.asarray(shots, dtype=np.float64)
-    m = np.asarray(freqs, dtype=np.float64)
-    return float(np.sum(n * (m * np.log(probs) + (1 - m) * np.log1p(-probs))))
-
-
-def _repeat_linear(truth, eff_q, pm, shots_arr, seed, reps) -> np.ndarray:
-    freqs = sample_frequencies(truth, eff_q.projectors, shots_arr, seed, reps)
-    return (freqs - 0.25) @ pm.inverse.T
 
 
 # ---------------------------------------------------------------------- plan
@@ -645,8 +606,8 @@ def cmd_verify(out: Optional[Path]) -> int:
                 "check_id": r.check_id,
                 "passed": r.passed,
                 # a check that raised has no measured value
-                "measured": _round17(r.measured) if np.isfinite(r.measured) else None,
-                "threshold": _round17(r.threshold),
+                "measured": r.measured if np.isfinite(r.measured) else None,
+                "threshold": r.threshold,
                 "detail": r.detail,
             }
             for r in results
@@ -699,13 +660,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = None if args.out is None else Path(args.out)
     try:
-        out = None if args.out is None else Path(args.out)
         if out is not None:
-            try:
-                out.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+            out.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
             return cmd_verify(out)
         cfg = _load_config(args.config)
@@ -720,6 +678,10 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # _load_config maps its own, so this is --out or a file in it
+        print(f"configuration error: cannot create output directory {out} or write into it: "
+              f"{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuorumDegenerateError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Measurement simulation: shot noise, readout degradation, gate noise.
 
-Counts are binomial draws of the Born probabilities.  Each projector has
-one counter-based shot stream keyed by (seed, projector index), and
-repetition r is the r-th draw of that stream, so simulated experiments
-are reproducible and do not depend on the order in which projectors or
-repetitions are computed.
+Counts are binomial draws of the Born probabilities, one sampler for a
+single run and a repeated study alike.  Each projector has one
+counter-based shot stream keyed by (seed, projector index), and row r of
+the counts is the r-th draw of that stream (a single run is row 0), so
+simulated experiments are reproducible and do not depend on the order
+in which projectors or rows are computed.
 
 Readout infidelity contracts a projector toward the maximally mixed
 operator.  Coherent gate-angle errors replace the circuit-conjugated
@@ -27,91 +28,35 @@ from .quorum import Projector
 PROBABILITY_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Projectors to measure, shots per projector, base seed."""
-
-    projectors: tuple
-    shots: tuple
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(self.projectors))
-        shots = tuple(int(n) for n in np.atleast_1d(np.asarray(self.shots)))
-        if len(shots) == 1:
-            shots = shots * len(self.projectors)
-        if len(shots) != len(self.projectors):
-            raise ValueError("shots must be scalar or one entry per projector")
-        if any(n < 1 for n in shots):
-            raise ValueError("every projector needs at least one shot")
-        object.__setattr__(self, "shots", shots)
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    projector_label: str
-    trials: int
-    successes: int
-    estimate: float
-
-    def __post_init__(self):
-        if not (0 <= self.successes <= self.trials):
-            raise ValueError("successes must lie in [0, trials]")
-
-    @classmethod
-    def from_counts(cls, label: str, trials: int, successes: int) -> "ShotRecord":
-        return cls(label, int(trials), int(successes), successes / trials)
-
-
 def born_probabilities(rho, projectors: Sequence[Projector]) -> np.ndarray:
     """tr(P_j rho) for each projector, validated against [0, 1] and clipped."""
-    mat = as_operator(rho)
-    probs = np.array(
-        [np.einsum("ab,ba->", p.matrix, mat).real for p in projectors]
-    )
+    mats = np.stack([p.matrix for p in projectors])
+    probs = np.einsum("jab,ba->j", mats, as_operator(rho)).real
     if np.any(probs < -PROBABILITY_SLACK) or np.any(probs > 1.0 + PROBABILITY_SLACK):
         raise ValueError(f"Born probability outside [0, 1]: {probs}")
     return np.clip(probs, 0.0, 1.0)
 
 
-def _shot_draws(n: int, p: float, seed: int, j: int, size: int) -> np.ndarray:
-    """The first ``size`` Binomial(n, p) draws of projector j's shot stream."""
-    return stream("shots", seed, j, 0).binomial(n, p, size=size)
-
-
-def simulate_counts(rho, plan: MeasurementPlan, repetition: int = 0) -> list:
-    """One simulated run of the plan: a ShotRecord per projector.
-
-    Projector j's count is draw number ``repetition`` of its shot stream,
-    so identical (rho, plan, repetition) always gives identical records,
-    equal to row ``repetition`` of sample_frequencies.
-    """
-    if repetition < 0:
-        raise ValueError("repetition must be nonnegative")
-    probs = born_probabilities(rho, plan.projectors)
-    return [
-        ShotRecord.from_counts(
-            proj.label, n, int(_shot_draws(n, probs[j], plan.seed, j, repetition + 1)[-1])
-        )
-        for j, (proj, n) in enumerate(zip(plan.projectors, plan.shots))
-    ]
-
-
-def sample_frequencies(
-    rho, projectors: Sequence[Projector], shots, seed: int, reps: int
+def simulate_counts(
+    rho, projectors: Sequence[Projector], shots, seed: int, reps: int = 1
 ) -> np.ndarray:
-    """Frequency estimates over many repetitions, shape (reps, n_projectors).
+    """Simulated success counts, int64 of shape (reps, n_projectors).
 
-    Column j holds the first ``reps`` draws of projector j's shot stream,
-    so row r equals simulate_counts with repetition=r, and the first r
-    rows do not depend on ``reps``.
+    ``shots`` is one trial count for every projector or one per
+    projector.  Column j holds the first ``reps`` Binomial(n_j, p_j)
+    draws of projector j's shot stream, keyed ("shots", seed, j, 0), so
+    row r does not depend on ``reps``: a single run is row 0, and a
+    longer study extends a shorter one.
     """
     probs = born_probabilities(rho, projectors)
-    shots_arr = np.broadcast_to(np.asarray(shots, dtype=np.int64), (len(projectors),))
-    counts = [
-        _shot_draws(int(n), p, seed, j, reps) for j, (n, p) in enumerate(zip(shots_arr, probs))
+    shots = np.broadcast_to(np.asarray(shots, dtype=np.int64), probs.shape)
+    if np.any(shots < 1):
+        raise ValueError("every projector needs at least one shot")
+    draws = [
+        stream("shots", seed, j, 0).binomial(n, p, size=reps)
+        for j, (n, p) in enumerate(zip(shots, probs))
     ]
-    return np.stack(counts, axis=1) / shots_arr
+    return np.stack(draws, axis=1)
 
 
 def degrade_projector(proj: Projector, fidelity: float) -> Projector:

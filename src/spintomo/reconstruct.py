@@ -1,22 +1,22 @@
 """State reconstruction from quorum frequencies.
 
-Linear inversion is exact on exact probabilities and fast enough to run
-in Monte Carlo loops, but its output can have (slightly) negative
-eigenvalues at finite shot counts.  The likelihood route reparametrizes
-rho = T^dag T / tr(T^dag T), which is PSD by construction, and ascends
-the binomial log-likelihood; it is seeded from the PSD-projected linear
-estimate, so on clean data it starts essentially converged.
+``mle_from_frequencies`` builds the P matrix once and returns both
+estimators with it.  Linear inversion, P^-1 (m - 1/4), is exact on exact
+probabilities and runs on whole stacks of repetitions, but its output
+can have (slightly) negative eigenvalues at finite shot counts.  The
+likelihood route reparametrizes rho = T^dag T / tr(T^dag T), which is
+PSD by construction, and ascends the binomial log-likelihood; it is
+seeded from the PSD-projected linear estimate, so on clean data it
+starts essentially converged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .measure import ShotRecord
 from .qmath import DensityMatrix, pauli_assemble, pauli_expand
 from .quorum import PMatrix, Quorum, pmatrix
 
@@ -27,8 +27,10 @@ _SEED_EIGENVALUE_FLOOR = 1e-9
 _REVERSAL = np.fliplr(np.eye(4))
 
 
-def frequencies_of(records: Sequence[ShotRecord]) -> np.ndarray:
-    return np.array([r.estimate for r in records], dtype=np.float64)
+def linear_coefficients(m, pm: PMatrix) -> np.ndarray:
+    """Pauli coefficients rho_1..rho_15 = P^-1 (m - 1/4) of the frequencies
+    along the last axis of m, one row per repetition."""
+    return (np.asarray(m, dtype=np.float64) - 0.25) @ pm.inverse.T
 
 
 def linear_from_frequencies(m: np.ndarray, pm: PMatrix) -> np.ndarray:
@@ -40,14 +42,7 @@ def linear_from_frequencies(m: np.ndarray, pm: PMatrix) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (15,):
         raise ValueError("expected 15 frequencies")
-    coeffs = pm.inverse @ (m - 0.25)
-    return pauli_assemble(np.concatenate(([0.5], coeffs)))
-
-
-def linear_reconstruct(records: Sequence[ShotRecord], pm: PMatrix) -> np.ndarray:
-    if len(records) != 15:
-        raise ValueError("expected 15 records, one per quorum projector")
-    return linear_from_frequencies(frequencies_of(records), pm)
+    return pauli_assemble(np.concatenate(([0.5], linear_coefficients(m, pm))))
 
 
 def is_psd(matrix: np.ndarray, slack: float = 1e-10) -> bool:
@@ -118,27 +113,29 @@ def seed_square_root(rho_linear: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """Both estimators of one run, with the P matrix they were built from."""
+
     rho_linear: np.ndarray
     rho_mle: DensityMatrix
     covariance_predicted: np.ndarray
     loglik: float
+    linear_loglik: float
     iterations: int
     converged: bool
     linear_psd: bool
+    pm: PMatrix
 
 
 def mle_from_frequencies(
     m: np.ndarray,
     shots,
     quorum: Quorum,
-    gtol: float = 1e-8,
-    max_iter: int = 10000,
 ) -> ReconstructionResult:
-    """Likelihood-ascent reconstruction from frequency estimates.
+    """Linear and likelihood-ascent reconstructions from frequency estimates.
 
     Accepts fractional frequencies, so exact Born probabilities can be
     fed through the same path as counted data.  Non-convergence within
-    max_iter returns the best iterate, flagged.
+    _kernels.MAX_ITER steps returns the best iterate, flagged.
     """
     m = np.asarray(m, dtype=np.float64)
     shots = np.broadcast_to(np.asarray(shots, dtype=np.float64), m.shape).copy()
@@ -150,7 +147,7 @@ def mle_from_frequencies(
     projs = quorum.matrices()
     weights = shots / shots.sum()
     t_mat, lik_scaled, iters, converged = _kernels.mle_ascend(
-        projs, m, weights, t0, gtol, max_iter
+        projs, m, weights, t0
     )
     rho = t_mat.conj().T @ t_mat
     rho = rho / np.trace(rho).real
@@ -162,21 +159,9 @@ def mle_from_frequencies(
         rho_mle=result_rho,
         covariance_predicted=cov,
         loglik=float(lik_scaled * shots.sum()),
+        linear_loglik=_kernels.loglik(np.einsum("jab,ba->j", projs, rho_linear).real, m, shots),
         iterations=int(iters),
         converged=bool(converged),
         linear_psd=is_psd(rho_linear),
+        pm=pm,
     )
-
-
-def mle_reconstruct(
-    records: Sequence[ShotRecord],
-    quorum: Quorum,
-    gtol: float = 1e-8,
-    max_iter: int = 10000,
-) -> ReconstructionResult:
-    """Reconstruction from counted shots; see mle_from_frequencies."""
-    if len(records) != 15:
-        raise ValueError("expected 15 records, one per quorum projector")
-    m = frequencies_of(records)
-    shots = np.array([r.trials for r in records], dtype=np.float64)
-    return mle_from_frequencies(m, shots, quorum, gtol=gtol, max_iter=max_iter)

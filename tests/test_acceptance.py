@@ -21,13 +21,7 @@ from spintomo.dotmodel import (
     hamiltonian6,
     min_singlet_gap,
 )
-from spintomo.measure import (
-    ShotRecord,
-    born_probabilities,
-    degrade_projector,
-    plan_shots,
-    sample_frequencies,
-)
+from spintomo.measure import born_probabilities, degrade_projector, plan_shots, simulate_counts
 from spintomo.qmath import (
     UP_UP,
     DensityMatrix,
@@ -50,7 +44,6 @@ from spintomo.reconstruct import (
     degraded_marginal_rho4,
     linear_from_frequencies,
     mle_from_frequencies,
-    mle_reconstruct,
 )
 
 
@@ -93,8 +86,11 @@ def test_criterion_04_tau_witness_and_strict_det_bound(verification):
     family = [UP_UP] + [constrained_random_state(s) for s in range(1000)]
     sums_dev = orthogonality_witness(family).max_sum_deviation
     ok, detail = _rows(verification, "tau_partial_sums", "tau_ratio", "det_upper_bound_strict")
-    _report(4, ok and sums_dev <= 1e-10, f"{detail}; tau partial sums vs 3/8 over 1000 "
-            f"constrained states: max dev {sums_dev:.2e} (tol 1e-10)")
+    # the largest |det P| of the stack is the MUB quorum's 1/32
+    top_dev = abs(verification["det_upper_bound_strict"].measured - 1.0 / 32.0)
+    _report(4, ok and sums_dev <= 1e-10 and top_dev <= 1e-12,
+            f"{detail}; largest |det P| vs 1/32: dev {top_dev:.2e} (tol 1e-12); tau partial "
+            f"sums vs 3/8 over 1000 constrained states: max dev {sums_dev:.2e} (tol 1e-10)")
 
 
 def test_criterion_05_accessible_subspace_dimensions(verification):
@@ -122,7 +118,7 @@ def test_criterion_07_round_trip_and_rms_slope():
     shot_grid = (10**3, 10**4, 10**5)
     rms = []
     for n in shot_grid:
-        freqs = sample_frequencies(rho, q.projectors, n, seed=7, reps=60)
+        freqs = simulate_counts(rho, q.projectors, n, seed=7, reps=60) / n
         coeffs = (freqs - 0.25) @ pm.inverse.T
         rms.append(float(np.sqrt(np.mean((coeffs - true_c[None, :]) ** 2))))
     slope = float(np.polyfit(np.log10(shot_grid), np.log10(rms), 1)[0])
@@ -143,7 +139,7 @@ def test_criterion_08_covariance_prediction():
     pm = pmatrix(q)
     rho = random_density(5)
     n, reps = 1000, 10000
-    freqs = sample_frequencies(rho, q.projectors, n, seed=3, reps=reps)
+    freqs = simulate_counts(rho, q.projectors, n, seed=3, reps=reps) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     emp = np.cov(coeffs, rowvar=False, ddof=1)
     pred = covariance_predict(rho, pm, n)
@@ -227,10 +223,7 @@ def test_criterion_11_mle_physicality_and_fidelity():
     worst_eig = 0.0
     worst_trace = 0.0
     for successes in (0, 50):
-        records = [
-            ShotRecord.from_counts(p.label, 50, successes) for p in q.projectors
-        ]
-        res = mle_reconstruct(records, q)
+        res = mle_from_frequencies(np.full(15, successes / 50), 50, q)
         mat = res.rho_mle.matrix  # DensityMatrix construction validates
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(mat)[0]))
         worst_trace = max(worst_trace, abs(float(np.trace(mat).real) - 1.0))

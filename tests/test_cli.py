@@ -235,6 +235,27 @@ def test_tomography_records_keep_020_counts(tmp_path):
     ]
 
 
+def test_tomography_run_is_row_0_of_the_study(tmp_path):
+    cfg = _tomo_cfg(tmp_path)
+    for reps in ("0", "10"):
+        argv = ["tomography", "--config", cfg, "--out", str(tmp_path / reps), "--seed", "5"]
+        assert main(argv + ["--reps", reps]) == EXIT_OK
+    records = [(tmp_path / reps / "records.csv").read_bytes() for reps in ("0", "10")]
+    assert records[0] == records[1]
+
+
+def test_tomography_exact_study_still_samples(tmp_path):
+    cfg = _tomo_cfg(tmp_path)
+    for run, extra in (("exact", ["--exact"]), ("sampled", [])):
+        argv = ["tomography", "--config", cfg, "--out", str(tmp_path / run), "--seed", "5"]
+        assert main(argv + ["--reps", "10"] + extra) == EXIT_OK
+    assert not (tmp_path / "exact" / "records.csv").exists()
+    empirical = [(tmp_path / run / "covariance_empirical.csv").read_bytes()
+                 for run in ("exact", "sampled")]
+    assert empirical[0] == empirical[1]
+    assert _strict_json(tmp_path / "exact" / "result.json")["covariance_study"]["repetitions"] == 10
+
+
 def test_non_finite_output_exits_numerical(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("spintomo.cli.state_fidelity", lambda a, b: float("nan"))
     out = tmp_path / "o"
@@ -497,6 +518,17 @@ def test_unusable_out_dir_exits_config(tmp_path, command, capsys):
         assert "cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocked", [("tomography", "result.json"),
+                                              ("verify", "verify.json")])
+def test_unwritable_output_file_exits_config(tmp_path, command, blocked, capsys):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    args = [command, "--out", str(out)]
+    if command == "tomography":
+        args += ["--config", _tomo_cfg(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and blocked in err
 
 
 def _strict_json(path):

@@ -7,15 +7,12 @@ from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matri
 from spintomo.measure import (
     AngleNoise,
     AveragedProjector,
-    MeasurementPlan,
     NoiseModel,
-    ShotRecord,
     average_projector,
     born_probabilities,
     calibration_matrix,
     degrade_projector,
     plan_shots,
-    sample_frequencies,
     simulate_counts,
     tail_bound,
 )
@@ -31,27 +28,21 @@ from spintomo.qmath import (
 from spintomo.quorum import Projector, mub_preparations, mub_quorum
 
 
-def _plan(shots=1000, seed=0):
-    return MeasurementPlan(mub_quorum().projectors, shots, seed)
-
-
-def test_measurement_plan_broadcast_and_validation():
-    p = _plan(shots=500)
-    assert p.shots == (500,) * 15
+def test_simulate_counts_shots_broadcast_and_validation():
     q = mub_quorum().projectors
-    explicit = MeasurementPlan(q, tuple(range(1, 16)), 0)
-    assert explicit.shots == tuple(range(1, 16))
+    rho = random_density(1)
+    counts = simulate_counts(rho, q, 500, seed=0)
+    assert counts.shape == (1, 15) and counts.dtype == np.int64
+    assert np.all((0 <= counts) & (counts <= 500))
+    explicit = simulate_counts(rho, q, np.arange(1, 16), seed=0, reps=3)
+    assert explicit.shape == (3, 15)
+    assert np.all((0 <= explicit) & (explicit <= np.arange(1, 16)))
     with pytest.raises(ValueError):
-        MeasurementPlan(q, (10, 20), 0)
+        simulate_counts(rho, q, (10, 20), seed=0)
     with pytest.raises(ValueError):
-        MeasurementPlan(q, 0, 0)
-
-
-def test_shot_record_validation():
-    r = ShotRecord.from_counts("P01", 100, 37)
-    assert r.estimate == 0.37
+        simulate_counts(rho, q, 0, seed=0)
     with pytest.raises(ValueError):
-        ShotRecord("P01", 10, 11, 1.1)
+        simulate_counts(rho, q, 10, seed=0, reps=-1)
 
 
 def test_born_probabilities_known_values():
@@ -72,13 +63,11 @@ def test_born_probabilities_reject_unphysical():
 
 def test_simulate_counts_deterministic():
     rho = random_density(1)
-    a = simulate_counts(rho, _plan(seed=42))
-    b = simulate_counts(rho, _plan(seed=42))
-    assert [r.successes for r in a] == [r.successes for r in b]
-    c = simulate_counts(rho, _plan(seed=43))
-    assert [r.successes for r in a] != [r.successes for r in c]
-    d = simulate_counts(rho, _plan(seed=42), repetition=1)
-    assert [r.successes for r in a] != [r.successes for r in d]
+    q = mub_quorum().projectors
+    a = simulate_counts(rho, q, 1000, seed=42, reps=2)
+    np.testing.assert_array_equal(a, simulate_counts(rho, q, 1000, seed=42, reps=2))
+    assert not np.array_equal(a, simulate_counts(rho, q, 1000, seed=43, reps=2))
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_simulate_counts_statistics():
@@ -86,18 +75,10 @@ def test_simulate_counts_statistics():
     rho = random_density(5)
     probs = born_probabilities(rho, mub_quorum().projectors)
     n = 4000
-    freqs = sample_frequencies(rho, mub_quorum().projectors, n, seed=11, reps=50)
+    freqs = simulate_counts(rho, mub_quorum().projectors, n, seed=11, reps=50) / n
     dev = np.max(np.abs(freqs.mean(axis=0) - probs))
     # se of the mean of 50 reps at n = 4000: sqrt(p q / (n * 50)) <= 1.2e-3
     assert dev < 6e-3
-
-
-def test_sample_frequencies_matches_simulate_counts():
-    rho = random_density(2)
-    freqs = sample_frequencies(rho, mub_quorum().projectors, 300, seed=9, reps=3)
-    for rep in range(3):
-        recs = simulate_counts(rho, _plan(shots=300, seed=9), repetition=rep)
-        np.testing.assert_array_equal(freqs[rep], [r.estimate for r in recs])
 
 
 @pytest.mark.parametrize(
@@ -107,29 +88,22 @@ def test_sample_frequencies_matches_simulate_counts():
 )
 def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
     projectors = mub_quorum().projectors
-    plan = MeasurementPlan(projectors, shots, 5)
-    full = sample_frequencies(rho, projectors, plan.shots, seed=5, reps=9)
-    # a longer study extends a shorter one: its first r rows do not move
-    for r in (0, 1, 4, 9):
+    shots_arr = np.broadcast_to(shots, (15,))
+    full = simulate_counts(rho, projectors, shots, seed=5, reps=9)
+    # a longer study extends a shorter one: its first r rows do not move,
+    # and a single run is row 0
+    for r in (1, 4, 9):
         np.testing.assert_array_equal(
-            full[:r], sample_frequencies(rho, projectors, plan.shots, seed=5, reps=r)
+            full[:r], simulate_counts(rho, projectors, shots, seed=5, reps=r)
         )
     # column j is projector j's one stream, keyed as repetition 0 was in
     # 0.2.0 and drawn one count at a time
     probs = born_probabilities(rho, projectors)
-    for j, n in enumerate(plan.shots):
+    for j, n in enumerate(shots_arr):
         rng = stream("shots", 5, j, 0)
-        draws = [rng.binomial(n, probs[j]) / n for _ in range(9)]
-        np.testing.assert_array_equal(full[:, j], draws)
-    # row r is repetition r, whichever repetition is drawn first
-    for rep in (8, 0, 3, 1, 7, 2, 6, 4, 5):
-        recs = simulate_counts(rho, plan, repetition=rep)
-        assert [r.trials for r in recs] == list(plan.shots)
-        np.testing.assert_array_equal(full[rep], [r.estimate for r in recs])
+        np.testing.assert_array_equal(full[:, j], [rng.binomial(n, probs[j]) for _ in range(9)])
     certain = (probs == 0.0) | (probs == 1.0)  # up_up: two zeros and a one
-    assert np.all(full[:, certain] == probs[certain])
-    with pytest.raises(ValueError):
-        simulate_counts(rho, plan, repetition=-1)
+    assert np.all(full[:, certain] == (probs * shots_arr)[certain])
 
 
 def test_degrade_projector_limits():
@@ -321,7 +295,7 @@ def test_plan_shots_guarantee_holds():
     from spintomo.quorum import pmatrix
 
     pm = pmatrix(q)
-    freqs = sample_frequencies(rho, q.projectors, n, seed=21, reps=400)
+    freqs = simulate_counts(rho, q.projectors, n, seed=21, reps=400) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     true_coeffs = pauli_expand(rho.matrix)[1:]
     worst = np.max(np.abs(coeffs - true_coeffs[None, :]), axis=1)

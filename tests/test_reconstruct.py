@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from spintomo.measure import (
-    MeasurementPlan,
-    ShotRecord,
-    born_probabilities,
-    degrade_projector,
-    sample_frequencies,
-    simulate_counts,
-)
+from spintomo.measure import born_probabilities, degrade_projector, simulate_counts
 from spintomo.qmath import (
     DensityMatrix,
     pauli_expand,
@@ -26,12 +19,10 @@ from spintomo.reconstruct import (
     covariance_bound,
     covariance_predict,
     degraded_marginal_rho4,
-    frequencies_of,
     is_psd,
+    linear_coefficients,
     linear_from_frequencies,
-    linear_reconstruct,
     mle_from_frequencies,
-    mle_reconstruct,
     psd_project,
     seed_square_root,
 )
@@ -66,18 +57,17 @@ def test_linear_output_unit_trace_hermitian_always():
         np.testing.assert_allclose(rec, rec.conj().T, atol=1e-13)
 
 
-def test_linear_reconstruct_from_records():
+def test_linear_inversion_of_one_run_is_a_row_of_the_stack():
     q = mub_quorum()
-    rho = random_density(4)
-    records = simulate_counts(rho, MeasurementPlan(q.projectors, 2000, 7))
-    rec = linear_reconstruct(records, pmatrix(q))
-    np.testing.assert_allclose(
-        rec, linear_from_frequencies(frequencies_of(records), pmatrix(q)), atol=0.0
-    )
+    pm = pmatrix(q)
+    freqs = simulate_counts(random_density(4), q.projectors, 2000, seed=7, reps=5) / 2000
+    rows = linear_coefficients(freqs, pm)
+    for r in range(5):
+        rec = linear_from_frequencies(freqs[r], pm)
+        np.testing.assert_allclose(pauli_expand(rec)[1:], rows[r], atol=1e-15)
+        np.testing.assert_allclose(rows[r], pm.inverse @ (freqs[r] - 0.25), atol=1e-15)
     with pytest.raises(ValueError):
-        linear_reconstruct(records[:10], pmatrix(q))
-    with pytest.raises(ValueError):
-        linear_from_frequencies(np.full(10, 0.25), pmatrix(q))
+        linear_from_frequencies(np.full(10, 0.25), pm)
 
 
 def test_degraded_marginal_rho4_oracles():
@@ -125,7 +115,7 @@ def test_covariance_matches_empirical_moments():
     pm = pmatrix(q)
     rho = random_density(6)
     n, reps = 800, 3000
-    freqs = sample_frequencies(rho, q.projectors, n, seed=13, reps=reps)
+    freqs = simulate_counts(rho, q.projectors, n, seed=13, reps=reps) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     emp = np.cov(coeffs.T)
     pred = covariance_predict(rho, pm, n)
@@ -200,8 +190,8 @@ def test_mle_exact_probabilities_recover_mixed_state():
 def test_mle_sampled_maximally_mixed():
     q = mub_quorum()
     rho = DensityMatrix(np.eye(4) / 4.0)
-    records = simulate_counts(rho, MeasurementPlan(q.projectors, 100000, 17))
-    res = mle_reconstruct(records, q)
+    counts = simulate_counts(rho, q.projectors, 100000, seed=17)
+    res = mle_from_frequencies(counts[0] / 100000, 100000, q)
     assert trace_distance(res.rho_mle, rho) < 0.02
     assert isinstance(res, ReconstructionResult)
 
@@ -216,23 +206,22 @@ def test_mle_beats_projected_linear_likelihood():
     q = mub_quorum()
     rho = random_density(9, rank=1)
     n = 400
-    records = simulate_counts(rho, MeasurementPlan(q.projectors, n, 23))
-    m = frequencies_of(records)
+    m = simulate_counts(rho, q.projectors, n, seed=23)[0] / n
     res = mle_from_frequencies(m, n, q)
     shots = np.full(15, float(n))
     ll_mle = _binomial_loglik(res.rho_mle.matrix, m, shots, q)
     ll_lin = _binomial_loglik(psd_project(res.rho_linear), m, shots, q)
     assert ll_mle >= ll_lin - 1e-9
     np.testing.assert_allclose(res.loglik, ll_mle, rtol=1e-9)
+    np.testing.assert_allclose(
+        res.linear_loglik, _binomial_loglik(res.rho_linear, m, shots, q), rtol=1e-12
+    )
 
 
 def test_mle_extreme_counts_stay_physical():
     q = mub_quorum()
     for successes in (0, 50):
-        records = [
-            ShotRecord.from_counts(p.label, 50, successes) for p in q.projectors
-        ]
-        res = mle_reconstruct(records, q)
+        res = mle_from_frequencies(np.full(15, successes / 50), 50, q)
         mat = res.rho_mle.matrix  # DensityMatrix construction validates PSD
         np.testing.assert_allclose(np.trace(mat).real, 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(mat)[0] >= -1e-12
@@ -242,8 +231,8 @@ def test_mle_noisy_pure_state_close_to_truth():
     q = mub_quorum()
     psi = random_pure(21)
     truth = DensityMatrix(psi.projector())
-    records = simulate_counts(truth, MeasurementPlan(q.projectors, 20000, 31))
-    res = mle_reconstruct(records, q)
+    counts = simulate_counts(truth, q.projectors, 20000, seed=31)
+    res = mle_from_frequencies(counts[0] / 20000, 20000, q)
     assert state_fidelity(res.rho_mle, truth) > 0.995
     # the likelihood route is never worse in trace distance than clipping
     d_mle = trace_distance(res.rho_mle, truth)
@@ -255,7 +244,7 @@ def test_mle_validates_inputs():
     with pytest.raises(ValueError):
         mle_from_frequencies(np.full(15, 0.25), 0, q)
     with pytest.raises(ValueError):
-        mle_reconstruct([], q)
+        mle_from_frequencies([], 100, q)
 
 
 def test_degraded_quorum_round_trip():
