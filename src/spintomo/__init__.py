@@ -24,7 +24,7 @@ cli          command line front end (``spintomo ...``)
 
 __version__ = "0.4.0"
 
-from . import _kernels, dotmodel, gates, measure, qmath, quorum, reconstruct
+from . import dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, exchange_J, min_singlet_gap, spectrum_sweep
 from .gates import Circuit, Gate, GateKind, evolve_projector
 from .measure import (
@@ -63,7 +63,7 @@ from .reconstruct import (
 
 __all__ = [
     "__version__",
-    "qmath", "gates", "quorum", "dotmodel", "measure", "reconstruct", "_kernels",
+    "qmath", "gates", "quorum", "dotmodel", "measure", "reconstruct",
     "DensityMatrix", "PureState", "pauli_assemble", "pauli_expand",
     "random_density", "state_fidelity", "tau_expand", "trace_distance",
     "Circuit", "Gate", "GateKind", "evolve_projector",

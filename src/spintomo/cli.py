@@ -9,6 +9,10 @@ plan        Hoeffding-based run-count table over (delta, p_limit, fidelity)
 verify      structural self-checks, one PASS/FAIL line each
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Every config object, nested ones included, passes one check
+(``_check_fields``), and a run renders all its output files before it
+writes any, so a run that fails leaves none of them behind (verify's
+report is written whatever its verdict).
 Every output file carries the tool version and a sha256 of the
 canonicalized configuration, so results can be traced to their inputs.
 CSV floats are printed with 17 significant digits; JSON numbers are
@@ -121,8 +125,6 @@ def _load_config(path: Optional[str]) -> dict:
         )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 
@@ -140,7 +142,12 @@ def _config_number(text: str) -> int | float:
     return value
 
 
-def _check_fields(cfg: dict, required: dict, optional: dict, where: str) -> None:
+def _check_fields(cfg, required: dict, optional: dict, where: str) -> None:
+    """The one check of a config object, nested ones included: a JSON
+    object with every required field, no unknown field, and each field of
+    its listed types."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(cfg) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
@@ -157,35 +164,74 @@ def _is_a(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _write_csv(path: Path, meta: dict, header: str, rows) -> None:
+def _numbers(value, where: str, count: Optional[int] = None) -> list:
+    """A config list of numbers as floats: exactly ``count`` of them, or
+    without a count any number of them, where a bare number is a list of one."""
+    values = [value] if count is None and not isinstance(value, list) else value
+    if not (isinstance(values, list) and all(_is_a(x, (int, float)) for x in values)):
+        raise ConfigError(f"{where} must hold numbers")
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{where} must hold {count} numbers")
+    return [float(x) for x in values]
+
+
+def _csv(meta: dict, header: str, rows) -> str:
+    """CSV text; a NaN or infinity is a numerical failure (exit 3), as in JSON."""
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(header)
     for row in rows:
+        if not all(math.isfinite(x) for x in row if isinstance(x, float)):
+            raise RuntimeError(f"an output would hold a non-finite number: {row}")
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON; a NaN or infinity is a numerical failure (exit 3)."""
+def _json(payload: dict) -> str:
+    """Strict JSON text; a NaN or infinity is a numerical failure (exit 3)."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise RuntimeError(f"{path.name} would hold a non-finite number: {exc}") from exc
-    path.write_text(text + "\n")
+        raise RuntimeError(f"an output would hold a non-finite number: {exc}") from exc
+
+
+def _write_all(out: Path, files: dict) -> None:
+    """Write every rendered output into ``out``, created if absent.  A
+    failed write removes the files this call already wrote, so a run
+    leaves all its outputs or none of them."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for name, text in files.items():
+            (out / name).write_text(text)
+            written.append(out / name)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print("wrote " + ", ".join(str(out / name) for name in files))
 
 
 # ------------------------------------------------------------------ spectrum
 
 
-def cmd_spectrum(cfg: dict, out: Path) -> int:
+def cmd_spectrum(cfg: dict) -> dict:
     _check_fields(
         cfg,
         required={"dot": dict, "eps_start": (int, float), "eps_stop": (int, float), "eps_count": int},
         optional={},
         where="spectrum config",
     )
+    dot = cfg["dot"]
+    _check_fields(
+        dot,
+        required={"epsilon": (int, float), "U": (int, float), "t": (int, float),
+                  "h1": list, "h2": list},
+        optional={},
+        where="dot config",
+    )
+    h1, h2 = (_numbers(dot[name], f"dot config field {name!r}", 3) for name in ("h1", "h2"))
     try:
-        params = DotParams.from_json(cfg["dot"])
+        params = DotParams(float(dot["epsilon"]), float(dot["U"]), float(dot["t"]), h1, h2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not 1 <= cfg["eps_count"] <= MAX_EPS_COUNT:
@@ -193,9 +239,7 @@ def cmd_spectrum(cfg: dict, out: Path) -> int:
     grid = np.linspace(float(cfg["eps_start"]), float(cfg["eps_stop"]), cfg["eps_count"])
     levels = spectrum_sweep(params, grid)
     rows = [[float(e)] + [float(x) for x in row] for e, row in zip(grid, levels)]
-    _write_csv(out / "spectrum.csv", _meta(cfg), "eps,E1,E2,E3,E4,E5,E6", rows)
-    print(f"wrote {out / 'spectrum.csv'} ({len(grid)} detuning points)")
-    return EXIT_OK
+    return {"spectrum.csv": _csv(_meta(cfg), "eps,E1,E2,E3,E4,E5,E6", rows)}
 
 
 # -------------------------------------------------------------------- quorum
@@ -209,7 +253,7 @@ def _quorum_by_name(name: str) -> Quorum:
     raise ConfigError(f"unknown quorum name {name!r} (expected 'mub' or 'james')")
 
 
-def cmd_quorum(cfg: dict, out: Path) -> int:
+def cmd_quorum(cfg: dict) -> dict:
     _check_fields(cfg, required={"name": str}, optional={}, where="quorum config")
     q = _quorum_by_name(cfg["name"])
     pm = pmatrix(q)
@@ -220,14 +264,14 @@ def cmd_quorum(cfg: dict, out: Path) -> int:
     payload["determinant"] = pm.det
     payload["abs_determinant"] = abs(pm.det)
     payload["projectors"] = quorum_records(q)
-    _write_json(out / "quorum.json", payload)
-
-    _write_csv(
-        out / "pmatrix.csv",
-        meta,
-        ",".join(f"k{k}" for k in range(1, 16)),
-        [[float(x) for x in row] for row in pm.entries],
-    )
+    files = {
+        "quorum.json": _json(payload),
+        "pmatrix.csv": _csv(
+            meta,
+            ",".join(f"k{k}" for k in range(1, 16)),
+            [[float(x) for x in row] for row in pm.entries],
+        ),
+    }
 
     if q.name == "mub":
         circuits = []
@@ -240,12 +284,10 @@ def cmd_quorum(cfg: dict, out: Path) -> int:
                     "gates": prep.circuit.to_records(),
                 }
             )
-        _write_json(out / "circuits.json", dict(meta, circuits=circuits))
+        files["circuits.json"] = _json(dict(meta, circuits=circuits))
 
     print(f"quorum {q.name}: |det P| = {_fmt(abs(pm.det))}")
-    print(f"wrote {out / 'quorum.json'}, {out / 'pmatrix.csv'}"
-          + (f", {out / 'circuits.json'}" if q.name == "mub" else ""))
-    return EXIT_OK
+    return files
 
 
 # ---------------------------------------------------------------- tomography
@@ -291,6 +333,15 @@ def _effective_quorum(cfg: dict) -> Quorum:
     altered = False
     noise_cfg = cfg.get("noise")
     if noise_cfg is not None:
+        if "samples" in noise_cfg:
+            raise ConfigError(
+                "'samples' is not a noise field: the average over angle errors is exact"
+            )
+        _check_fields(noise_cfg, {}, dict.fromkeys((k.value for k in GateKind), dict),
+                      "noise config")
+        for kind, entry in noise_cfg.items():
+            _check_fields(entry, {}, dict.fromkeys(("mean_rad", "std_rad"), (int, float)),
+                          f"noise config for {kind}")
         try:
             noise = NoiseModel.from_json(noise_cfg)
             averaged = [
@@ -316,7 +367,7 @@ def _effective_quorum(cfg: dict) -> Quorum:
     return Quorum(name, tuple(effective), q.states)
 
 
-def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> int:
+def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     _check_fields(
         cfg,
         required={"state": dict, "shots": (int, list)},
@@ -393,28 +444,15 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
     }
     payload["diagnostics"] = diag
 
+    files = {}
     if records is not None:
-        _write_csv(
-            out / "records.csv",
-            meta,
-            "projector_label,trials,successes,estimate",
-            records,
-        )
-    _write_csv(
-        out / "covariance_predicted.csv",
-        meta,
-        ",".join(f"k{k}" for k in range(1, 16)),
-        result.covariance_predicted.tolist(),
-    )
+        files["records.csv"] = _csv(meta, "projector_label,trials,successes,estimate", records)
+    k_header = ",".join(f"k{k}" for k in range(1, 16))
+    files["covariance_predicted.csv"] = _csv(meta, k_header, result.covariance_predicted.tolist())
 
     if reps > 0:
         emp = np.cov(linear_coefficients(counts / shots_arr, pm), rowvar=False, ddof=1)
-        _write_csv(
-            out / "covariance_empirical.csv",
-            meta,
-            ",".join(f"k{k}" for k in range(1, 16)),
-            emp.tolist(),
-        )
+        files["covariance_empirical.csv"] = _csv(meta, k_header, emp.tolist())
         pred = np.diag(covariance_predict(truth.matrix, pm, shots_arr))
         # a coefficient with zero predicted variance (to rounding: a
         # deterministic outcome can leave -1e-18) has no relative deviation
@@ -426,36 +464,28 @@ def cmd_tomography(cfg: dict, out: Path, seed: int, reps: int, exact: bool) -> i
             "zero_variance_coefficients": int(np.sum(~varied)),
         }
 
-    _write_json(out / "result.json", payload)
+    files["result.json"] = _json(payload)
     print(
         f"mle fidelity_to_truth={diag['mle_fidelity_to_truth']:.6f} "
         f"linear_psd={linear_psd} converged={result.converged}"
     )
-    print(f"wrote {out / 'result.json'}")
-    return EXIT_OK
+    return files
 
 
 # ---------------------------------------------------------------------- plan
 
 
-def cmd_plan(cfg: dict, out: Path) -> int:
+def cmd_plan(cfg: dict) -> dict:
     _check_fields(
         cfg,
         required={"delta": (list, int, float), "p_limit": (list, int, float)},
         optional={"fidelity": (list, int, float)},
         where="plan config",
     )
-
-    def as_list(name, default=None):
-        value = cfg.get(name, default)
-        values = value if isinstance(value, list) else [value]
-        if not all(_is_a(x, (int, float)) for x in values):
-            raise ConfigError(f"plan config field {name!r} must hold numbers")
-        return [float(x) for x in values]
-
-    deltas = as_list("delta")
-    p_limits = as_list("p_limit")
-    fidelities = as_list("fidelity", 1.0)
+    deltas, p_limits, fidelities = (  # only fidelity is optional, at 1 by default
+        _numbers(cfg.get(name, 1.0), f"plan config field {name!r}")
+        for name in ("delta", "p_limit", "fidelity")
+    )
     rows = []
     for d in deltas:
         for pl in p_limits:
@@ -465,9 +495,7 @@ def cmd_plan(cfg: dict, out: Path) -> int:
                     rows.append([float(d), float(pl), float(f), n])
                 except ValueError:
                     rows.append([float(d), float(pl), float(f), "unplannable"])
-    _write_csv(out / "plan.csv", _meta(cfg), "delta,p_limit,fidelity,n_runs", rows)
-    print(f"wrote {out / 'plan.csv'} ({len(rows)} combinations)")
-    return EXIT_OK
+    return {"plan.csv": _csv(_meta(cfg), "delta,p_limit,fidelity,n_runs", rows)}
 
 
 # -------------------------------------------------------------------- verify
@@ -593,29 +621,28 @@ def run_verification() -> list:
     return results
 
 
-def cmd_verify(out: Optional[Path]) -> int:
+def cmd_verify() -> tuple:
+    """The exit code (3 if any check fails) and the report, verify.json."""
     results = run_verification()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check_id}: measured={r.measured:.3e} "
               f"threshold={r.threshold:.3e} ({r.detail})")
-    if out is not None:
-        payload = _meta({})
-        payload["checks"] = [
-            {
-                "check_id": r.check_id,
-                "passed": r.passed,
-                # a check that raised has no measured value
-                "measured": r.measured if np.isfinite(r.measured) else None,
-                "threshold": r.threshold,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        payload["all_passed"] = all(r.passed for r in results)
-        _write_json(out / "verify.json", payload)
-        print(f"wrote {out / 'verify.json'}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
+    payload = _meta({})
+    payload["checks"] = [
+        {
+            "check_id": r.check_id,
+            "passed": r.passed,
+            # a check that raised has no measured value
+            "measured": r.measured if np.isfinite(r.measured) else None,
+            "threshold": r.threshold,
+            "detail": r.detail,
+        }
+        for r in results
+    ]
+    payload["all_passed"] = all(r.passed for r in results)
+    code = EXIT_OK if payload["all_passed"] else EXIT_NUMERICAL
+    return code, {"verify.json": _json(payload)}
 
 
 # ---------------------------------------------------------------------- main
@@ -629,9 +656,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="path to a JSON configuration file")
+    def add_common(p):
+        p.add_argument("--config", help="path to a JSON configuration file")
         p.add_argument("--out", default=".", help="output directory (created if absent)")
 
     p_spec = sub.add_parser("spectrum", help="detuning sweep of the six-level model")
@@ -662,20 +688,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = None if args.out is None else Path(args.out)
     try:
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+        code = EXIT_OK
         if args.command == "verify":
-            return cmd_verify(out)
-        cfg = _load_config(args.config)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out)
-        if args.command == "quorum":
-            return cmd_quorum(cfg, out)
-        if args.command == "tomography":
-            return cmd_tomography(cfg, out, args.seed, args.reps, args.exact)
-        if args.command == "plan":
-            return cmd_plan(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            code, files = cmd_verify()
+        elif args.command == "tomography":
+            files = cmd_tomography(_load_config(args.config), args.seed, args.reps, args.exact)
+        else:
+            command = {"spectrum": cmd_spectrum, "quorum": cmd_quorum, "plan": cmd_plan}
+            files = command[args.command](_load_config(args.config))
+        # verify without --out reports on stdout only
+        if out is not None:
+            _write_all(out, files)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .qmath import SIGMA, SINGLET, UP_DOWN, UP_UP
-from .quorum import Projector
+from .qmath import SIGMA
+from .quorum import BASE_STATES, Projector
 
 BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down", "S20", "S02")
 
@@ -53,36 +53,6 @@ class DotParams:
             raise ValueError("DotParams fields must be finite")
         if self.U <= 0:
             raise ValueError("charging energy U must be positive")
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DotParams":
-        extra = set(data) - {"epsilon", "U", "t", "h1", "h2"}
-        if extra:
-            raise ValueError(f"unknown DotParams fields: {sorted(extra)}")
-        try:
-            fields = [data["epsilon"], data["U"], data["t"], *data["h1"], *data["h2"]]
-            if any(isinstance(x, bool) for x in fields):
-                raise ValueError("DotParams fields must be numbers, not true/false")
-            return cls(
-                epsilon=float(data["epsilon"]),
-                U=float(data["U"]),
-                t=float(data["t"]),
-                h1=tuple(data["h1"]),
-                h2=tuple(data["h2"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing DotParams field: {exc.args[0]}") from exc
-        except TypeError as exc:
-            raise ValueError(f"malformed DotParams field: {exc}") from exc
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "U": self.U,
-            "t": self.t,
-            "h1": list(self.h1),
-            "h2": list(self.h2),
-        }
 
     def replace_epsilon(self, epsilon: float) -> "DotParams":
         return DotParams(epsilon, self.U, self.t, self.h1, self.h2)
@@ -215,6 +185,14 @@ class SweepProtocol(str, Enum):
     FAST = "fast"
 
 
+#: the readout state (a key of quorum.BASE_STATES) each protocol projects onto
+_SWEEP_READOUT = {
+    SweepProtocol.SLOW_ADIABATIC: "up_up",
+    SweepProtocol.SLOW_THEN_FAST: "up_down",
+    SweepProtocol.FAST: "singlet",
+}
+
+
 def sweep_projector(protocol: SweepProtocol) -> Projector:
     """Readout projector realized by a detuning sweep protocol.
 
@@ -223,9 +201,5 @@ def sweep_projector(protocol: SweepProtocol) -> Projector:
     |ud>, and a sudden sweep preserves the singlet; the corresponding
     measurement operators are P_uu, P_ud and P_S.
     """
-    protocol = SweepProtocol(protocol)
-    if protocol == SweepProtocol.SLOW_ADIABATIC:
-        return Projector(UP_UP.projector(), "P_up_up")
-    if protocol == SweepProtocol.SLOW_THEN_FAST:
-        return Projector(UP_DOWN.projector(), "P_up_down")
-    return Projector(SINGLET.projector(), "P_singlet")
+    base = _SWEEP_READOUT[SweepProtocol(protocol)]
+    return Projector(BASE_STATES[base].projector(), f"P_{base}")

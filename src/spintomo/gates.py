@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
 import numpy as np
 
 from .qmath import SINGLET, PureState, is_hermitian, two_qubit_pauli
@@ -65,13 +63,6 @@ class Gate:
     def to_record(self) -> dict:
         return {"kind": self.kind.value, "angle_radians": float(self.angle)}
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "Gate":
-        extra = set(rec) - {"kind", "angle_radians"}
-        if extra:
-            raise ValueError(f"unknown gate record fields: {sorted(extra)}")
-        return cls(GateKind(rec["kind"]), float(rec["angle_radians"]))
-
 
 def gate_matrix(kind: GateKind, angle: float) -> np.ndarray:
     """exp(i angle H) from its closed form: the z-type generators are diagonal,
@@ -111,18 +102,11 @@ class Circuit:
         label = f"{self.label}^dag" if self.label else ""
         return Circuit(rev, label)
 
-    def extended(self, more: Iterable[Gate], label: str = "") -> "Circuit":
-        return Circuit(self.gates + tuple(more), label or self.label)
-
     def esr_gate_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == GateKind.ESR_X_QUBIT1)
 
     def to_records(self) -> list:
         return [g.to_record() for g in self.gates]
-
-    @classmethod
-    def from_records(cls, records, label: str = "") -> "Circuit":
-        return cls(tuple(Gate.from_record(r) for r in records), label)
 
 
 def circuit_apply(circuit: Circuit, state: PureState) -> PureState:

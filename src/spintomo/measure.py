@@ -93,40 +93,14 @@ class NoiseModel:
 
     gates: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        fixed = {}
-        for kind, noise in self.gates.items():
-            kind = GateKind(kind)
-            if not isinstance(noise, AngleNoise):
-                noise = AngleNoise(**noise)
-            fixed[kind] = noise
-        object.__setattr__(self, "gates", fixed)
-
     @classmethod
     def from_json(cls, data: dict) -> "NoiseModel":
-        if "samples" in data:
-            raise ValueError(
-                "'samples' is not a noise field: the average over angle errors is exact"
-            )
-        gates = {}
-        for key, params in data.items():
-            kind = GateKind(key)  # raises on unknown gate names
-            if not isinstance(params, dict):
-                raise ValueError(f"noise for {key} must be an object")
-            extra = set(params) - {"mean_rad", "std_rad"}
-            if extra:
-                raise ValueError(f"unknown noise fields for {key}: {sorted(extra)}")
-            values = [params.get("mean_rad", 0.0), params.get("std_rad", 0.0)]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                raise ValueError(f"noise fields for {key} must be numbers")
-            gates[kind] = AngleNoise(*(float(v) for v in values))
-        return cls(gates)
-
-    def to_json(self) -> dict:
-        return {
-            kind.value: {"mean_rad": n.mean_rad, "std_rad": n.std_rad}
-            for kind, n in self.gates.items()
-        }
+        """The model of a checked noise config block: gate kind name ->
+        {"mean_rad", "std_rad"}, where an absent field is 0."""
+        return cls({
+            GateKind(kind): AngleNoise(float(p.get("mean_rad", 0.0)), float(p.get("std_rad", 0.0)))
+            for kind, p in data.items()
+        })
 
     def for_kind(self, kind: GateKind) -> AngleNoise:
         return self.gates.get(kind, AngleNoise(0.0, 0.0))

@@ -84,30 +84,21 @@ TAU_BASIS = _build_tau_basis()
 TAU_BASIS.setflags(write=False)
 
 
-def mat_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Frobenius scalar product tr(a^dag b)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != (4, 4) or b.shape != (4, 4):
-        raise ValueError("mat_inner expects 4x4 operands")
-    return complex(np.sum(np.conj(a) * b))
-
-
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
-def pauli_expand(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def pauli_expand(m: np.ndarray) -> np.ndarray:
     """Coefficients of a Hermitian matrix in the D basis (16 reals).
 
-    Raises ValueError if m is not Hermitian within atol, since the
+    Raises ValueError if m is not Hermitian within HERMITIAN_ATOL, since the
     expansion of a non-Hermitian matrix has no real coefficient vector.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.einsum("kij,ji->k", PAULI_BASIS, m).real.copy()
 
@@ -120,12 +111,12 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", coeffs, PAULI_BASIS)
 
 
-def tau_expand(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def tau_expand(m: np.ndarray) -> np.ndarray:
     """Coefficients of a Hermitian matrix in the tau basis (16 reals)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.einsum("kij,ji->k", TAU_BASIS, m).real.copy()
 
@@ -200,11 +191,11 @@ SINGLET = PureState.from_amplitudes([0.0, 1.0, -1.0, 0.0])
 TRIPLET_ZERO = PureState.from_amplitudes([0.0, 1.0, 1.0, 0.0])
 
 
-def check_density_matrix(m: np.ndarray, psd_slack: float = PSD_SLACK) -> np.ndarray:
+def check_density_matrix(m: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix, returning it as complex128.
 
     Requires Hermiticity within 1e-12, unit trace within 1e-12 and
-    eigenvalues above -psd_slack.
+    eigenvalues above -PSD_SLACK.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
@@ -215,8 +206,8 @@ def check_density_matrix(m: np.ndarray, psd_slack: float = PSD_SLACK) -> np.ndar
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace {tr!r} differs from 1")
     lo = np.linalg.eigvalsh(m)[0]
-    if lo < -psd_slack:
-        raise ValueError(f"density matrix has eigenvalue {lo!r} below -{psd_slack}")
+    if lo < -PSD_SLACK:
+        raise ValueError(f"density matrix has eigenvalue {lo!r} below -{PSD_SLACK}")
     return m
 
 

@@ -352,9 +352,6 @@ def projector_coefficients(state: PureState) -> np.ndarray:
     return n
 
 
-_BASE_PROJECTOR_STATES = (UP_UP, UP_DOWN, SINGLET)
-
-
 def accessible_subspace_dimension(esr_allowed: bool) -> int:
     """Dimension of the operator space reachable by evolved readouts.
 
@@ -379,7 +376,7 @@ def accessible_subspace_dimension(esr_allowed: bool) -> int:
         if norm > 1e-10:
             basis.append(x / norm)
 
-    for state in _BASE_PROJECTOR_STATES:
+    for state in BASE_STATES.values():
         add(state.projector() - np.eye(4) / 4.0)
     for x in basis:  # the loop also visits every direction it appends
         for h in generators:

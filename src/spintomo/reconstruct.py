@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .qmath import DensityMatrix, pauli_assemble, pauli_expand
+from .qmath import PSD_SLACK, DensityMatrix, pauli_assemble, pauli_expand
 from .quorum import PMatrix, Quorum, pmatrix
 
 #: adjugate-route constant 15 (3/4)^14 / 4 in the covariance bound
@@ -45,8 +45,8 @@ def linear_from_frequencies(m: np.ndarray, pm: PMatrix) -> np.ndarray:
     return pauli_assemble(np.concatenate(([0.5], linear_coefficients(m, pm))))
 
 
-def is_psd(matrix: np.ndarray, slack: float = 1e-10) -> bool:
-    return bool(np.linalg.eigvalsh(matrix)[0] >= -slack)
+def is_psd(matrix: np.ndarray) -> bool:
+    return bool(np.linalg.eigvalsh(matrix)[0] >= -PSD_SLACK)
 
 
 def degraded_marginal_rho4(p4: float, p6: float, fidelity: float) -> float:

@@ -15,6 +15,7 @@ from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    CheckResult,
     main,
     run_verification,
 )
@@ -92,14 +93,18 @@ def test_spectrum_rejects_bad_configs(tmp_path):
         {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": 3, "z": 1},
     )
     assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    # malformed dot params (scalar field where a 3-vector is required)
-    bad_dot = {"epsilon": 0.0, "U": 1.0, "t": 0.1, "h1": 0.2, "h2": [0, 0, 0]}
-    cfg = _write_cfg(
-        tmp_path,
-        "c.json",
-        {"dot": bad_dot, "eps_start": 0, "eps_stop": 1, "eps_count": 3},
-    )
-    assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    # malformed dot params: an extra field, a missing U, a scalar where a
+    # 3-vector is required, a vector of two, and a string in a vector
+    no_u = _dot()
+    del no_u["U"]
+    for bad_dot in (dict(_dot(), extra=1), no_u, dict(_dot(), h1=0.2), dict(_dot(), h1=[0, 0]),
+                    dict(_dot(), h2=[0, "x", 0])):
+        cfg = _write_cfg(
+            tmp_path,
+            "c.json",
+            {"dot": bad_dot, "eps_start": 0, "eps_stop": 1, "eps_count": 3},
+        )
+        assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
     # a sweep bound that parses to inf, and more points than allowed
     path = tmp_path / "d.json"
     path.write_text(json.dumps(
@@ -117,6 +122,16 @@ def test_spectrum_rejects_bad_configs(tmp_path):
     # missing file and missing --config
     assert main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", out]) == EXIT_CONFIG
     assert main(["spectrum", "--out", out]) == EXIT_CONFIG
+
+
+def test_spectrum_overflow_exits_numerical(tmp_path, capsys):
+    # finite fields so large that the levels overflow to +-inf
+    dot = dict(_dot(), h1=[1e308, 0, 0], h2=[0, 0, 1e308])
+    cfg = _write_cfg(tmp_path, "s.json", {"dot": dot, "eps_start": 0, "eps_stop": 1, "eps_count": 3})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- quorum
@@ -262,7 +277,8 @@ def test_non_finite_output_exits_numerical(tmp_path, monkeypatch, capsys):
     argv = ["tomography", "--config", _tomo_cfg(tmp_path), "--out", str(out)]
     assert main(argv) == EXIT_NUMERICAL
     assert "non-finite" in capsys.readouterr().err
-    assert not (out / "result.json").exists()
+    # every output is rendered before any is written, --out included
+    assert not out.exists()
 
 
 def test_tomography_named_state_with_degraded_readout(tmp_path):
@@ -318,6 +334,8 @@ def test_tomography_rejects_bad_configs(tmp_path):
         {"state": {"kind": "random", "rank": 0}, "shots": 10},
         {"state": {"kind": "random"}, "shots": 2**63},  # beyond int64
         {"state": {"kind": "random"}, "shots": [10] * 14 + [10**30]},
+        {"state": {"kind": "random"}, "shots": 10, "noise": {"not_a_gate": {"std_rad": 0.1}}},
+        {"state": {"kind": "random"}, "shots": 10, "noise": {"exchange_pulse": {"stdev": 0.1}}},
     ):
         cfg = _write_cfg(tmp_path, "e.json", payload)
         assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
@@ -355,7 +373,7 @@ def test_tomography_rejects_bad_reps(tmp_path):
     for reps in ("-5", "1"):
         argv = ["tomography", "--config", cfg, "--out", str(out), "--reps", reps]
         assert main(argv) == EXIT_CONFIG
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 def test_configs_reject_bool_for_int(tmp_path):
@@ -490,6 +508,15 @@ def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, 
     capsys.readouterr()
 
 
+def test_verify_non_finite_report_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("spintomo.cli.run_verification",
+                        lambda: [CheckResult("det_mub", True, 0.0, float("inf"))])
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify"]) == EXIT_OK
@@ -525,10 +552,13 @@ def test_unwritable_output_file_exits_config(tmp_path, command, blocked, capsys)
     (out / blocked).mkdir(parents=True)
     args = [command, "--out", str(out)]
     if command == "tomography":
-        args += ["--config", _tomo_cfg(tmp_path)]
+        # three CSV files come before result.json
+        args += ["--config", _tomo_cfg(tmp_path), "--reps", "5"]
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and blocked in err
+    # the files written before the failure are removed again
+    assert list(out.iterdir()) == [out / blocked]
 
 
 def _strict_json(path):
@@ -608,6 +638,79 @@ def test_fuzzed_configs_keep_exit_contract(tmp_path, capsys):
     capsys.readouterr()
     # the loop reaches every exit code, so it probes more than the parser
     assert set(codes) == set(_ANY_CONTRACT_EXIT)
+
+
+def _fuzz_numbers(rng, pick, lo, hi):
+    """A number in [lo, hi) or a list of 0-3 of them, with junk among them."""
+    if rng.random() < 0.5:
+        return pick(lambda: rng.uniform(lo, hi))
+    return [pick(lambda: rng.uniform(lo, hi)) for _ in range(rng.randrange(4))]
+
+
+def _fuzz_plan(rng, pick):
+    cfg = {"delta": _fuzz_numbers(rng, pick, -0.1, 1.1),
+           "p_limit": _fuzz_numbers(rng, pick, -0.1, 1.1)}
+    if rng.random() < 0.5:
+        cfg["fidelity"] = _fuzz_numbers(rng, pick, 0.4, 1.1)
+    return ["plan"], cfg
+
+
+def _fuzz_quorum(rng, pick):
+    return ["quorum"], {"name": pick(lambda: rng.choice(("mub", "james", "bogus")))}
+
+
+def _fuzz_dot_vectors(rng, pick):
+    def vec():
+        return [pick(lambda: rng.uniform(-0.1, 0.1)) for _ in range(rng.choice((3, 3, 3, 3, 2, 4)))]
+
+    dot = {"epsilon": rng.uniform(-2, 2), "U": rng.uniform(0.5, 2), "t": rng.uniform(0, 0.3),
+           "h1": vec(), "h2": vec()}
+    cfg = {"dot": dot, "eps_start": -1.0, "eps_stop": 1.0, "eps_count": rng.randrange(1, 6)}
+    return ["spectrum"], cfg
+
+
+def _fuzz_noise_entries(rng, pick):
+    def entry():
+        fields = {"mean_rad": pick(lambda: rng.gauss(0, 0.1)),
+                  "std_rad": pick(lambda: abs(rng.gauss(0, 0.1)))}
+        if rng.random() < 0.1:
+            fields["stdev"] = 0.1
+        return {name: fields[name] for name in fields if rng.random() < 0.8}
+
+    noise = {rng.choice(_GATES): pick(entry) for _ in range(rng.randrange(1, 4))}
+    cfg = {"state": {"kind": "named", "name": "singlet"}, "shots": 200, "noise": noise}
+    return ["tomography", "--reps", str(rng.choice((0, 2)))], cfg
+
+
+def test_fuzzed_config_readers_keep_exit_contract(tmp_path, capsys):
+    """Seeded plan, quorum, dot-vector and noise-entry configs, with junk
+    inside them and, now and then, in place of the whole config: every
+    run exits 0, 2 or 3, writes only strict JSON, and a run that fails
+    does not even create --out."""
+    rng = random.Random(20261019)
+
+    def pick(valid):
+        return rng.choice(_JUNK) if rng.random() < 0.1 else valid()
+
+    makers = (_fuzz_plan, _fuzz_quorum, _fuzz_dot_vectors, _fuzz_noise_entries)
+    codes = []
+    for i in range(160):
+        argv, cfg = makers[i % len(makers)](rng, pick)
+        if rng.random() < 0.05:
+            cfg = rng.choice(_JUNK)
+        path, out = tmp_path / f"{i}.json", tmp_path / str(i)
+        path.write_text(json.dumps(cfg))
+        rc = main(argv + ["--config", str(path), "--out", str(out)])
+        assert rc in _ANY_CONTRACT_EXIT, (argv, cfg)
+        assert rc == EXIT_OK or not out.exists(), (argv, cfg)
+        for written in out.glob("*.json"):
+            _strict_json(written)
+        codes.append((i % len(makers), rc))
+    capsys.readouterr()
+    # every reader both accepts and rejects configs, and a run fails numerically
+    for k, maker in enumerate(makers):
+        assert {EXIT_OK, EXIT_CONFIG} <= {rc for m, rc in codes if m == k}, maker.__name__
+    assert EXIT_NUMERICAL in {rc for _, rc in codes}
 
 
 # -------------------------------------------------------------- dependencies

@@ -39,19 +39,6 @@ def test_params_validation():
         DotParams(0.0, 1.0, 0.1, (0, 0), (0, 0, 0))
 
 
-def test_params_json_round_trip_and_rejection():
-    p = _params(epsilon=0.3, t=0.05, h1=(0, 0, 0.1), h2=(0, 0.01, 0.09))
-    assert DotParams.from_json(p.to_json()) == p
-    with pytest.raises(ValueError):
-        DotParams.from_json({**p.to_json(), "extra": 1})
-    bad = p.to_json()
-    del bad["U"]
-    with pytest.raises(ValueError):
-        DotParams.from_json(bad)
-    with pytest.raises(ValueError):
-        DotParams.from_json({**p.to_json(), "h1": 0.1})  # scalar field vector
-
-
 def test_hamiltonian_hermitian():
     for seed in range(5):
         rng = np.random.default_rng(seed)

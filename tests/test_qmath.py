@@ -17,7 +17,6 @@ from spintomo.qmath import (
     PureState,
     check_density_matrix,
     kron_state,
-    mat_inner,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -41,7 +40,7 @@ def test_sigma_algebra():
 
 def test_pauli_basis_orthonormal():
     gram = np.array(
-        [[mat_inner(a, b) for b in PAULI_BASIS] for a in PAULI_BASIS]
+        [[np.vdot(a, b) for b in PAULI_BASIS] for a in PAULI_BASIS]
     )
     np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
 
@@ -56,7 +55,7 @@ def test_pauli_basis_indexing():
 
 
 def test_tau_basis_orthonormal_and_hermitian():
-    gram = np.array([[mat_inner(a, b) for b in TAU_BASIS] for a in TAU_BASIS])
+    gram = np.array([[np.vdot(a, b) for b in TAU_BASIS] for a in TAU_BASIS])
     np.testing.assert_allclose(gram, np.eye(16), atol=1e-14)
     for t in TAU_BASIS:
         assert qmath.is_hermitian(t)

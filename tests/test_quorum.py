@@ -224,7 +224,7 @@ def test_esr_budget_enforced_at_construction(monkeypatch):
     wide = preps[:9] + [Preparation("wide", "singlet", Circuit(doubled))] + preps[10:]
     assert esr_budget_excess(wide) == pytest.approx(np.pi / 4)
     extra = Gate(GateKind.ESR_X_QUBIT1, np.pi / 4)
-    preps[3] = Preparation("bad", "up_up", preps[3].circuit.extended([extra]))
+    preps[3] = Preparation("bad", "up_up", Circuit(preps[3].circuit.gates + (extra,)))
     assert esr_budget_excess(preps) == 1.0
     for table in (wide, preps):
         monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(table))
