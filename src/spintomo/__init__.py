@@ -12,10 +12,12 @@ Layout
 ------
 qmath        Pauli/tau operator bases, states, fidelities, RNG streams
 gates        native gate set and circuits
-quorum       quorum construction, P matrix, structural witnesses
+quorum       quorum construction (the 15 operators as one validated
+             (15, 4, 4) stack), P matrix, structural witnesses
 dotmodel     six-level two-electron charge/spin model and sweeps
-measure      shot counts (one sampler for a run and a study), readout
-             degradation, exact averaging over Gaussian gate-angle noise
+measure      shot counts (one sampler for a run and a study) and readout
+             degradation, both on operator stacks; exact averaging over
+             Gaussian gate-angle noise
 reconstruct  one entry point for linear inversion and maximum likelihood,
              covariance prediction
 _kernels     the binomial likelihood and its ascent loop
@@ -31,7 +33,7 @@ from .measure import (
     NoiseModel,
     average_projector,
     born_probabilities,
-    degrade_projector,
+    degrade_readout,
     plan_shots,
     simulate_counts,
 )
@@ -70,7 +72,7 @@ __all__ = [
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",
     "pmatrix",
     "DotParams", "exchange_J", "min_singlet_gap", "spectrum_sweep",
-    "NoiseModel", "average_projector", "born_probabilities", "degrade_projector",
+    "NoiseModel", "average_projector", "born_probabilities", "degrade_readout",
     "plan_shots", "simulate_counts",
     "ReconstructionResult", "covariance_bound", "covariance_predict",
     "linear_from_frequencies", "mle_from_frequencies",

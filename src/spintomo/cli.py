@@ -40,7 +40,7 @@ from .measure import (
     average_projector,
     born_probabilities,
     calibration_matrix,
-    degrade_projector,
+    degrade_readout,
     plan_shots,
     simulate_counts,
 )
@@ -115,9 +115,11 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         raise ConfigError("this subcommand requires --config")
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # the encoding JSON requires
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         cfg = json.loads(
             text, parse_int=_config_number, parse_float=_config_number,
@@ -125,6 +127,8 @@ def _load_config(path: Optional[str]) -> dict:
         )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # a RuntimeError, which main reads as numerical
+        raise ConfigError(f"config {path} is nested too deeply: {exc}") from exc
     return cfg
 
 
@@ -327,11 +331,15 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
 
 
 def _effective_quorum(cfg: dict) -> Quorum:
-    """The MUB quorum as the detector actually realizes it."""
+    """The MUB quorum as the detector actually realizes it: the ideal
+    stack, averaged over the config's gate-angle noise, then degraded by
+    its readout fidelity."""
     q = mub_quorum()
-    effective = list(q.projectors)
-    altered = False
     noise_cfg = cfg.get("noise")
+    fidelity = cfg.get("readout_fidelity")
+    if noise_cfg is None and fidelity is None:
+        return q
+    matrices, labels = q.matrices, q.labels
     if noise_cfg is not None:
         if "samples" in noise_cfg:
             raise ConfigError(
@@ -344,27 +352,21 @@ def _effective_quorum(cfg: dict) -> Quorum:
                           f"noise config for {kind}")
         try:
             noise = NoiseModel.from_json(noise_cfg)
-            averaged = [
+            matrices = np.stack([
                 average_projector(
                     prep.measurement_circuit(),
                     Projector(prep.base_state.projector(), prep.base_label),
                     noise,
-                )
+                ).projector.matrix
                 for prep in mub_preparations()
-            ]
+            ])
         except ValueError as exc:
             raise ConfigError(f"bad noise model: {exc}") from exc
-        effective = [
-            Projector(avg.projector.matrix, ideal.label, ideal.basis_index, kind="averaged")
-            for avg, ideal in zip(averaged, q.projectors)
-        ]
-        altered = True
-    fidelity = cfg.get("readout_fidelity")
     if fidelity is not None:
-        effective = [degrade_projector(p, float(fidelity)) for p in effective]
-        altered = True
-    name = "mub-effective" if altered else q.name
-    return Quorum(name, tuple(effective), q.states)
+        fidelity = float(fidelity)
+        matrices = degrade_readout(matrices, fidelity)
+        labels = tuple(f"{label}~f={fidelity:g}" for label in labels)
+    return Quorum("mub-effective", labels, matrices, q.basis_index, q.states)
 
 
 def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
@@ -396,14 +398,14 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     # the run is row 0 of the covariance study, which --exact still samples
     counts = None
     if reps > 0 or not exact:
-        counts = simulate_counts(truth, eff_q.projectors, shots_arr, seed, max(reps, 1))
+        counts = simulate_counts(truth, eff_q.matrices, shots_arr, seed, max(reps, 1))
     records = None
     if exact:
-        freqs = born_probabilities(truth, eff_q.projectors)
+        freqs = born_probabilities(truth, eff_q.matrices)
     else:
         # Python-int true division: exact beyond 2**53 shots, where int64 division is not
-        records = [[p.label, n, c, c / n] for p, n, c in
-                   zip(eff_q.projectors, shots_arr.tolist(), counts[0].tolist())]
+        records = [[label, n, c, c / n] for label, n, c in
+                   zip(eff_q.labels, shots_arr.tolist(), counts[0].tolist())]
         freqs = np.array([r[3] for r in records])
 
     # both estimators, always: fast linear inversion and the physical MLE
@@ -539,9 +541,9 @@ def run_verification() -> list:
     q_mub = mub_quorum()
     q_james = james_quorum()
 
-    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub.matrices()))) - 1.0 / 32.0),
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub.matrices))) - 1.0 / 32.0),
             ("det_mub", 1e-12, "| |det P| - 1/32 |"))
-    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james.matrices()))) - 1.0 / 512.0),
+    guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james.matrices))) - 1.0 / 512.0),
             ("det_james", 1e-12, "| |det P| - 1/512 |"))
     guarded(lambda: closed_form_deviation([p.prepared_state() for p in mub_preparations()]),
             ("quorum_cross_check", 1e-12, "projectors vs closed-form Pauli terms"))
@@ -550,9 +552,9 @@ def run_verification() -> list:
 
     def mub_condition():
         """tr(P_a P_b) = |<a|b>|^2 is 1 or 0 within a basis and 1/4 across."""
-        projectors = [Projector(s.projector(), "basis") for basis in mub_bases() for s in basis]
+        matrices = np.stack([s.projector() for basis in mub_bases() for s in basis])
         target = np.kron(np.eye(5), np.eye(4) - 0.25) + 0.25
-        return float(np.max(np.abs(calibration_matrix(projectors) - target)))
+        return float(np.max(np.abs(calibration_matrix(matrices) - target)))
 
     guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
@@ -580,7 +582,7 @@ def run_verification() -> list:
     def det_bound():
         randoms = [[random_pure(1000 + 100 * trial + i).projector() for i in range(15)]
                    for trial in range(100)]
-        mats = np.concatenate([[q_mub.matrices(), q_james.matrices()], randoms])
+        mats = np.concatenate([[q_mub.matrices, q_james.matrices], randoms])
         return float(np.max(np.abs(np.linalg.det(pmatrix_entries(mats)))))
 
     guarded(det_bound,

@@ -81,7 +81,6 @@ class Circuit:
     """Ordered gate sequence; gates[0] acts first."""
 
     gates: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -98,9 +97,7 @@ class Circuit:
 
     def adjoint(self) -> "Circuit":
         """Inverse circuit: reversed order, negated angles."""
-        rev = tuple(Gate(g.kind, -g.angle) for g in reversed(self.gates))
-        label = f"{self.label}^dag" if self.label else ""
-        return Circuit(rev, label)
+        return Circuit(tuple(Gate(g.kind, -g.angle) for g in reversed(self.gates)))
 
     def esr_gate_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == GateKind.ESR_X_QUBIT1)

@@ -1,23 +1,25 @@
 """Measurement simulation: shot noise, readout degradation, gate noise.
 
-Counts are binomial draws of the Born probabilities, one sampler for a
-single run and a repeated study alike.  Each projector has one
-counter-based shot stream keyed by (seed, projector index), and row r of
-the counts is the r-th draw of that stream (a single run is row 0), so
-simulated experiments are reproducible and do not depend on the order
-in which projectors or rows are computed.
+Born probabilities, shot sampling, readout degradation and the
+calibration matrix take the measurement operators as one stack of shape
+(n, 4, 4), as ``Quorum.matrices`` holds them.  Counts are binomial
+draws of the Born probabilities, one sampler for a single run and a
+repeated study alike.  Each projector has one counter-based shot stream
+keyed by (seed, projector index), and row r of the counts is the r-th
+draw of that stream (a single run is row 0), so simulated experiments
+are reproducible and do not depend on the order in which projectors or
+rows are computed.
 
-Readout infidelity contracts a projector toward the maximally mixed
-operator.  Coherent gate-angle errors replace the circuit-conjugated
-readout operator by its exact mean over Gaussian angle errors, from the
-characteristic function of the Gaussian.
+Readout infidelity is one affine map that contracts every operator of a
+stack toward the maximally mixed operator.  Coherent gate-angle errors
+replace the circuit-conjugated readout operator by its exact mean over
+Gaussian angle errors, from the characteristic function of the Gaussian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,19 +30,18 @@ from .quorum import Projector
 PROBABILITY_SLACK = 1e-10
 
 
-def born_probabilities(rho, projectors: Sequence[Projector]) -> np.ndarray:
-    """tr(P_j rho) for each projector, validated against [0, 1] and clipped."""
-    mats = np.stack([p.matrix for p in projectors])
-    probs = np.einsum("jab,ba->j", mats, as_operator(rho)).real
+def born_probabilities(rho, matrices: np.ndarray) -> np.ndarray:
+    """tr(P_j rho) for each operator of the stack, validated against [0, 1]
+    and clipped."""
+    probs = np.einsum("jab,ba->j", matrices, as_operator(rho)).real
     if np.any(probs < -PROBABILITY_SLACK) or np.any(probs > 1.0 + PROBABILITY_SLACK):
         raise ValueError(f"Born probability outside [0, 1]: {probs}")
     return np.clip(probs, 0.0, 1.0)
 
 
-def simulate_counts(
-    rho, projectors: Sequence[Projector], shots, seed: int, reps: int = 1
-) -> np.ndarray:
-    """Simulated success counts, int64 of shape (reps, n_projectors).
+def simulate_counts(rho, matrices: np.ndarray, shots, seed: int, reps: int = 1) -> np.ndarray:
+    """Simulated success counts of a stack of operators, int64 of shape
+    (reps, n_operators).
 
     ``shots`` is one trial count for every projector or one per
     projector.  Column j holds the first ``reps`` Binomial(n_j, p_j)
@@ -48,7 +49,7 @@ def simulate_counts(
     row r does not depend on ``reps``: a single run is row 0, and a
     longer study extends a shorter one.
     """
-    probs = born_probabilities(rho, projectors)
+    probs = born_probabilities(rho, matrices)
     shots = np.broadcast_to(np.asarray(shots, dtype=np.int64), probs.shape)
     if np.any(shots < 1):
         raise ValueError("every projector needs at least one shot")
@@ -59,17 +60,17 @@ def simulate_counts(
     return np.stack(draws, axis=1)
 
 
-def degrade_projector(proj: Projector, fidelity: float) -> Projector:
+def degrade_readout(matrices: np.ndarray, fidelity: float) -> np.ndarray:
     """Readout-infidelity contraction toward the maximally mixed operator.
 
-    P' = (1 - f^2)/3 * I + (4 f^2 - 1)/3 * P for f in [1/2, 1]; f = 1
+    P' = (1 - f^2)/3 * I + (4 f^2 - 1)/3 * P for f in [1/2, 1], applied to
+    one operator or to every operator of a stack (..., 4, 4); f = 1
     returns P unchanged, f = 1/2 erases all information (P' = I/4).
     """
     if not 0.5 <= fidelity <= 1.0:
         raise ValueError("readout fidelity must lie in [1/2, 1]")
     f2 = fidelity * fidelity
-    m = ((1.0 - f2) / 3.0) * np.eye(4) + ((4.0 * f2 - 1.0) / 3.0) * proj.matrix
-    return Projector(m, f"{proj.label}~f={fidelity:g}", proj.basis_index, kind="degraded")
+    return ((1.0 - f2) / 3.0) * np.eye(4) + ((4.0 * f2 - 1.0) / 3.0) * matrices
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,12 @@ def average_projector(
         raise ValueError(f"{base.label}: averaged readout is not finite (angle too large)")
     sym = 0.5 * (x + x.conj().T)
     sym /= np.trace(sym).real
-    proj = Projector(sym, f"{base.label}~avg", base.basis_index, kind="averaged")
-    return AveragedProjector(proj)
+    return AveragedProjector(Projector(sym, f"{base.label}~avg"))
 
 
-def calibration_matrix(projectors: Sequence[Projector]) -> np.ndarray:
-    """Gram matrix M_ij = tr(P_i P_j) of (possibly imperfect) projectors."""
-    mats = np.stack([p.matrix for p in projectors])
-    return np.einsum("iab,jba->ij", mats, mats).real
+def calibration_matrix(matrices: np.ndarray) -> np.ndarray:
+    """Gram matrix M_ij = tr(P_i P_j) of a stack of (possibly imperfect) operators."""
+    return np.einsum("iab,jba->ij", matrices, matrices).real
 
 
 def tail_bound(n_runs: int, delta: float) -> float:

@@ -85,8 +85,9 @@ TAU_BASIS.setflags(write=False)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+    """Whether a matrix, or every matrix of a stack (..., n, n), is Hermitian."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= atol)
 
 
 def pauli_expand(m: np.ndarray) -> np.ndarray:
@@ -192,20 +193,21 @@ TRIPLET_ZERO = PureState.from_amplitudes([0.0, 1.0, 1.0, 0.0])
 
 
 def check_density_matrix(m: np.ndarray) -> np.ndarray:
-    """Validate a 4x4 density matrix, returning it as complex128.
+    """Validate a 4x4 density matrix, or a stack of them of shape
+    (..., 4, 4), returning it as complex128.
 
-    Requires Hermiticity within 1e-12, unit trace within 1e-12 and
-    eigenvalues above -PSD_SLACK.
+    Requires of every matrix Hermiticity within 1e-12, unit trace within
+    1e-12 and eigenvalues above -PSD_SLACK.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a stack of them")
     if not is_hermitian(m):
         raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    lo = np.linalg.eigvalsh(m)[0]
+    dev = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0))
+    if dev > TRACE_ATOL:
+        raise ValueError(f"density matrix trace differs from 1 by {dev!r}")
+    lo = np.min(np.linalg.eigvalsh(m))
     if lo < -PSD_SLACK:
         raise ValueError(f"density matrix has eigenvalue {lo!r} below -{PSD_SLACK}")
     return m

@@ -1,7 +1,10 @@
 """Measurement quorums for two-qubit state reconstruction.
 
-A quorum is a set of 15 projectors whose expectation values determine a
-two-qubit density matrix.  Two concrete quorums are built here:
+A quorum is a set of 15 measurement operators whose expectation values
+determine a two-qubit density matrix.  ``Quorum`` holds them as one
+read-only (15, 4, 4) stack, validated once, which every computation
+reads: Born probabilities, the P matrix, the likelihood and the
+calibration matrix.  Two concrete quorums are built here:
 
 * ``mub_quorum``  -- five mutually unbiased bases (three product bases
   along z, x, y and two maximally entangled ones), three states per
@@ -9,7 +12,7 @@ two-qubit density matrix.  Two concrete quorums are built here:
   and a single pi/2 resonant pulse per circuit.
 * ``james_quorum`` -- the standard all-separable 15-projector set.
 
-Each quorum projector is built twice, from a closed-form Pauli
+Each MUB projector is built twice, from a closed-form Pauli
 decomposition and from its preparation circuit, and the two routes are
 cross-checked at 1e-12.
 """
@@ -51,60 +54,47 @@ class QuorumDegenerateError(ValueError):
 
 @dataclass(frozen=True)
 class Projector:
-    """Measurement operator tagged by how it was produced.
-
-    kind is "ideal-pure" for rank-1 projectors, "degraded" for the
-    readout-fidelity-contracted form, "averaged" for exact means over
-    Gaussian gate-angle errors.  Only ideal-pure operators are required to
-    be idempotent; all kinds are Hermitian, unit-trace and PSD.
-    """
+    """One labelled measurement operator: 4x4, Hermitian, unit trace, PSD."""
 
     matrix: np.ndarray
     label: str
-    basis_index: Optional[int] = None
-    kind: str = "ideal-pure"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
+        if np.shape(self.matrix) != (4, 4):
             raise ValueError("projector must be 4x4")
-        if not qmath.is_hermitian(m):
-            raise ValueError(f"projector {self.label}: not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > qmath.TRACE_ATOL:
-            raise ValueError(f"projector {self.label}: trace {tr!r} != 1")
-        if np.linalg.eigvalsh(m)[0] < -qmath.PSD_SLACK:
-            raise ValueError(f"projector {self.label}: not PSD")
-        if self.kind == "ideal-pure":
-            purity = np.sum(np.abs(m) ** 2).real
-            if abs(purity - 1.0) > 1e-10:
-                raise ValueError(f"projector {self.label}: not rank-1")
-        elif self.kind not in ("degraded", "averaged"):
-            raise ValueError(f"unknown projector kind {self.kind!r}")
-        mm = m.copy()
-        mm.setflags(write=False)
-        object.__setattr__(self, "matrix", mm)
-
-    @property
-    def pauli_coeffs(self) -> np.ndarray:
-        return pauli_expand(self.matrix)
+        m = qmath.check_density_matrix(self.matrix).copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class Quorum:
+    """The 15 measurement operators of a quorum as one stack.
+
+    ``matrices`` is a read-only (15, 4, 4) array of Hermitian, unit-trace,
+    PSD operators, checked once at construction; ``labels`` and
+    ``basis_index`` (the unbiased basis of each operator, None outside
+    one) follow the same order.  ``states`` are the pure states of an
+    ideal quorum, when known.
+    """
+
     name: str
-    projectors: tuple
+    labels: tuple
+    matrices: np.ndarray
+    basis_index: tuple = (None,) * 15
     states: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(self.projectors))
-        if len(self.projectors) != 15:
-            raise ValueError("a quorum holds exactly 15 projectors")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "basis_index", tuple(self.basis_index))
+        counts = (len(self.labels), len(self.basis_index))
+        if np.shape(self.matrices) != (15, 4, 4) or counts != (15, 15):
+            raise ValueError("a quorum holds exactly 15 operators")
+        mats = qmath.check_density_matrix(self.matrices).copy()
+        mats.setflags(write=False)
+        object.__setattr__(self, "matrices", mats)
         if self.states is not None:
             object.__setattr__(self, "states", tuple(self.states))
-
-    def matrices(self) -> np.ndarray:
-        return np.stack([p.matrix for p in self.projectors])
 
 
 # closed-form Pauli terms of the 15 quorum projectors:
@@ -200,11 +190,9 @@ def mub_preparations() -> tuple:
         ("singlet", flip1(c13)),
         ("singlet", flip2(c13)),
     ]
-    preps = []
-    for j, (base, gates) in enumerate(table, start=1):
-        label = f"P{j:02d}"
-        preps.append(Preparation(label, base, Circuit(gates, label=label)))
-    return tuple(preps)
+    return tuple(
+        Preparation(f"P{j:02d}", base, Circuit(gates)) for j, (base, gates) in enumerate(table, 1)
+    )
 
 
 def esr_budget_excess(preps: Sequence[Preparation]) -> float:
@@ -248,11 +236,8 @@ def mub_quorum() -> Quorum:
     dev = closed_form_deviation(states)
     if dev > CROSS_CHECK_ATOL:
         raise RuntimeError(f"circuit and closed form disagree (max dev {dev:.3e})")
-    projectors = tuple(
-        Projector(c, prep.label, basis_index=j // 3)
-        for j, (prep, c) in enumerate(zip(preps, _CLOSED_FORMS, strict=True))
-    )
-    return Quorum("mub", projectors, states)
+    labels = tuple(prep.label for prep in preps)
+    return Quorum("mub", labels, _CLOSED_FORMS, tuple(j // 3 for j in range(15)), states)
 
 
 def james_quorum() -> Quorum:
@@ -263,13 +248,9 @@ def james_quorum() -> Quorum:
         (UP_X, DOWN_Y), (UP_X, UP_X), (DOWN_Y, UP_X),
         (UP, UP_X), (DOWN, UP_X), (DOWN, UP_Y), (UP, UP_Y), (DOWN_Y, UP_Y),
     ]
-    projectors = []
-    states = []
-    for j, (first, second) in enumerate(kets, start=1):
-        state = kron_state(first, second)
-        states.append(state)
-        projectors.append(Projector(state.projector(), f"J{j:02d}"))
-    return Quorum("james", tuple(projectors), tuple(states))
+    states = tuple(kron_state(first, second) for first, second in kets)
+    labels = tuple(f"J{j:02d}" for j in range(1, 16))
+    return Quorum("james", labels, np.stack([s.projector() for s in states]), states=states)
 
 
 def mub_bases() -> list:
@@ -313,43 +294,11 @@ def pmatrix(q: Quorum) -> PMatrix:
     Raises QuorumDegenerateError when |det| < 1e-9, since reconstruction
     divides by this determinant.
     """
-    entries = pmatrix_entries(q.matrices())
+    entries = pmatrix_entries(q.matrices)
     det = float(np.linalg.det(entries))
     if abs(det) < DET_FLOOR:
         raise QuorumDegenerateError(f"quorum {q.name!r}: |det| = {abs(det):.3e}")
     return PMatrix(entries, det, np.linalg.inv(entries))
-
-
-def projector_coefficients(state: PureState) -> np.ndarray:
-    """Pauli coefficients of |phi><phi| from the amplitudes directly.
-
-    Closed forms in the amplitudes (a, b, c, d); independent of
-    pauli_expand, which is the point: the two routes are compared in
-    the tests and must agree to 1e-13.
-    """
-    a, b, c, d = state.amplitudes
-    ab, cd = np.conj(a) * b, np.conj(c) * d
-    ac, bd = np.conj(a) * c, np.conj(b) * d
-    ad, bc = np.conj(a) * d, np.conj(b) * c
-    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
-    n = np.empty(16, dtype=np.float64)
-    n[0] = (aa + bb + cc + dd) / 2.0
-    n[1] = (ab + cd).real
-    n[2] = (ab + cd).imag
-    n[3] = (aa - bb + cc - dd) / 2.0
-    n[4] = (ac + bd).real
-    n[5] = (ad + bc).real
-    n[6] = ad.imag - bc.imag
-    n[7] = ac.real - bd.real
-    n[8] = (ac + bd).imag
-    n[9] = ad.imag + bc.imag
-    n[10] = bc.real - ad.real
-    n[11] = ac.imag - bd.imag
-    n[12] = (aa + bb - cc - dd) / 2.0
-    n[13] = ab.real - cd.real
-    n[14] = ab.imag - cd.imag
-    n[15] = (aa - bb - cc + dd) / 2.0
-    return n
 
 
 def accessible_subspace_dimension(esr_allowed: bool) -> int:
@@ -469,7 +418,7 @@ def gram_schmidt_det_check(q: Quorum) -> GramSchmidtReport:
     of all 15 lengths equals |det P|.  Raises when rows of different
     triples fail orthogonality at 1e-10.
     """
-    rows = pmatrix_entries(q.matrices())
+    rows = pmatrix_entries(q.matrices)
     for i in range(15):
         for j in range(i + 1, 15):
             if i // 3 != j // 3:
@@ -493,14 +442,12 @@ def gram_schmidt_det_check(q: Quorum) -> GramSchmidtReport:
 
 
 def quorum_records(q: Quorum) -> list:
-    """JSON-ready projector records: label, basis index, 16 Pauli coefficients."""
-    out = []
-    for p in q.projectors:
-        out.append(
-            {
-                "label": p.label,
-                "basis_index": p.basis_index,
-                "pauli_coefficients": [float(x) for x in p.pauli_coeffs],
-            }
-        )
-    return out
+    """JSON-ready operator records: label, basis index, 16 Pauli coefficients."""
+    return [
+        {
+            "label": label,
+            "basis_index": basis,
+            "pauli_coefficients": [float(x) for x in pauli_expand(m)],
+        }
+        for label, basis, m in zip(q.labels, q.basis_index, q.matrices)
+    ]

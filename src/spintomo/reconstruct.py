@@ -144,7 +144,7 @@ def mle_from_frequencies(
     pm = pmatrix(quorum)
     rho_linear = linear_from_frequencies(m, pm)
     t0 = seed_square_root(rho_linear)
-    projs = quorum.matrices()
+    projs = quorum.matrices
     weights = shots / shots.sum()
     t_mat, lik_scaled, iters, converged = _kernels.mle_ascend(
         projs, m, weights, t0

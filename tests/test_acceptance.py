@@ -21,7 +21,7 @@ from spintomo.dotmodel import (
     hamiltonian6,
     min_singlet_gap,
 )
-from spintomo.measure import born_probabilities, degrade_projector, plan_shots, simulate_counts
+from spintomo.measure import born_probabilities, degrade_readout, plan_shots, simulate_counts
 from spintomo.qmath import (
     UP_UP,
     DensityMatrix,
@@ -108,7 +108,7 @@ def test_criterion_07_round_trip_and_rms_slope():
     worst = 0.0
     for seed in range(100):
         rho = random_density(seed)
-        m = born_probabilities(rho, q.projectors)
+        m = born_probabilities(rho, q.matrices)
         worst = max(
             worst,
             float(np.max(np.abs(linear_from_frequencies(m, pm) - rho.matrix))),
@@ -118,7 +118,7 @@ def test_criterion_07_round_trip_and_rms_slope():
     shot_grid = (10**3, 10**4, 10**5)
     rms = []
     for n in shot_grid:
-        freqs = simulate_counts(rho, q.projectors, n, seed=7, reps=60) / n
+        freqs = simulate_counts(rho, q.matrices, n, seed=7, reps=60) / n
         coeffs = (freqs - 0.25) @ pm.inverse.T
         rms.append(float(np.sqrt(np.mean((coeffs - true_c[None, :]) ** 2))))
     slope = float(np.polyfit(np.log10(shot_grid), np.log10(rms), 1)[0])
@@ -139,7 +139,7 @@ def test_criterion_08_covariance_prediction():
     pm = pmatrix(q)
     rho = random_density(5)
     n, reps = 1000, 10000
-    freqs = simulate_counts(rho, q.projectors, n, seed=3, reps=reps) / n
+    freqs = simulate_counts(rho, q.matrices, n, seed=3, reps=reps) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     emp = np.cov(coeffs, rowvar=False, ddof=1)
     pred = covariance_predict(rho, pm, n)
@@ -159,16 +159,13 @@ def test_criterion_08_covariance_prediction():
 
 def test_criterion_09_degradation_and_planning():
     q = mub_quorum()
-    erase_dev = max(
-        float(np.max(np.abs(degrade_projector(p, 0.5).matrix - np.eye(4) / 4.0)))
-        for p in q.projectors
-    )
+    erase_dev = float(np.max(np.abs(degrade_readout(q.matrices, 0.5) - np.eye(4) / 4.0)))
 
     rho = random_density(7)
     truth = pauli_expand(rho.matrix)[4]
     f = 0.8
-    pa = float(np.trace(degrade_projector(q.projectors[3], f).matrix @ rho.matrix).real)
-    pb = float(np.trace(degrade_projector(q.projectors[5], f).matrix @ rho.matrix).real)
+    pa = float(np.trace(degrade_readout(q.matrices[3], f) @ rho.matrix).real)
+    pb = float(np.trace(degrade_readout(q.matrices[5], f) @ rho.matrix).real)
     n, reps = 1000, 1000
     rng = stream("acceptance-marginal", 0)
     sa = rng.binomial(n, pa, size=reps) / n
@@ -234,7 +231,7 @@ def test_criterion_11_mle_physicality_and_fidelity():
         DensityMatrix(random_pure(3).projector()),
         random_density(12),
     ):
-        m = born_probabilities(truth, q.projectors)
+        m = born_probabilities(truth, q.matrices)
         res = mle_from_frequencies(m, 10**6, q)
         worst_fid = min(worst_fid, state_fidelity(res.rho_mle, truth))
 

@@ -22,7 +22,6 @@ from spintomo.cli import (
 from spintomo.gates import Circuit, Gate
 from spintomo.quorum import (
     Preparation,
-    Projector,
     Quorum,
     mub_preparations,
     mub_quorum,
@@ -115,9 +114,14 @@ def test_spectrum_rejects_bad_configs(tmp_path):
         tmp_path, "e.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": 10**30}
     )
     assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
-    # broken JSON text
+    # broken JSON text, text that is not UTF-8, and nesting beyond the
+    # decoder's recursion limit (a RecursionError is a RuntimeError)
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
+    path.write_bytes(b'\xff\xfe{"name": "mub"}')
+    assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
+    path.write_text("[" * 2000 + "]" * 2000)
     assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
     # missing file and missing --config
     assert main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", out]) == EXIT_CONFIG
@@ -467,10 +471,9 @@ def test_verify_all_checks_pass(tmp_path, capsys):
 
 def test_verification_detects_perturbed_quorum(monkeypatch):
     q = mub_quorum()
-    projs = list(q.projectors)
-    mat = 0.9 * projs[4].matrix + 0.1 * np.eye(4) / 4.0  # PSD, trace 1, smaller det
-    projs[4] = Projector(mat, projs[4].label, projs[4].basis_index, kind="averaged")
-    broken = Quorum("mub-broken", tuple(projs), q.states)
+    mats = q.matrices.copy()
+    mats[4] = 0.9 * mats[4] + 0.1 * np.eye(4) / 4.0  # PSD, trace 1, smaller det
+    broken = Quorum("mub-broken", q.labels, mats, q.basis_index, q.states)
     monkeypatch.setattr("spintomo.cli.mub_quorum", lambda: broken)
     results = {r.check_id: r for r in run_verification()}
     assert not results["det_mub"].passed

@@ -113,7 +113,7 @@ def test_gate_angle_validation_and_records():
 def test_circuit_order_and_adjoint():
     a = Gate(GateKind.ESR_X_QUBIT1, np.pi / 4)
     b = Gate(GateKind.EXCHANGE_PULSE, np.pi / 2)
-    c = Circuit((a, b), label="demo")
+    c = Circuit((a, b))
     # leftmost acts first: U = U_b U_a
     u = c.unitary()
     np.testing.assert_allclose(
@@ -129,13 +129,12 @@ def test_circuit_records_round_trip_and_esr_count():
             Gate(GateKind.GRADIENT_Z, np.pi / 2),
             Gate(GateKind.ESR_X_QUBIT1, np.pi / 4),
             Gate(GateKind.Z_ROT_BOTH, -np.pi / 4),
-        ),
-        label="x",
+        )
     )
     assert c.esr_gate_count() == 1
     records = c.to_records()
     assert [r["kind"] for r in records] == ["gradient_z", "esr_x_qubit1", "z_rot_both"]
-    again = Circuit(tuple(Gate(r["kind"], r["angle_radians"]) for r in records), label="x")
+    again = Circuit(tuple(Gate(r["kind"], r["angle_radians"]) for r in records))
     assert again == c
 
 

@@ -51,6 +51,12 @@ PANEL = (
       "noise": {"gradient_z": {"mean_rad": 0.01, "std_rad": 0.05},
                 "esr_x_qubit1": {"std_rad": 0.1}}},
      ["--seed", "4", "--reps", "10"]),
+    ("tomo_noise_readout", "tomography",
+     {"state": {"kind": "random", "seed": 5, "rank": 2}, "shots": 1500, "readout_fidelity": 0.95,
+      "noise": {"exchange_pulse": {"std_rad": 0.03},
+                "z_rot_both": {"mean_rad": -0.02, "std_rad": 0.04},
+                "esr_x_qubit1": {"mean_rad": 0.01, "std_rad": 0.08}}},
+     ["--seed", "6", "--reps", "8"]),
     ("tomo_up_up", "tomography", {"state": {"kind": "named", "name": "up_up"}, "shots": 100},
      ["--reps", "10"]),
     ("tomo_triplet_zero", "tomography",
@@ -122,6 +128,12 @@ DIGESTS = {
         "covariance_predicted.csv": "9e4d15d61dea5f1572378c63362a98e0899ed678ae16f753eb6b573fb281e6f5",
         "records.csv": "36470003ee8e10b85646d431d6a7125dcc43dc71e6f64fa9ff710b21724ba951",
         "result.json": "39e44bfae7848ac4878ef4dd65ce74ad014c3c197406053e124d3a991df4a64c",
+    },
+    "tomo_noise_readout": {
+        "covariance_empirical.csv": "5d0579b0268077e52a598ce07b0435e24cc6308af01c6b9c20fe79198e8371b5",
+        "covariance_predicted.csv": "82bbfca9cc6cc4b65bf751543ad9307ee8198f1109f085cabcca3160681f052b",
+        "records.csv": "028535b1e54024083c97e6f0e8aea810800ee0cbb14a1cef9f501ee8cb51c337",
+        "result.json": "aca8f5cca2de880553e7d27c084608691045482e92eab6da1a084d6b313fcc43",
     },
     "tomo_up_up": {
         "covariance_empirical.csv": "faefa0a8f6d5b82a535506f1a735fa4e4001cbc3732f5e35ca5b0966b3773ea4",

@@ -13,10 +13,10 @@ from spintomo.reconstruct import linear_from_frequencies, seed_square_root
 def test_numpy_mle_converges_on_exact_input():
     q = mub_quorum()
     psi = random_pure(6)
-    m = born_probabilities(psi, q.projectors)
+    m = born_probabilities(psi, q.matrices)
     pm = pmatrix(q)
     t0 = seed_square_root(linear_from_frequencies(m, pm))
-    projs = np.asarray(q.matrices())
+    projs = q.matrices
     nw = np.full(15, 1.0 / 15.0)
     t_mat, lik, its, conv = _kernels.mle_ascend(projs, m, nw, t0)
     assert conv
@@ -31,9 +31,9 @@ def test_mle_ascend_reaches_rank_deficient_optimum(seed):
     # sampled singlet counts put the optimum on the rank-1 boundary, where
     # a gradient ascent used to stop at the 10000-step cap
     q = mub_quorum()
-    projs = np.asarray(q.matrices())
+    projs = q.matrices
     truth = DensityMatrix(SINGLET.projector())
-    m = simulate_counts(truth, q.projectors, 10000, seed)[0] / 10000
+    m = simulate_counts(truth, q.matrices, 10000, seed)[0] / 10000
     nw = np.full(15, 1.0 / 15.0)
     t0 = seed_square_root(linear_from_frequencies(m, pmatrix(q)))
     t_mat, lik, its, conv = _kernels.mle_ascend(projs, m, nw, t0)

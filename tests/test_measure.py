@@ -11,7 +11,7 @@ from spintomo.measure import (
     average_projector,
     born_probabilities,
     calibration_matrix,
-    degrade_projector,
+    degrade_readout,
     plan_shots,
     simulate_counts,
     tail_bound,
@@ -29,7 +29,7 @@ from spintomo.quorum import Projector, mub_preparations, mub_quorum
 
 
 def test_simulate_counts_shots_broadcast_and_validation():
-    q = mub_quorum().projectors
+    q = mub_quorum().matrices
     rho = random_density(1)
     counts = simulate_counts(rho, q, 500, seed=0)
     assert counts.shape == (1, 15) and counts.dtype == np.int64
@@ -47,9 +47,9 @@ def test_simulate_counts_shots_broadcast_and_validation():
 
 def test_born_probabilities_known_values():
     q = mub_quorum()
-    probs = born_probabilities(DensityMatrix(np.eye(4) / 4.0), q.projectors)
+    probs = born_probabilities(DensityMatrix(np.eye(4) / 4.0), q.matrices)
     np.testing.assert_allclose(probs, 0.25, atol=1e-14)
-    probs = born_probabilities(UP_UP, q.projectors)
+    probs = born_probabilities(UP_UP, q.matrices)
     np.testing.assert_allclose(probs[0], 1.0, atol=1e-14)  # P1 = |uu><uu|
     np.testing.assert_allclose(probs[1], 0.0, atol=1e-14)
     np.testing.assert_allclose(probs[3:], 0.25, atol=1e-13)  # unbiased bases
@@ -58,12 +58,12 @@ def test_born_probabilities_known_values():
 def test_born_probabilities_reject_unphysical():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        born_probabilities(bad, mub_quorum().projectors)
+        born_probabilities(bad, mub_quorum().matrices)
 
 
 def test_simulate_counts_deterministic():
     rho = random_density(1)
-    q = mub_quorum().projectors
+    q = mub_quorum().matrices
     a = simulate_counts(rho, q, 1000, seed=42, reps=2)
     np.testing.assert_array_equal(a, simulate_counts(rho, q, 1000, seed=42, reps=2))
     assert not np.array_equal(a, simulate_counts(rho, q, 1000, seed=43, reps=2))
@@ -73,9 +73,9 @@ def test_simulate_counts_deterministic():
 def test_simulate_counts_statistics():
     # frequencies concentrate around Born probabilities (Hoeffding envelope)
     rho = random_density(5)
-    probs = born_probabilities(rho, mub_quorum().projectors)
+    probs = born_probabilities(rho, mub_quorum().matrices)
     n = 4000
-    freqs = simulate_counts(rho, mub_quorum().projectors, n, seed=11, reps=50) / n
+    freqs = simulate_counts(rho, mub_quorum().matrices, n, seed=11, reps=50) / n
     dev = np.max(np.abs(freqs.mean(axis=0) - probs))
     # se of the mean of 50 reps at n = 4000: sqrt(p q / (n * 50)) <= 1.2e-3
     assert dev < 6e-3
@@ -87,18 +87,18 @@ def test_simulate_counts_statistics():
     ids=["shots_list", "up_up"],
 )
 def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
-    projectors = mub_quorum().projectors
+    matrices = mub_quorum().matrices
     shots_arr = np.broadcast_to(shots, (15,))
-    full = simulate_counts(rho, projectors, shots, seed=5, reps=9)
+    full = simulate_counts(rho, matrices, shots, seed=5, reps=9)
     # a longer study extends a shorter one: its first r rows do not move,
     # and a single run is row 0
     for r in (1, 4, 9):
         np.testing.assert_array_equal(
-            full[:r], simulate_counts(rho, projectors, shots, seed=5, reps=r)
+            full[:r], simulate_counts(rho, matrices, shots, seed=5, reps=r)
         )
     # column j is projector j's one stream, keyed as repetition 0 was in
     # 0.2.0 and drawn one count at a time
-    probs = born_probabilities(rho, projectors)
+    probs = born_probabilities(rho, matrices)
     for j, n in enumerate(shots_arr):
         rng = stream("shots", 5, j, 0)
         np.testing.assert_array_equal(full[:, j], [rng.binomial(n, probs[j]) for _ in range(9)])
@@ -106,29 +106,31 @@ def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
     assert np.all(full[:, certain] == (probs * shots_arr)[certain])
 
 
-def test_degrade_projector_limits():
-    p = Projector(SINGLET.projector(), "P_S")
-    erased = degrade_projector(p, 0.5)
-    np.testing.assert_allclose(erased.matrix, np.eye(4) / 4.0, atol=0.0)  # exact
-    assert erased.kind == "degraded"
-    assert erased.label.endswith("f=0.5")
-    ident = degrade_projector(p, 1.0)
-    np.testing.assert_allclose(ident.matrix, p.matrix, atol=0.0)
+def test_degrade_readout_limits():
+    p = SINGLET.projector()
+    erased = degrade_readout(p, 0.5)
+    np.testing.assert_allclose(erased, np.eye(4) / 4.0, atol=0.0)  # exact
+    ident = degrade_readout(p, 1.0)
+    np.testing.assert_allclose(ident, p, atol=0.0)
     with pytest.raises(ValueError):
-        degrade_projector(p, 0.4)
+        degrade_readout(p, 0.4)
     with pytest.raises(ValueError):
-        degrade_projector(p, 1.1)
+        degrade_readout(p, 1.1)
+    # a stack maps operator by operator
+    stack = mub_quorum().matrices
+    degraded = degrade_readout(stack, 0.9)
+    assert degraded.shape == (15, 4, 4)
+    for m, d in zip(stack, degraded):
+        np.testing.assert_array_equal(d, degrade_readout(m, 0.9))
 
 
-def test_degrade_projector_affine_in_operator():
+def test_degrade_readout_affine_in_operator():
     # degradation acts entrywise-affine: commutes with unitary conjugation
     f = 0.8
     u = Circuit((Gate(GateKind.ESR_X_QUBIT1, np.pi / 4),)).unitary()
-    p = Projector(UP_DOWN.projector(), "P")
-    lhs = degrade_projector(
-        Projector(evolve_projector(u, p.matrix), "c"), f
-    ).matrix
-    rhs = evolve_projector(u, degrade_projector(p, f).matrix)
+    p = UP_DOWN.projector()
+    lhs = degrade_readout(evolve_projector(u, p), f)
+    rhs = evolve_projector(u, degrade_readout(p, f))
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -163,7 +165,7 @@ def test_average_projector_gaussian_characteristic_oracle():
     # exp(-std^2/2), an exact characteristic-function identity
     mu, std = np.pi / 3, 0.4
     shrink = np.exp(-(std**2) / 2.0)
-    circuit = Circuit((Gate(GateKind.GRADIENT_Z, mu),), label="grad-test")
+    circuit = Circuit((Gate(GateKind.GRADIENT_Z, mu),))
     base = Projector(SINGLET.projector(), "P_S")
     noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, std)})
     avg = average_projector(circuit, base, noise, seed=3)
@@ -219,7 +221,7 @@ def test_average_projector_matches_monte_carlo_oracle():
 def test_average_projector_deterministic_in_seed():
     # nothing is sampled: the average does not depend on the seed at all
     noise = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.1)})
-    circuit = Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi / 2),), label="det-test")
+    circuit = Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi / 2),))
     base = Projector(UP_DOWN.projector(), "P_ud")
     a = average_projector(circuit, base, noise, seed=5).projector.matrix
     b = average_projector(circuit, base, noise, seed=5).projector.matrix
@@ -251,7 +253,7 @@ def test_averaged_projector_is_valid_operator():
 
 def test_calibration_matrix_gram():
     q = mub_quorum()
-    gram = calibration_matrix(q.projectors)
+    gram = calibration_matrix(q.matrices)
     assert gram.shape == (15, 15)
     np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-13)  # pure projectors
     # unbiased cross-basis entries equal 1/4
@@ -291,7 +293,7 @@ def test_plan_shots_guarantee_holds():
     from spintomo.quorum import pmatrix
 
     pm = pmatrix(q)
-    freqs = simulate_counts(rho, q.projectors, n, seed=21, reps=400) / n
+    freqs = simulate_counts(rho, q.matrices, n, seed=21, reps=400) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     true_coeffs = pauli_expand(rho.matrix)[1:]
     worst = np.max(np.abs(coeffs - true_coeffs[None, :]), axis=1)

@@ -31,37 +31,97 @@ from spintomo.quorum import (
     orthogonality_witness,
     pmatrix,
     pmatrix_entries,
-    projector_coefficients,
     quorum_records,
 )
+
+LABELS = tuple(f"X{j:02d}" for j in range(1, 16))
+
+
+def projector_coefficients(state: PureState) -> np.ndarray:
+    """Pauli coefficients of |phi><phi| from the amplitudes directly.
+
+    Closed forms in the amplitudes (a, b, c, d); independent of
+    pauli_expand, which is the point: the two routes are compared below
+    and must agree to 1e-13.
+    """
+    a, b, c, d = state.amplitudes
+    ab, cd = np.conj(a) * b, np.conj(c) * d
+    ac, bd = np.conj(a) * c, np.conj(b) * d
+    ad, bc = np.conj(a) * d, np.conj(b) * c
+    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    n = np.empty(16, dtype=np.float64)
+    n[0] = (aa + bb + cc + dd) / 2.0
+    n[1] = (ab + cd).real
+    n[2] = (ab + cd).imag
+    n[3] = (aa - bb + cc - dd) / 2.0
+    n[4] = (ac + bd).real
+    n[5] = (ad + bc).real
+    n[6] = ad.imag - bc.imag
+    n[7] = ac.real - bd.real
+    n[8] = (ac + bd).imag
+    n[9] = ad.imag + bc.imag
+    n[10] = bc.real - ad.real
+    n[11] = ac.imag - bd.imag
+    n[12] = (aa + bb - cc - dd) / 2.0
+    n[13] = ab.real - cd.real
+    n[14] = ab.imag - cd.imag
+    n[15] = (aa - bb - cc + dd) / 2.0
+    return n
 
 
 def test_projector_validation():
     with pytest.raises(ValueError):
         Projector(np.eye(4), "bad-trace")
     with pytest.raises(ValueError):
-        Projector(np.eye(4) / 4.0, "not-rank1")  # ideal-pure must be rank 1
-    Projector(np.eye(4) / 4.0, "mixed-ok", kind="degraded")
-    with pytest.raises(ValueError):
-        Projector(UP_UP.projector(), "bad-kind", kind="nonsense")
+        Projector(np.eye(2) / 2.0, "not-4x4")
+    Projector(np.eye(4) / 4.0, "mixed-ok")
     p = Projector(UP_UP.projector(), "uu")
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 2.0  # write-locked
+    # the quorum checks its whole stack once: one bad entry is enough
+    good = mub_quorum().matrices
+    not_hermitian = good.copy()
+    not_hermitian[7, 0, 1] += 1e-6
+    bad_trace = good.copy()
+    bad_trace[3] *= 1.01
+    negative = good.copy()
+    negative[12] = np.diag([1.2, -0.2, 0.0, 0.0])
+    for stack in (not_hermitian, bad_trace, negative):
+        with pytest.raises(ValueError):
+            Quorum("bad", LABELS, stack)
+    q = Quorum("ok", LABELS, good)
+    with pytest.raises(ValueError):
+        q.matrices[0, 0, 0] = 2.0  # write-locked
 
 
 def test_quorum_needs_15():
-    p = Projector(UP_UP.projector(), "x")
+    stack = np.stack([UP_UP.projector()] * 16)
+    for n in (3, 14, 16):
+        labels = tuple(f"x{j}" for j in range(n))
+        with pytest.raises(ValueError):
+            Quorum("wrong-count", labels, stack[:n], basis_index=(None,) * n)
+    stack = stack[:15]
     with pytest.raises(ValueError):
-        Quorum("short", (p,) * 3)
+        Quorum("short-labels", LABELS[:14], stack)
+    with pytest.raises(ValueError):
+        Quorum("short-bases", LABELS, stack, basis_index=(0,) * 14)
+    with pytest.raises(ValueError):
+        Quorum("nested", LABELS, stack[:, None])
 
 
 def test_mub_quorum_cross_check_and_labels():
     q = mub_quorum()
-    assert len(q.projectors) == 15
+    assert q.matrices.shape == (15, 4, 4)
+    assert q.labels == tuple(f"P{j:02d}" for j in range(1, 16))
     assert q.states is not None and len(q.states) == 15
-    for j, (p, s) in enumerate(zip(q.projectors, q.states), start=1):
-        np.testing.assert_allclose(p.matrix, s.projector(), atol=1e-13)
-        assert p.basis_index == (j - 1) // 3  # five bases, zero-indexed
+    for j, (m, s) in enumerate(zip(q.matrices, q.states), start=1):
+        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
+        assert q.basis_index[j - 1] == (j - 1) // 3  # five bases, zero-indexed
+    james = james_quorum()
+    assert james.labels == tuple(f"J{j:02d}" for j in range(1, 16))
+    assert james.basis_index == (None,) * 15
+    for m, s in zip(james.matrices, james.states):
+        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
 
 
 def test_mub_preparations_structure():
@@ -107,11 +167,11 @@ def test_mub_condition_all_bases():
 
 def test_pmatrix_entries_against_manual_traces():
     q = mub_quorum()
-    entries = pmatrix_entries(q.matrices())
+    entries = pmatrix_entries(q.matrices)
     assert entries.shape == (15, 15)
     for j in range(15):
         for k in range(15):
-            manual = np.trace(q.projectors[j].matrix @ PAULI_BASIS[k + 1]).real
+            manual = np.trace(q.matrices[j] @ PAULI_BASIS[k + 1]).real
             assert abs(entries[j, k] - manual) < 1e-14
 
 
@@ -126,15 +186,13 @@ def test_pmatrix_inverse():
 
 
 def test_degenerate_quorum_raises():
-    p = Projector(UP_UP.projector(), "dup")
     with pytest.raises(QuorumDegenerateError):
-        pmatrix(Quorum("degenerate", (p,) * 15))
+        pmatrix(Quorum("degenerate", LABELS, np.stack([UP_UP.projector()] * 15)))
 
 
 def test_james_quorum_is_separable_products():
     q = james_quorum()
-    for p, s in zip(q.projectors, q.states):
-        np.testing.assert_allclose(p.matrix, s.projector(), atol=1e-13)
+    for s in q.states:
         # product state <=> reduced state pure <=> concurrence-like det = 0
         amp = s.amplitudes.reshape(2, 2)
         assert abs(np.linalg.det(amp)) < 1e-12
@@ -162,11 +220,8 @@ def test_quorum_records_schema():
 def test_det_upper_bound_strict_everywhere():
     dets = [abs(pmatrix(mub_quorum()).det), abs(pmatrix(james_quorum()).det)]
     for trial in range(30):
-        projs = tuple(
-            Projector(random_pure(5000 + 31 * trial + i).projector(), f"r{i}")
-            for i in range(15)
-        )
-        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("rand", projs).matrices()))))
+        stack = np.stack([random_pure(5000 + 31 * trial + i).projector() for i in range(15)])
+        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("rand", LABELS, stack).matrices))))
     assert max(dets) < DET_UPPER_BOUND
 
 
@@ -212,7 +267,8 @@ def test_accessible_subspace_ranks():
 
 def test_quorum_frozen_states_tuple():
     q = mub_quorum()
-    assert isinstance(q.projectors, tuple) and isinstance(q.states, tuple)
+    assert isinstance(q.labels, tuple) and isinstance(q.states, tuple)
+    assert isinstance(q.basis_index, tuple) and not q.matrices.flags.writeable
 
 
 def test_esr_budget_enforced_at_construction(monkeypatch):

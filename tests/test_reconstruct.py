@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spintomo.measure import born_probabilities, degrade_projector, simulate_counts
+from spintomo.measure import born_probabilities, degrade_readout, simulate_counts
 from spintomo.qmath import (
     DensityMatrix,
     pauli_expand,
@@ -37,7 +37,7 @@ def test_linear_round_trip_exact():
     pm = pmatrix(q)
     for seed in range(20):
         rho = random_density(seed)
-        m = born_probabilities(rho, q.projectors)
+        m = born_probabilities(rho, q.matrices)
         rec = linear_from_frequencies(m, pm)
         np.testing.assert_allclose(rec, rho.matrix, atol=1e-12)
 
@@ -60,7 +60,7 @@ def test_linear_output_unit_trace_hermitian_always():
 def test_linear_inversion_of_one_run_is_a_row_of_the_stack():
     q = mub_quorum()
     pm = pmatrix(q)
-    freqs = simulate_counts(random_density(4), q.projectors, 2000, seed=7, reps=5) / 2000
+    freqs = simulate_counts(random_density(4), q.matrices, 2000, seed=7, reps=5) / 2000
     rows = linear_coefficients(freqs, pm)
     for r in range(5):
         rec = linear_from_frequencies(freqs[r], pm)
@@ -74,13 +74,13 @@ def test_degraded_marginal_rho4_oracles():
     q = mub_quorum()
     rho = random_density(11)
     truth = pauli_expand(rho.matrix)[4]
-    probs = born_probabilities(rho, q.projectors)
+    probs = born_probabilities(rho, q.matrices)
     # ideal readout: two-projector marginal identity for the k = 4 coefficient
     assert abs(degraded_marginal_rho4(probs[3], probs[5], 1.0) - truth) < 1e-12
     # degraded readout: probabilities through the degraded projectors invert exactly
     f = 0.8
-    p4 = np.trace(degrade_projector(q.projectors[3], f).matrix @ rho.matrix).real
-    p6 = np.trace(degrade_projector(q.projectors[5], f).matrix @ rho.matrix).real
+    p4 = np.trace(degrade_readout(q.matrices[3], f) @ rho.matrix).real
+    p6 = np.trace(degrade_readout(q.matrices[5], f) @ rho.matrix).real
     assert abs(degraded_marginal_rho4(p4, p6, f) - truth) < 1e-12
     # maximally mixed input has no signal
     assert abs(degraded_marginal_rho4(0.25, 0.25, 0.8)) < 1e-15
@@ -115,7 +115,7 @@ def test_covariance_matches_empirical_moments():
     pm = pmatrix(q)
     rho = random_density(6)
     n, reps = 800, 3000
-    freqs = simulate_counts(rho, q.projectors, n, seed=13, reps=reps) / n
+    freqs = simulate_counts(rho, q.matrices, n, seed=13, reps=reps) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     emp = np.cov(coeffs.T)
     pred = covariance_predict(rho, pm, n)
@@ -170,7 +170,7 @@ def test_mle_exact_probabilities_recover_pure_state():
     q = mub_quorum()
     for seed in (0, 3, 7):
         psi = random_pure(seed)
-        m = born_probabilities(psi, q.projectors)
+        m = born_probabilities(psi, q.matrices)
         res = mle_from_frequencies(m, 10**6, q)
         assert res.converged
         fid = state_fidelity(res.rho_mle, DensityMatrix(psi.projector()))
@@ -180,7 +180,7 @@ def test_mle_exact_probabilities_recover_pure_state():
 def test_mle_exact_probabilities_recover_mixed_state():
     q = mub_quorum()
     rho = random_density(12)
-    m = born_probabilities(rho, q.projectors)
+    m = born_probabilities(rho, q.matrices)
     res = mle_from_frequencies(m, 10**5, q)
     assert res.converged
     assert trace_distance(res.rho_mle, rho) < 1e-7
@@ -190,14 +190,14 @@ def test_mle_exact_probabilities_recover_mixed_state():
 def test_mle_sampled_maximally_mixed():
     q = mub_quorum()
     rho = DensityMatrix(np.eye(4) / 4.0)
-    counts = simulate_counts(rho, q.projectors, 100000, seed=17)
+    counts = simulate_counts(rho, q.matrices, 100000, seed=17)
     res = mle_from_frequencies(counts[0] / 100000, 100000, q)
     assert trace_distance(res.rho_mle, rho) < 0.02
     assert isinstance(res, ReconstructionResult)
 
 
 def _binomial_loglik(rho_mat, m, shots, q):
-    probs = np.einsum("jab,ba->j", np.asarray(q.matrices()), rho_mat).real
+    probs = np.einsum("jab,ba->j", q.matrices, rho_mat).real
     probs = np.clip(probs, 1e-12, 1.0 - 1e-12)
     return float(np.sum(shots * (m * np.log(probs) + (1 - m) * np.log(1 - probs))))
 
@@ -206,7 +206,7 @@ def test_mle_beats_projected_linear_likelihood():
     q = mub_quorum()
     rho = random_density(9, rank=1)
     n = 400
-    m = simulate_counts(rho, q.projectors, n, seed=23)[0] / n
+    m = simulate_counts(rho, q.matrices, n, seed=23)[0] / n
     res = mle_from_frequencies(m, n, q)
     shots = np.full(15, float(n))
     ll_mle = _binomial_loglik(res.rho_mle.matrix, m, shots, q)
@@ -231,7 +231,7 @@ def test_mle_noisy_pure_state_close_to_truth():
     q = mub_quorum()
     psi = random_pure(21)
     truth = DensityMatrix(psi.projector())
-    counts = simulate_counts(truth, q.projectors, 20000, seed=31)
+    counts = simulate_counts(truth, q.matrices, 20000, seed=31)
     res = mle_from_frequencies(counts[0] / 20000, 20000, q)
     assert state_fidelity(res.rho_mle, truth) > 0.995
     # the likelihood route is never worse in trace distance than clipping
@@ -252,13 +252,12 @@ def test_degraded_quorum_round_trip():
     # a readout-fidelity error exactly at the probability level
     q = mub_quorum()
     f = 0.85
-    deg = tuple(degrade_projector(p, f) for p in q.projectors)
-    dq = Quorum("mub-degraded", deg, q.states)
+    dq = Quorum("mub-degraded", q.labels, degrade_readout(q.matrices, f), q.basis_index, q.states)
     pm = pmatrix(dq)
     expected_det = (1.0 / 32.0) * ((4 * f * f - 1) / 3.0) ** 15
     assert abs(abs(pm.det) - expected_det) < 1e-15
     rho = random_density(14)
-    m = born_probabilities(rho, dq.projectors)
+    m = born_probabilities(rho, dq.matrices)
     rec = linear_from_frequencies(m, pm)
     np.testing.assert_allclose(rec, rho.matrix, atol=1e-12)
     assert is_psd(rec)
