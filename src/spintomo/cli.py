@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -55,8 +54,8 @@ from .qmath import (
     pauli_assemble,
     pauli_expand,
     random_density,
-    random_pure,
     state_fidelity,
+    stream,
     trace_distance,
 )
 from .quorum import (
@@ -68,7 +67,7 @@ from .quorum import (
     closed_form_deviation,
     constrained_random_state,
     esr_budget_excess,
-    gram_schmidt_det_check,
+    gram_schmidt_lengths,
     james_quorum,
     mub_bases,
     mub_preparations,
@@ -88,6 +87,9 @@ EXIT_NUMERICAL = 3
 MAX_SHOTS = int(np.iinfo(np.int64).max)
 #: the detuning grid and its levels are built in memory at once
 MAX_EPS_COUNT = 1_000_000
+#: the covariance study holds its counts, frequencies and coefficients in
+#: memory at once, about 0.5 kB per repetition
+MAX_REPS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -376,8 +378,8 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
         optional={"readout_fidelity": (int, float), "noise": dict},
         where="tomography config",
     )
-    if reps < 0 or reps == 1:
-        raise ConfigError("--reps must be 0 (no covariance study) or at least 2")
+    if not (reps == 0 or 2 <= reps <= MAX_REPS):
+        raise ConfigError(f"--reps must be 0 (no covariance study) or lie in 2..{MAX_REPS}")
     truth = _truth_from_config(cfg["state"])
     fidelity = cfg.get("readout_fidelity")
     if fidelity is not None and not 0.5 < float(fidelity) <= 1.0:
@@ -503,40 +505,38 @@ def cmd_plan(cfg: dict) -> dict:
 # -------------------------------------------------------------------- verify
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str = ""
-
-
 def run_verification() -> list:
-    """Run the structural checks of ``spintomo verify``, one CheckResult each.
+    """Run the structural checks of ``spintomo verify``: the records of
+    verify.json, one dict of check_id, passed, measured, threshold and
+    detail per check, where measured is None for a check that raised.
 
     These rows are the one definition of each structural claim of the
     paper: the acceptance suite asserts on them, and ``mub_quorum``
     guards itself with the same budget and cross-check measures.
     """
-    results = []
+    records = []
 
     def guarded(fn, *checks, strict=False):
-        """Run fn once and record one result per (check_id, threshold, detail).
+        """Run fn once and record one row per (check_id, threshold, detail).
 
         fn returns one measured value per check (a bare value for a single
         check), which passes at or below its threshold (strictly below if
         strict).  An exception fails every check with its message.
         """
         try:
-            measured = np.atleast_1d(fn())
+            measured, error = np.atleast_1d(fn()).astype(float), None
         except Exception as exc:  # noqa: BLE001 - report, do not crash the list
-            results.extend(CheckResult(cid, False, float("nan"), threshold, str(exc))
-                           for cid, threshold, _ in checks)
-            return
+            measured, error = np.full(len(checks), np.nan), str(exc)
         for value, (cid, threshold, detail) in zip(measured, checks):
-            passed = value < threshold if strict else value <= threshold
-            results.append(CheckResult(cid, bool(passed), float(value), float(threshold), detail))
+            passed = value < threshold if strict else value <= threshold  # NaN fails
+            records.append({
+                "check_id": cid,
+                "passed": bool(passed),
+                # a check that raised has no measured value
+                "measured": float(value) if np.isfinite(value) else None,
+                "threshold": float(threshold),
+                "detail": detail if error is None else error,
+            })
 
     q_mub = mub_quorum()
     q_james = james_quorum()
@@ -558,30 +558,29 @@ def run_verification() -> list:
 
     guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
-    def tau_witness():
-        report = orthogonality_witness(
-            [UP_UP] + [constrained_random_state(s) for s in range(200)]
-        )
-        return max(report.max_m1, report.max_sum_deviation), report.max_ratio_deviation
-
-    guarded(tau_witness,
+    guarded(lambda: orthogonality_witness([UP_UP] + [constrained_random_state(s)
+                                                     for s in range(200)]),
             ("tau_partial_sums", 1e-10,
              "m1 = 0 and equal 3/8 partial sums, 200 constrained states"),
             ("tau_ratio", 1e-10, "unit ratio of the two tau-subspace partial sums"))
 
     def gram_schmidt():
-        report = gram_schmidt_det_check(q_mub)
+        lengths = gram_schmidt_lengths(q_mub)
         expected = np.sqrt(np.array([3.0 / 4.0, 2.0 / 3.0, 1.0 / 2.0]))
-        dev = float(np.max(np.abs(report.lengths - expected[None, :])))
-        return max(dev, abs(report.det_product - 1.0 / 32.0))
+        dev = float(np.max(np.abs(lengths - expected[None, :])))
+        return max(dev, abs(float(np.prod(lengths)) - 1.0 / 32.0))
 
     guarded(gram_schmidt,
             ("gram_schmidt_lengths", 1e-10,
              "per-triple lengths sqrt(3/4), sqrt(2/3), sqrt(1/2); product 1/32"))
 
     def det_bound():
-        randoms = [[random_pure(1000 + 100 * trial + i).projector() for i in range(15)]
-                   for trial in range(100)]
+        """Haar-random quorums: 100 x 15 normalised complex Gaussian kets
+        from one stream, and their projectors."""
+        rng = stream("det-bound")
+        kets = rng.standard_normal((100, 15, 4)) + 1j * rng.standard_normal((100, 15, 4))
+        kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        randoms = np.einsum("tja,tjb->tjab", kets, kets.conj())
         mats = np.concatenate([[q_mub.matrices, q_james.matrices], randoms])
         return float(np.max(np.abs(np.linalg.det(pmatrix_entries(mats)))))
 
@@ -620,29 +619,19 @@ def run_verification() -> list:
         guarded(lambda: evolution_error(kind, base, cos_terms, sin_terms),
                 (check_id, 1e-12, detail))
 
-    return results
+    return records
 
 
 def cmd_verify() -> tuple:
     """The exit code (3 if any check fails) and the report, verify.json."""
-    results = run_verification()
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.check_id}: measured={r.measured:.3e} "
-              f"threshold={r.threshold:.3e} ({r.detail})")
+    checks = run_verification()
+    for c in checks:
+        measured = math.nan if c["measured"] is None else c["measured"]
+        print(f"{'PASS' if c['passed'] else 'FAIL'} {c['check_id']}: measured={measured:.3e} "
+              f"threshold={c['threshold']:.3e} ({c['detail']})")
     payload = _meta({})
-    payload["checks"] = [
-        {
-            "check_id": r.check_id,
-            "passed": r.passed,
-            # a check that raised has no measured value
-            "measured": r.measured if np.isfinite(r.measured) else None,
-            "threshold": r.threshold,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    payload["all_passed"] = all(r.passed for r in results)
+    payload["checks"] = checks
+    payload["all_passed"] = all(c["passed"] for c in checks)
     code = EXIT_OK if payload["all_passed"] else EXIT_NUMERICAL
     return code, {"verify.json": _json(payload)}
 
@@ -671,8 +660,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo = sub.add_parser("tomography", help="simulate and reconstruct")
     add_common(p_tomo)
     p_tomo.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_tomo.add_argument("--reps", type=int, default=0,
-                        help="repetitions for the covariance study (0 for none, else >= 2)")
+    p_tomo.add_argument("--reps", type=int, default=0, help="repetitions for the "
+                        f"covariance study (0 for none, else 2..{MAX_REPS})")
     p_tomo.add_argument("--exact", action="store_true",
                         help="feed exact Born probabilities instead of sampled counts")
 

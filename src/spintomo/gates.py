@@ -14,6 +14,7 @@ Circuits list gates in execution order: the leftmost gate acts first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
@@ -47,6 +48,16 @@ for _h in _GENERATORS.values():
 def generator(kind: GateKind) -> np.ndarray:
     """Hermitian H with gate_matrix(kind, angle) = exp(i angle H), read-only."""
     return _GENERATORS[GateKind(kind)]
+
+
+@functools.cache
+def generator_eigh(kind: GateKind) -> tuple:
+    """np.linalg.eigh of generator(kind): eigenvalues and eigenvectors,
+    read-only, computed on first use (not at import) and kept."""
+    pair = np.linalg.eigh(generator(kind))
+    for a in pair:
+        a.setflags(write=False)
+    return pair
 
 
 @dataclass(frozen=True)

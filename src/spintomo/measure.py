@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Circuit, GateKind, generator
+from .gates import Circuit, GateKind, generator_eigh
 from .qmath import as_operator, stream
 from .quorum import Projector
 
@@ -136,7 +136,7 @@ def average_projector(
     x = base.matrix
     for g in reversed(circuit.gates):
         an = noise.for_kind(g.kind)
-        lam, vecs = np.linalg.eigh(generator(g.kind))
+        lam, vecs = generator_eigh(g.kind)
         d = lam[None, :] - lam[:, None]
         # a huge std damps a coherence to exactly 0; a huge angle overflows
         # the phase to nan, which the check below reports

@@ -15,6 +15,12 @@ calibration matrix.  Two concrete quorums are built here:
 Each MUB projector is built twice, from a closed-form Pauli
 decomposition and from its preparation circuit, and the two routes are
 cross-checked at 1e-12.
+
+The structural measures here return bare numbers, which the rows of
+``spintomo verify`` record as they are: each row is one record of
+``verify.json``.  The Gram-Schmidt lengths are the Cholesky diagonal of
+the P rows' Gram matrix, and the random quorums that the strict
+determinant bound is checked on come from one stream.
 """
 
 from __future__ import annotations
@@ -333,59 +339,35 @@ def accessible_subspace_dimension(esr_allowed: bool) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Per-state tau-basis diagnostics for quorum candidates.
+def orthogonality_witness(states: Sequence[PureState]) -> tuple:
+    """Tau-sum diagnostics for a candidate family led by |uu>.
 
     For states with |<uu|phi>|^2 = 1/4 the tau expansion of the
     projector has m_1 = 0 and splits its remaining weight equally:
     sum(m_2..m_7 squared) = sum(m_8..m_15 squared) = 3/8.  Equality of
     the two partial sums is what rules out any quorum saturating the
     determinant bound while keeping |uu> as a member.
-    """
 
-    m1: np.ndarray
-    low_sum: np.ndarray
-    high_sum: np.ndarray
-
-    @property
-    def max_m1(self) -> float:
-        return float(np.max(np.abs(self.m1))) if self.m1.size else 0.0
-
-    @property
-    def max_sum_deviation(self) -> float:
-        if not self.low_sum.size:
-            return 0.0
-        return float(
-            max(np.max(np.abs(self.low_sum - 0.375)), np.max(np.abs(self.high_sum - 0.375)))
-        )
-
-    @property
-    def max_ratio_deviation(self) -> float:
-        if not self.low_sum.size:
-            return 0.0
-        return float(np.max(np.abs(self.low_sum / self.high_sum - 1.0)))
-
-
-def orthogonality_witness(states: Sequence[PureState]) -> WitnessReport:
-    """Tau-sum diagnostics for a candidate family led by |uu>.
-
+    Returns the two numbers the verify rows record: the largest |m_1| or
+    deviation of a partial sum from 3/8, and the largest deviation of the
+    ratio of the two partial sums from 1 (both 0.0 for |uu> alone).
     Requires states[0] == |uu> and every other state to have squared
     overlap 1/4 with it (within 1e-10).
     """
     states = list(states)
     if not states or states[0] != UP_UP:
         raise ValueError("witness requires the first state to be |uu>")
-    m1, lows, highs = [], [], []
     for s in states[1:]:
         ov = abs(s.overlap(UP_UP)) ** 2
         if abs(ov - 0.25) > 1e-10:
             raise ValueError(f"state overlap with |uu> is {ov!r}, expected 1/4")
-        m = qmath.tau_expand(s.projector())
-        m1.append(m[1])
-        lows.append(float(np.sum(m[2:8] ** 2)))
-        highs.append(float(np.sum(m[8:16] ** 2)))
-    return WitnessReport(np.array(m1), np.array(lows), np.array(highs))
+    if len(states) == 1:
+        return 0.0, 0.0
+    m = np.array([qmath.tau_expand(s.projector()) for s in states[1:]])
+    low = np.sum(m[:, 2:8] ** 2, axis=1)
+    high = np.sum(m[:, 8:16] ** 2, axis=1)
+    sums = np.abs(np.concatenate([m[:, 1], low - 0.375, high - 0.375]))
+    return float(np.max(sums)), float(np.max(np.abs(low / high - 1.0)))
 
 
 def constrained_random_state(seed: int) -> PureState:
@@ -403,42 +385,28 @@ def constrained_random_state(seed: int) -> PureState:
     return PureState.from_amplitudes(amps)
 
 
-@dataclass(frozen=True)
-class GramSchmidtReport:
-    lengths: np.ndarray  # (5, 3)
-    det_product: float
+def gram_schmidt_lengths(q: Quorum) -> np.ndarray:
+    """Gram-Schmidt lengths of the P rows, grouped in basis triples, (5, 3).
 
-
-def gram_schmidt_det_check(q: Quorum) -> GramSchmidtReport:
-    """Sequential Gram-Schmidt over the P rows, grouped in basis triples.
-
-    For a quorum drawn from mutually unbiased bases the rows of
-    different triples are already orthogonal; within a triple the
-    surviving lengths are sqrt(3/4), sqrt(2/3), sqrt(1/2).  The product
-    of all 15 lengths equals |det P|.  Raises when rows of different
-    triples fail orthogonality at 1e-10.
+    Sequential Gram-Schmidt over the rows R leaves, row by row, the
+    diagonal of the Cholesky factor L of their Gram matrix R R^T = L L^T,
+    so the lengths are that diagonal and their product is |det P|.  For
+    a quorum drawn from mutually unbiased bases the rows of different
+    triples are orthogonal; within a triple the lengths are sqrt(3/4),
+    sqrt(2/3), sqrt(1/2).  Raises ValueError when rows of different
+    triples overlap beyond 1e-10, read from the same Gram matrix, and
+    LinAlgError when the rows are linearly dependent.
     """
     rows = pmatrix_entries(q.matrices)
-    for i in range(15):
-        for j in range(i + 1, 15):
-            if i // 3 != j // 3:
-                dot = abs(float(rows[i] @ rows[j]))
-                if dot > 1e-10:
-                    raise ValueError(
-                        f"rows {i} and {j} belong to different triples but overlap ({dot:.3e})"
-                    )
-    basis = []
-    lengths = []
-    for r in rows:
-        v = r.astype(np.float64).copy()
-        for b in basis:
-            v -= (v @ b) * b
-        ln = float(np.linalg.norm(v))
-        lengths.append(ln)
-        if ln > 0:
-            basis.append(v / ln)
-    lengths = np.array(lengths).reshape(5, 3)
-    return GramSchmidtReport(lengths, float(np.prod(lengths)))
+    gram = rows @ rows.T
+    triple = np.arange(15) // 3
+    cross = np.where(triple[:, None] != triple[None, :], np.abs(gram), 0.0)
+    i, j = np.unravel_index(np.argmax(cross), cross.shape)
+    if cross[i, j] > 1e-10:
+        raise ValueError(
+            f"rows {i} and {j} belong to different triples but overlap ({cross[i, j]:.3e})"
+        )
+    return np.diag(np.linalg.cholesky(gram)).reshape(5, 3)
 
 
 def quorum_records(q: Quorum) -> list:

@@ -55,14 +55,14 @@ def _report(num: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def verification():
     """The rows of ``spintomo verify``, where the structural claims are computed."""
-    return {r.check_id: r for r in run_verification()}
+    return {r["check_id"]: r for r in run_verification()}
 
 
 def _rows(verification, *check_ids: str) -> tuple:
     """Whether the named rows passed, and their one-line summary."""
     rows = [verification[cid] for cid in check_ids]
-    return all(r.passed for r in rows), "; ".join(
-        f"{r.detail}: {r.measured:.2e} (tol {r.threshold:.3g})" for r in rows)
+    return all(r["passed"] for r in rows), "; ".join(
+        f"{r['detail']}: {r['measured']:.2e} (tol {r['threshold']:.3g})" for r in rows)
 
 
 def test_criterion_01_quorum_determinants(verification):
@@ -84,13 +84,14 @@ def test_criterion_03_unbiased_basis_overlaps(verification):
 
 def test_criterion_04_tau_witness_and_strict_det_bound(verification):
     family = [UP_UP] + [constrained_random_state(s) for s in range(1000)]
-    sums_dev = orthogonality_witness(family).max_sum_deviation
+    sums_dev, _ = orthogonality_witness(family)  # bounds |m1| as well
     ok, detail = _rows(verification, "tau_partial_sums", "tau_ratio", "det_upper_bound_strict")
     # the largest |det P| of the stack is the MUB quorum's 1/32
-    top_dev = abs(verification["det_upper_bound_strict"].measured - 1.0 / 32.0)
+    top_dev = abs(verification["det_upper_bound_strict"]["measured"] - 1.0 / 32.0)
     _report(4, ok and sums_dev <= 1e-10 and top_dev <= 1e-12,
-            f"{detail}; largest |det P| vs 1/32: dev {top_dev:.2e} (tol 1e-12); tau partial "
-            f"sums vs 3/8 over 1000 constrained states: max dev {sums_dev:.2e} (tol 1e-10)")
+            f"{detail}; largest |det P| vs 1/32: dev {top_dev:.2e} (tol 1e-12); |m1| and tau "
+            f"partial sums vs 3/8 over 1000 constrained states: max dev {sums_dev:.2e} "
+            f"(tol 1e-10)")
 
 
 def test_criterion_05_accessible_subspace_dimensions(verification):

@@ -15,7 +15,7 @@ from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    CheckResult,
+    MAX_REPS,
     main,
     run_verification,
 )
@@ -371,12 +371,16 @@ def test_tomography_extreme_noise_keeps_exit_contract(tmp_path, noise, allowed):
     assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) in allowed
 
 
-def test_tomography_rejects_bad_reps(tmp_path):
-    cfg = _tomo_cfg(tmp_path)
+def test_tomography_rejects_bad_reps(tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path, "t.json",
+                     {"state": {"kind": "named", "name": "singlet"}, "shots": 100})
     out = tmp_path / "o"
-    for reps in ("-5", "1"):
+    # reps beyond the cap are refused before any draw: nothing may be allocated
+    monkeypatch.setattr("spintomo.cli.simulate_counts", None)
+    for reps in ("-5", "1", str(MAX_REPS + 1), "10000000000000", "100000000000000000000000"):
         argv = ["tomography", "--config", cfg, "--out", str(out), "--reps", reps]
         assert main(argv) == EXIT_CONFIG
+        assert "--reps must be 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -475,9 +479,9 @@ def test_verification_detects_perturbed_quorum(monkeypatch):
     mats[4] = 0.9 * mats[4] + 0.1 * np.eye(4) / 4.0  # PSD, trace 1, smaller det
     broken = Quorum("mub-broken", q.labels, mats, q.basis_index, q.states)
     monkeypatch.setattr("spintomo.cli.mub_quorum", lambda: broken)
-    results = {r.check_id: r for r in run_verification()}
-    assert not results["det_mub"].passed
-    assert results["det_james"].passed
+    results = {r["check_id"]: r for r in run_verification()}
+    assert not results["det_mub"]["passed"]
+    assert results["det_james"]["passed"]
 
 
 def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
@@ -486,10 +490,10 @@ def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
     preps[6] = Preparation(preps[6].label, preps[6].base_label,
                            Circuit((*head, Gate(last.kind, last.angle / 2))))
     monkeypatch.setattr("spintomo.cli.mub_preparations", lambda: tuple(preps))
-    results = {r.check_id: r for r in run_verification()}
-    assert not results["quorum_cross_check"].passed
-    assert results["quorum_cross_check"].measured > 0.1
-    assert results["esr_budget"].passed and results["det_mub"].passed
+    results = {r["check_id"]: r for r in run_verification()}
+    assert not results["quorum_cross_check"]["passed"]
+    assert results["quorum_cross_check"]["measured"] > 0.1
+    assert results["esr_budget"]["passed"] and results["det_mub"]["passed"]
     # the quorum guard reads the same measure and refuses the table
     monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(preps))
     with pytest.raises(RuntimeError, match="closed form disagree"):
@@ -508,12 +512,13 @@ def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, 
         assert checks[cid]["measured"] is None
         assert checks[cid]["detail"] == "witness unavailable"
     assert checks["det_mub"]["passed"]
-    capsys.readouterr()
+    assert "FAIL tau_ratio: measured=nan" in capsys.readouterr().out
 
 
 def test_verify_non_finite_report_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("spintomo.cli.run_verification",
-                        lambda: [CheckResult("det_mub", True, 0.0, float("inf"))])
+                        lambda: [{"check_id": "det_mub", "passed": True, "measured": 0.0,
+                                  "threshold": float("inf"), "detail": ""}])
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
     assert "non-finite" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from spintomo.gates import (
     evolve_projector,
     gate_matrix,
     generator,
+    generator_eigh,
 )
 from spintomo.qmath import (
     SINGLET,
@@ -67,6 +68,11 @@ def test_generator_table_matches_independent_oracle(kind):
     h = generator(kind)
     np.testing.assert_array_equal(h, _generator(kind))
     assert not h.flags.writeable
+    # the tabulated eigendecomposition is eigh of the same read-only constant
+    lam, vecs = generator_eigh(kind)
+    for got, fresh in zip((lam, vecs), np.linalg.eigh(h)):
+        np.testing.assert_array_equal(got, fresh)
+        assert not got.flags.writeable
 
 
 def test_exchange_special_points():

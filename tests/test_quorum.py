@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spintomo.gates import Circuit, Gate, GateKind
+from spintomo.measure import degrade_readout
 from spintomo.qmath import (
     DOWN_UP,
     PAULI_BASIS,
@@ -23,7 +24,7 @@ from spintomo.quorum import (
     accessible_subspace_dimension,
     constrained_random_state,
     esr_budget_excess,
-    gram_schmidt_det_check,
+    gram_schmidt_lengths,
     james_quorum,
     mub_bases,
     mub_preparations,
@@ -233,12 +234,10 @@ def test_constrained_random_state_overlap():
 
 def test_orthogonality_witness_sums():
     family = [UP_UP] + [constrained_random_state(s) for s in range(64)]
-    report = orthogonality_witness(family)
-    assert report.max_m1 < 1e-10
-    assert report.max_sum_deviation < 1e-10
-    assert report.max_ratio_deviation < 1e-10
-    np.testing.assert_allclose(report.low_sum, 0.375, atol=1e-12)
-    np.testing.assert_allclose(report.high_sum, 0.375, atol=1e-12)
+    sums_dev, ratio_dev = orthogonality_witness(family)
+    assert sums_dev < 1e-12  # |m1| and both partial sums against 3/8, every state
+    assert ratio_dev < 1e-10
+    assert orthogonality_witness([UP_UP]) == (0.0, 0.0)
 
 
 def test_orthogonality_witness_preconditions():
@@ -248,16 +247,42 @@ def test_orthogonality_witness_preconditions():
         orthogonality_witness([UP_UP, UP_DOWN])  # overlap 0, not 1/4
 
 
+def sequential_gram_schmidt(q: Quorum) -> np.ndarray:
+    """Oracle: Gram-Schmidt over the P rows one by one, lengths as (5, 3)."""
+    basis, lengths = [], []
+    for r in pmatrix_entries(q.matrices):
+        v = r.copy()
+        for b in basis:
+            v -= (v @ b) * b
+        ln = float(np.linalg.norm(v))
+        lengths.append(ln)
+        if ln > 0:
+            basis.append(v / ln)
+    return np.array(lengths).reshape(5, 3)
+
+
 def test_gram_schmidt_lengths_and_product():
-    report = gram_schmidt_det_check(mub_quorum())
+    lengths = gram_schmidt_lengths(mub_quorum())
     expected = np.sqrt(np.array([3.0 / 4.0, 2.0 / 3.0, 1.0 / 2.0]))
-    np.testing.assert_allclose(report.lengths, np.tile(expected, (5, 1)), atol=1e-12)
-    assert abs(report.det_product - 1.0 / 32.0) < 1e-12
+    np.testing.assert_allclose(lengths, np.tile(expected, (5, 1)), atol=1e-12)
+    assert abs(np.prod(lengths) - 1.0 / 32.0) < 1e-12
+
+
+def test_gram_schmidt_lengths_match_sequential_oracle():
+    mub = mub_quorum()
+    # readout fidelity 0.9 shrinks every row by (4f^2 - 1)/3; triples stay orthogonal
+    degraded = Quorum("degraded", LABELS, degrade_readout(mub.matrices, 0.9), mub.basis_index)
+    for q in (mub, degraded):
+        np.testing.assert_allclose(gram_schmidt_lengths(q), sequential_gram_schmidt(q),
+                                   rtol=0, atol=1e-12)
+    shrink = (4 * 0.9**2 - 1) / 3
+    np.testing.assert_allclose(gram_schmidt_lengths(degraded),
+                               shrink * gram_schmidt_lengths(mub), rtol=0, atol=1e-12)
 
 
 def test_gram_schmidt_rejects_cross_triple_overlap():
-    with pytest.raises(ValueError):
-        gram_schmidt_det_check(james_quorum())  # product quorum rows overlap
+    with pytest.raises(ValueError, match="different triples"):
+        gram_schmidt_lengths(james_quorum())  # product quorum rows overlap
 
 
 def test_accessible_subspace_ranks():
