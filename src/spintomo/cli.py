@@ -22,6 +22,7 @@ exact shortest round-trip representations of the same doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -332,6 +333,16 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
     raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
 
 
+@functools.cache
+def _noise_readouts() -> tuple:
+    """The 15 (measurement circuit, base readout) pairs that noise
+    averaging starts from, fixed by the scheme: built on first use and shared."""
+    return tuple(
+        (prep.measurement_circuit(), Projector(prep.base_state.projector(), prep.base_label))
+        for prep in mub_preparations()
+    )
+
+
 def _effective_quorum(cfg: dict) -> Quorum:
     """The MUB quorum as the detector actually realizes it: the ideal
     stack, averaged over the config's gate-angle noise, then degraded by
@@ -355,12 +366,8 @@ def _effective_quorum(cfg: dict) -> Quorum:
         try:
             noise = NoiseModel.from_json(noise_cfg)
             matrices = np.stack([
-                average_projector(
-                    prep.measurement_circuit(),
-                    Projector(prep.base_state.projector(), prep.base_label),
-                    noise,
-                ).projector.matrix
-                for prep in mub_preparations()
+                average_projector(circuit, base, noise).projector.matrix
+                for circuit, base in _noise_readouts()
             ])
         except ValueError as exc:
             raise ConfigError(f"bad noise model: {exc}") from exc
@@ -639,6 +646,7 @@ def cmd_verify() -> tuple:
 # ---------------------------------------------------------------------- main
 
 
+@functools.cache  # the same for every run: built on first use and shared
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintomo",

@@ -161,13 +161,17 @@ def tail_bound(n_runs: int, delta: float) -> float:
 
 
 def plan_shots(delta: float, p_limit: float, fidelity: float = 1.0) -> int:
-    """Smallest run count guaranteeing coefficient error below delta.
+    """Smallest run count that puts each Pauli coefficient, on its own,
+    within delta of the truth with failure probability below p_limit.
 
-    A frequency error delta' propagates to a reconstructed-coefficient
-    error of 3 sqrt(2) delta' / (4 f^2 - 1), so the frequency must be
+    Every row of the MUB quorum's P^-1 holds exactly two entries of +-1,
+    so a frequency error delta' propagates to a reconstructed-coefficient
+    error of 3 sqrt(2) delta' / (4 f^2 - 1), and the frequency must be
     pinned to delta' = (4 f^2 - 1) delta / (3 sqrt(2)); Hoeffding then
     bounds the failure probability by 2 exp(-2 N delta'^2).  Returns
-    the smallest integer N with the bound strictly below p_limit.
+    the smallest integer N with the bound strictly below p_limit.  The
+    bound is per coefficient: to hold all 15 within delta at once, plan
+    with p_limit / 15 (a union bound).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

@@ -14,7 +14,10 @@ calibration matrix.  Two concrete quorums are built here:
 
 Each MUB projector is built twice, from a closed-form Pauli
 decomposition and from its preparation circuit, and the two routes are
-cross-checked at 1e-12.
+cross-checked at 1e-12.  The preparation table and the quorum are fixed
+by the scheme, so each is built, and the quorum guarded, once per
+process on first use and then shared: both are frozen, with read-only
+arrays.
 
 The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
@@ -25,6 +28,7 @@ determinant bound is checked on come from one stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -164,8 +168,10 @@ _CLOSED_FORMS = np.stack([_closed_form_matrix(j) for j in range(1, 16)])
 _CLOSED_FORMS.setflags(write=False)
 
 
+@functools.cache
 def mub_preparations() -> tuple:
-    """Preparation circuits of the 15 unbiased-bases quorum states."""
+    """Preparation circuits of the 15 unbiased-bases quorum states, built
+    on first use and shared."""
     g = Gate
     K = GateKind
     c4 = (g(K.ESR_X_QUBIT1, np.pi / 4), g(K.EXCHANGE_PULSE, np.pi / 2), g(K.Z_ROT_QUBIT2, np.pi / 2))
@@ -226,13 +232,16 @@ def closed_form_deviation(states: Sequence[PureState]) -> float:
     )
 
 
+@functools.cache
 def mub_quorum() -> Quorum:
     """The 15-state unbiased-bases quorum, cross-checked two ways.
 
     Route one assembles each projector from its closed-form Pauli terms;
     route two runs the preparation circuit on the base state.  Raises
     when the circuits break the resonant-pulse budget or the two routes
-    disagree beyond 1e-12.
+    disagree beyond 1e-12.  Built and guarded on first use, then shared
+    (a refusal is not kept); ``mub_quorum.__wrapped__`` is the uncached
+    build.
     """
     preps = mub_preparations()
     excess = esr_budget_excess(preps)

@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spintomo
+from spintomo import cli, quorum
 from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -428,6 +431,44 @@ def test_configs_reject_non_finite_numbers(tmp_path, command, text):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsys):
+    # the quorum, its readout circuits and the parser are built once per
+    # process: after one run of each config, a second one prepares no
+    # state, inverts no circuit and builds no parser
+    argvs = [
+        ["tomography", "--config", _write_cfg(tmp_path, f"c{i}.json", dict(
+            {"state": {"kind": "random", "seed": 3}, "shots": 500}, **extra)),
+         "--out", str(tmp_path / f"o{i}")]
+        for i, extra in enumerate([
+            {}, {"readout_fidelity": 0.9}, {"noise": {"esr_x_qubit1": {"std_rad": 0.1}}},
+        ])
+    ]
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("spintomo.quorum.circuit_apply",
+                        counting("circuit_apply", quorum.circuit_apply))
+    monkeypatch.setattr(Circuit, "adjoint", counting("adjoint", Circuit.adjoint))
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        counting("parser", argparse.ArgumentParser.__init__))
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert calls == Counter()
+    # the counters do see the work: the uncached builds make every call
+    mub_quorum.__wrapped__()
+    cli._noise_readouts.__wrapped__()
+    cli._build_parser.__wrapped__()
+    assert calls == Counter(circuit_apply=15, adjoint=15, parser=6)  # 5 subcommand parsers
+
+
 # ---------------------------------------------------------------------- plan
 
 
@@ -485,6 +526,7 @@ def test_verification_detects_perturbed_quorum(monkeypatch):
 
 
 def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
+    good = mub_quorum()
     preps = list(mub_preparations())
     *head, last = preps[6].circuit.gates  # P07 ends in a z rotation by -pi/4
     preps[6] = Preparation(preps[6].label, preps[6].base_label,
@@ -494,10 +536,12 @@ def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
     assert not results["quorum_cross_check"]["passed"]
     assert results["quorum_cross_check"]["measured"] > 0.1
     assert results["esr_budget"]["passed"] and results["det_mub"]["passed"]
-    # the quorum guard reads the same measure and refuses the table
+    # the quorum guard reads the same measure and refuses the table when it
+    # builds; the shared quorum was built before, so build it uncached
     monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(preps))
     with pytest.raises(RuntimeError, match="closed form disagree"):
-        mub_quorum()
+        mub_quorum.__wrapped__()
+    assert mub_quorum() is good  # the refusal did not replace the shared quorum
 
 
 def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,10 @@ Each case runs one subcommand in-process and compares the sha256 of
 every file it writes with a pinned digest.  A change that claims to keep
 the outputs (a refactor, a speed-up) must keep every digest; a change
 that moves outputs on purpose bumps ``__version__``, which moves every
-digest, and re-records the table.
+digest, and re-records the table.  In one process the cases share the
+constants built once per process (the MUB quorum, its readout circuits,
+the argument parser), so two cases also run in a fresh interpreter,
+where they are built cold.
 
 The digests hold for the numpy and LAPACK build that recorded them; a
 different build may move the last digits of the floats.  Run this file
@@ -15,12 +18,15 @@ as a script to print the table for the code as it stands:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import spintomo
 from spintomo.cli import EXIT_OK, main
 
 _RANDOM3 = {"kind": "random", "seed": 3}
@@ -193,6 +199,35 @@ def test_outputs_are_byte_identical(case, tmp_path, capsys):
     digests = run_case(case, tmp_path)
     capsys.readouterr()
     assert digests == DIGESTS[case[0]]
+
+
+#: run one panel case in a fresh interpreter and print its digests
+_COLD_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+from spintomo import cli, quorum
+from test_golden_outputs import PANEL, run_case
+cached = (quorum.mub_preparations, quorum.mub_quorum, cli._noise_readouts, cli._build_parser)
+assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
+case = next(c for c in PANEL if c[0] == sys.argv[1])
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(run_case(case, Path(tmp))))
+"""
+
+
+@pytest.mark.parametrize("case_id", ["tomo_noise_readout", "verify"])
+def test_cold_process_outputs_are_byte_identical(case_id):
+    # the panel above runs in one process, so every case after the first
+    # reads the quorum, readout circuits and parser built for an earlier
+    # one; a one-shot spintomo process builds them afresh
+    path = [str(Path(spintomo.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, case_id], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == DIGESTS[case_id]
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from spintomo.qmath import (
     random_density,
     stream,
 )
-from spintomo.quorum import Projector, mub_preparations, mub_quorum
+from spintomo.quorum import Projector, mub_preparations, mub_quorum, pmatrix
 
 
 def test_simulate_counts_shots_broadcast_and_validation():
@@ -290,14 +290,21 @@ def test_plan_shots_guarantee_holds():
     n = plan_shots(delta, p_limit, 1.0)
     q = mub_quorum()
     rho = random_density(8)
-    from spintomo.quorum import pmatrix
-
     pm = pmatrix(q)
     freqs = simulate_counts(rho, q.matrices, n, seed=21, reps=400) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
     true_coeffs = pauli_expand(rho.matrix)[1:]
     worst = np.max(np.abs(coeffs - true_coeffs[None, :]), axis=1)
     assert np.mean(worst > delta) <= p_limit
+
+
+def test_mub_inverse_rows_hold_two_unit_entries():
+    # the structure plan_shots' 3 sqrt(2) rests on: each coefficient is a
+    # signed sum of exactly two frequencies, so Hoeffding bounds it alone
+    inv = pmatrix(mub_quorum()).inverse
+    assert np.all(np.abs(inv - np.round(inv)) < 1e-12)
+    assert set(np.round(inv).ravel()) <= {-1.0, 0.0, 1.0}
+    assert np.all(np.sum(np.abs(inv) > 0.5, axis=1) == 2)
 
 
 def test_plan_shots_validation_and_divergence():

@@ -296,9 +296,18 @@ def test_quorum_frozen_states_tuple():
     assert isinstance(q.basis_index, tuple) and not q.matrices.flags.writeable
 
 
+def test_mub_quorum_is_built_once_and_shared():
+    assert mub_preparations() is mub_preparations()
+    q = mub_quorum()
+    assert q is mub_quorum()
+    assert not q.matrices.flags.writeable
+    assert not any(s.amplitudes.flags.writeable for s in q.states)
+
+
 def test_esr_budget_enforced_at_construction(monkeypatch):
     # a pi pulse overshoots the budget by pi/4, a second resonant pulse
     # breaks it by one gate, and mub_quorum refuses to build from either
+    good = mub_quorum()
     preps = list(mub_preparations())
     assert esr_budget_excess(preps) == 0.0
     doubled = tuple(Gate(g.kind, 2 * g.angle) for g in preps[9].circuit.gates)
@@ -310,4 +319,5 @@ def test_esr_budget_enforced_at_construction(monkeypatch):
     for table in (wide, preps):
         monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(table))
         with pytest.raises(RuntimeError, match="ESR budget"):
-            mub_quorum()
+            mub_quorum.__wrapped__()  # the uncached build, which runs the guard
+    assert mub_quorum() is good  # a refused table does not reach the shared quorum
