@@ -66,7 +66,7 @@ from .quorum import (
     QuorumDegenerateError,
     accessible_subspace_dimension,
     closed_form_deviation,
-    constrained_random_state,
+    constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
     james_quorum,
@@ -299,6 +299,9 @@ def cmd_quorum(cfg: dict) -> dict:
 
 # ---------------------------------------------------------------- tomography
 
+#: the fields each state kind reads beside its kind; any other is a config error
+_STATE_FIELDS = {"named": {"name": str}, "random": {"seed": int, "rank": int}}
+
 _NAMED_STATES = {
     "singlet": SINGLET,
     "triplet_zero": TRIPLET_ZERO,
@@ -310,13 +313,12 @@ _NAMED_STATES = {
 
 
 def _truth_from_config(state_cfg: dict) -> DensityMatrix:
-    _check_fields(
-        state_cfg,
-        required={"kind": str},
-        optional={"name": str, "seed": int, "rank": int},
-        where="state config",
-    )
+    _check_fields(state_cfg, required={"kind": str},
+                  optional={"name": str, "seed": int, "rank": int}, where="state config")
     kind = state_cfg["kind"]
+    if kind not in _STATE_FIELDS:
+        raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
+    _check_fields(state_cfg, {"kind": str}, _STATE_FIELDS[kind], f"{kind} state config")
     if kind == "named":
         name = state_cfg.get("name")
         if name == "maximally_mixed":
@@ -325,12 +327,10 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
             known = sorted(_NAMED_STATES) + ["maximally_mixed"]
             raise ConfigError(f"unknown state name {name!r}; known: {known}")
         return DensityMatrix(_NAMED_STATES[name].projector())
-    if kind == "random":
-        try:
-            return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"state kind must be 'named' or 'random', got {kind!r}")
+    try:
+        return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @functools.cache
@@ -565,8 +565,7 @@ def run_verification() -> list:
 
     guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
-    guarded(lambda: orthogonality_witness([UP_UP] + [constrained_random_state(s)
-                                                     for s in range(200)]),
+    guarded(lambda: orthogonality_witness(constrained_random_kets(200)),
             ("tau_partial_sums", 1e-10,
              "m1 = 0 and equal 3/8 partial sums, 200 constrained states"),
             ("tau_ratio", 1e-10, "unit ratio of the two tau-subspace partial sums"))

@@ -87,7 +87,7 @@ TAU_BASIS.setflags(write=False)
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     """Whether a matrix, or every matrix of a stack (..., n, n), is Hermitian."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= atol)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= atol)
 
 
 def pauli_expand(m: np.ndarray) -> np.ndarray:
@@ -113,13 +113,13 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
 
 
 def tau_expand(m: np.ndarray) -> np.ndarray:
-    """Coefficients of a Hermitian matrix in the tau basis (16 reals)."""
+    """Tau coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a stack of them")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.einsum("kij,ji->k", TAU_BASIS, m).real.copy()
+    return np.einsum("kij,...ji->...k", TAU_BASIS, m).real.copy()
 
 
 def _frozen_copy(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:
@@ -266,9 +266,9 @@ def stream(*path) -> np.random.Generator:
     """Counter-based generator keyed by a hash of the given path.
 
     Distinct paths give statistically independent Philox streams, and a
-    given path always yields the same stream, independent of the order
-    in which streams are created.  This is what makes per-projector shot
-    sampling reproducible under parallel execution.
+    given path always yields the same stream: what a stream draws does
+    not depend on which other streams were created before it, or in
+    what order.
     """
     text = "/".join(str(p) for p in path)
     digest = hashlib.sha256(text.encode("utf-8")).digest()

@@ -22,8 +22,8 @@ arrays.
 The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
 ``verify.json``.  The Gram-Schmidt lengths are the Cholesky diagonal of
-the P rows' Gram matrix, and the random quorums that the strict
-determinant bound is checked on come from one stream.
+the P rows' Gram matrix; the random quorums of the determinant bound and
+the kets of the tau witness are each one array drawn from one stream.
 """
 
 from __future__ import annotations
@@ -348,50 +348,51 @@ def accessible_subspace_dimension(esr_allowed: bool) -> int:
     return len(basis)
 
 
-def orthogonality_witness(states: Sequence[PureState]) -> tuple:
-    """Tau-sum diagnostics for a candidate family led by |uu>.
+def orthogonality_witness(kets: np.ndarray) -> tuple:
+    """Tau-sum diagnostics for the (n, 4) kets of a family led by |uu>.
 
     For states with |<uu|phi>|^2 = 1/4 the tau expansion of the
     projector has m_1 = 0 and splits its remaining weight equally:
     sum(m_2..m_7 squared) = sum(m_8..m_15 squared) = 3/8.  Equality of
     the two partial sums is what rules out any quorum saturating the
-    determinant bound while keeping |uu> as a member.
+    determinant bound while keeping |uu> as a member.  The n projectors
+    are one outer product, expanded by one tau_expand call.
 
     Returns the two numbers the verify rows record: the largest |m_1| or
     deviation of a partial sum from 3/8, and the largest deviation of the
-    ratio of the two partial sums from 1 (both 0.0 for |uu> alone).
-    Requires states[0] == |uu> and every other state to have squared
-    overlap 1/4 with it (within 1e-10).
+    ratio of the two partial sums from 1 (both 0.0 for an empty family).
+    Raises ValueError unless every ket has unit norm (within 1e-12) and
+    squared overlap 1/4 with |uu> (within 1e-10).
     """
-    states = list(states)
-    if not states or states[0] != UP_UP:
-        raise ValueError("witness requires the first state to be |uu>")
-    for s in states[1:]:
-        ov = abs(s.overlap(UP_UP)) ** 2
-        if abs(ov - 0.25) > 1e-10:
-            raise ValueError(f"state overlap with |uu> is {ov!r}, expected 1/4")
-    if len(states) == 1:
+    kets = np.asarray(kets, dtype=np.complex128)
+    if kets.ndim != 2 or kets.shape[1] != 4:
+        raise ValueError(f"witness expects an (n, 4) array of kets, not {kets.shape}")
+    if len(kets) == 0:
         return 0.0, 0.0
-    m = np.array([qmath.tau_expand(s.projector()) for s in states[1:]])
+    norm_dev = np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0))
+    overlap_dev = np.max(np.abs(np.abs(kets[:, 0]) ** 2 - 0.25))  # <uu|phi> = phi[0]
+    if not (norm_dev <= qmath.NORM_ATOL and overlap_dev <= 1e-10):  # NaN fails
+        raise ValueError(f"kets miss unit norm by {norm_dev:.3e}, overlap 1/4 by {overlap_dev:.3e}")
+    m = qmath.tau_expand(np.einsum("na,nb->nab", kets, kets.conj()))
     low = np.sum(m[:, 2:8] ** 2, axis=1)
     high = np.sum(m[:, 8:16] ** 2, axis=1)
     sums = np.abs(np.concatenate([m[:, 1], low - 0.375, high - 0.375]))
     return float(np.max(sums)), float(np.max(np.abs(low / high - 1.0)))
 
 
-def constrained_random_state(seed: int) -> PureState:
-    """Random pure state with squared overlap exactly 1/4 against |uu>.
+def constrained_random_kets(n: int) -> np.ndarray:
+    """n random unit kets, shape (n, 4), each with squared overlap
+    exactly 1/4 against |uu>: the inputs of orthogonality_witness.
 
     Amplitude 1/2 on |uu> with a uniform phase; the remaining weight
     sqrt(3)/2 goes to a Gaussian-random unit vector in the orthogonal
-    complement.  These are the inputs of orthogonality_witness.
+    complement.  All n come from one stream, the same on every call.
     """
-    rng = qmath.stream("constrained-state", seed)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    rest = rng.normal(size=3) + 1j * rng.normal(size=3)
-    rest = rest / np.linalg.norm(rest)
-    amps = np.concatenate(([0.5 * phase], np.sqrt(3.0) / 2.0 * rest))
-    return PureState.from_amplitudes(amps)
+    rng = qmath.stream("constrained-states")
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    rest = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
+    return np.column_stack([0.5 * phase, np.sqrt(3.0) / 2.0 * rest])
 
 
 def gram_schmidt_lengths(q: Quorum) -> np.ndarray:

@@ -23,7 +23,6 @@ from spintomo.dotmodel import (
 )
 from spintomo.measure import born_probabilities, degrade_readout, plan_shots, simulate_counts
 from spintomo.qmath import (
-    UP_UP,
     DensityMatrix,
     pauli_expand,
     random_density,
@@ -32,7 +31,7 @@ from spintomo.qmath import (
     stream,
 )
 from spintomo.quorum import (
-    constrained_random_state,
+    constrained_random_kets,
     james_quorum,
     mub_quorum,
     orthogonality_witness,
@@ -83,8 +82,7 @@ def test_criterion_03_unbiased_basis_overlaps(verification):
 
 
 def test_criterion_04_tau_witness_and_strict_det_bound(verification):
-    family = [UP_UP] + [constrained_random_state(s) for s in range(1000)]
-    sums_dev, _ = orthogonality_witness(family)  # bounds |m1| as well
+    sums_dev, _ = orthogonality_witness(constrained_random_kets(1000))  # bounds |m1| as well
     ok, detail = _rows(verification, "tau_partial_sums", "tau_ratio", "det_upper_bound_strict")
     # the largest |det P| of the stack is the MUB quorum's 1/32
     top_dev = abs(verification["det_upper_bound_strict"]["measured"] - 1.0 / 32.0)

@@ -343,6 +343,10 @@ def test_tomography_rejects_bad_configs(tmp_path):
         {"state": {"kind": "random"}, "shots": [10] * 14 + [10**30]},
         {"state": {"kind": "random"}, "shots": 10, "noise": {"not_a_gate": {"std_rad": 0.1}}},
         {"state": {"kind": "random"}, "shots": 10, "noise": {"exchange_pulse": {"stdev": 0.1}}},
+        # a field that the state kind does not read
+        {"state": {"kind": "random", "name": "singlet"}, "shots": 10},
+        {"state": {"kind": "named", "name": "singlet", "rank": 1}, "shots": 10},
+        {"state": {"kind": "named", "name": "singlet", "seed": 4}, "shots": 10},
     ):
         cfg = _write_cfg(tmp_path, "e.json", payload)
         assert main(["tomography", "--config", cfg, "--out", out]) == EXIT_CONFIG
@@ -545,7 +549,7 @@ def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
 
 
 def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):
-    def broken(states):
+    def broken(kets):
         raise RuntimeError("witness unavailable")
 
     monkeypatch.setattr("spintomo.cli.orthogonality_witness", broken)
@@ -574,6 +578,31 @@ def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_opens_two_rng_streams(monkeypatch, capsys):
+    # the random quorums of the determinant bound and the tau witness's
+    # constrained kets are one draw each, from one stream each
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*path):
+            calls[path] += 1
+            return fn(*path)
+        return wrapper
+
+    monkeypatch.setattr("spintomo.qmath.stream", counting(spintomo.qmath.stream))
+    monkeypatch.setattr("spintomo.cli.stream", counting(cli.stream))
+    assert main(["verify"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == Counter({("det-bound",): 1, ("constrained-states",): 1})
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == spintomo.__version__
 
 
 # ----------------------------------------------------------- exit contract

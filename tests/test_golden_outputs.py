@@ -80,103 +80,103 @@ PANEL = (
 
 DIGESTS = {
     "spectrum": {
-        "spectrum.csv": "a8134e648bcbd44767a74f54e3d5803a13f413e1909924150cdf5c2d12b8f99a",
+        "spectrum.csv": "5c29a63b5b527a3c016fb78dc03aabde6228183cf9d3f73281044b232d243a7c",
     },
     "quorum_mub": {
-        "circuits.json": "afe106d60ee17f08ba4d635945654da3581410b07bbccf3b9140cf983a188c93",
-        "pmatrix.csv": "dbde84051256b044fbfb71f7067c52408055b0ae82cebc85b36da57f8429f6cf",
-        "quorum.json": "a676f076346b2a9e6bae9d9f2a9808ca8a8abe6813176c61dff1f4c2a7231953",
+        "circuits.json": "3547faa3deb1b75975e194ef7d2f4e8701d055bc12ab4d90d83140f984b59ce2",
+        "pmatrix.csv": "66145b25b15af9e90138d98c237a18eec290bfd013105598ce7da36d1f4f5c3e",
+        "quorum.json": "7763f949e3a3ac2dca3d43decd8fc254e1a80f75ae9649687f37c9d5f5e17d87",
     },
     "quorum_james": {
-        "pmatrix.csv": "a6a362734d7891998ec39dfe93d847957ef9e64ce27dccaf10e199b1c9373806",
-        "quorum.json": "242bb8b4731d9d4119351a3acb275bb22ab065e33bf490aad3ebf49ce2f7d3e7",
+        "pmatrix.csv": "da3a7e85761d36a6d05e5e477618dbbbab964367387142891305ef96f902b591",
+        "quorum.json": "1c3d27581b2987ef934efffd6c90d87bad7d0e389a6ae03bfe70133a50afa4b8",
     },
     "plan": {
-        "plan.csv": "deb6bb138885469fa5d67283c0ce9632ba06ba3e3e708fc68ba36565242f84a2",
+        "plan.csv": "d1f3a70ae5706c513a7f76da22a9c1dfabdc0eef95295c4b1888971db0972aa7",
     },
     "verify": {
-        "verify.json": "88c07eee746f6ea5079dccdb05f3c54d65dfcbceef6b2173be37a1d9cfef879b",
+        "verify.json": "18a3a74e5395d2c9bbb8feba2c118f49b93290763b94271e4ee5c8b3cba43c38",
     },
     "tomo_plain": {
-        "covariance_predicted.csv": "56cfda600209c5c3c66251e6e80ad7fa68dc9cdb0461a165add6bdd6ddf907a7",
-        "records.csv": "65907f3796798fe07e76ff6c6769ff36c0ceecb6b69173ec6250f71db52cf19a",
-        "result.json": "1bd67eb4ba847bd46bad79a71a33fec3196099682b631350c87594ac91dbd5dd",
+        "covariance_predicted.csv": "6790107ab0ef3d98d9ea04e412eac9e573f04bb1563a45db6d09cf6a5159082b",
+        "records.csv": "7684c6c821d5e6d948dd8fcfa5e4b9accd28a85fff0a3d76cc32c91c6402b685",
+        "result.json": "f620162c7a550bb85b244a14475314aaa0eb03c5e88048749a6bc333dd5f36d5",
     },
     "tomo_exact": {
-        "covariance_predicted.csv": "fb197e976435a0a0bc22a3823c5b2c8fe3bcfa0987d83324bbc899c68ba96e08",
-        "result.json": "adaf6f7e7f305233185605df4d86e294e47bebecfe2e5e087e55fe312b8a723b",
+        "covariance_predicted.csv": "da1a96fc7f1089268b5a0343ad31da4c82af74d89bcec695abf7499f814eb6db",
+        "result.json": "0640b5b67b7090544514a1b9d70a1077325db5ae93d11b607074acfdd5048e54",
     },
     "tomo_reps": {
-        "covariance_empirical.csv": "dd36a74497248818c86cd3076d99232d4137966f25e5126299d37aff9ad07c35",
-        "covariance_predicted.csv": "56cfda600209c5c3c66251e6e80ad7fa68dc9cdb0461a165add6bdd6ddf907a7",
-        "records.csv": "65907f3796798fe07e76ff6c6769ff36c0ceecb6b69173ec6250f71db52cf19a",
-        "result.json": "cfd91e10adf2daf8ba486e23c5a387aa6bfa17581832b15d81a17d6cebdf6cdb",
+        "covariance_empirical.csv": "6fb0f8fb976fb44520d01a061e9ce7ed951b325a263c77b5ea8accf931ce83aa",
+        "covariance_predicted.csv": "6790107ab0ef3d98d9ea04e412eac9e573f04bb1563a45db6d09cf6a5159082b",
+        "records.csv": "7684c6c821d5e6d948dd8fcfa5e4b9accd28a85fff0a3d76cc32c91c6402b685",
+        "result.json": "59436022d89da36c6d6500c71d1431b6f95d0a95fd3cb357bf98b7034add4dfb",
     },
     "tomo_exact_reps": {
-        "covariance_empirical.csv": "dd36a74497248818c86cd3076d99232d4137966f25e5126299d37aff9ad07c35",
-        "covariance_predicted.csv": "fb197e976435a0a0bc22a3823c5b2c8fe3bcfa0987d83324bbc899c68ba96e08",
-        "result.json": "e0697ca32b193361dbb0eaadab51696fc906f7312773b787fee44989042e1768",
+        "covariance_empirical.csv": "6fb0f8fb976fb44520d01a061e9ce7ed951b325a263c77b5ea8accf931ce83aa",
+        "covariance_predicted.csv": "da1a96fc7f1089268b5a0343ad31da4c82af74d89bcec695abf7499f814eb6db",
+        "result.json": "c995f6ba9341973fcd75dad7e544414866eb04390886609367b8e5105341c3d8",
     },
     "tomo_shots_list": {
-        "covariance_empirical.csv": "26a2ca56f1d4d1dfe28b78310798d610f92a3a400bb368dbcdf34d3ca71b8973",
-        "covariance_predicted.csv": "770a86aeb10487690274c6e43545aec775022d10fc25d0e5bf801dd49546efe5",
-        "records.csv": "fad14534c8ae975974ffac0ea077abd3c9b0ab467e1292ec554f83c5cc114a37",
-        "result.json": "559f539af0352986d1642f5b24f3eb74639524be9f0622d5e040985d15bf42d1",
+        "covariance_empirical.csv": "56f3b396614c7987a8896ed89a473ebf3a7b5e9e53dd326ce74a556ccc3882bb",
+        "covariance_predicted.csv": "f762f73a2518bc111e7a8a23865a132fdf1255409b3a0096ec2b9ea1c7d25f95",
+        "records.csv": "6d7de3b471055d43990f42dba5fdaba679677d359e8dda62082e63d21fb75e3e",
+        "result.json": "32806c6c2f0a772d1fd8b777f59b0bb7329e97360533f34031a9119d19acf2ee",
     },
     "tomo_readout": {
-        "covariance_empirical.csv": "1353e388392dcbfea8e4c74b5188dab44f5c7ba4c94341f00336b18a26a69649",
-        "covariance_predicted.csv": "9612b7dfec115cf21732e897b6fc7c9cb684b5258823fc383ae3a517ab89623d",
-        "records.csv": "edf3a6452f3474f8099081c5b4024d916924ffc5a11e4a8774e4382bebbb42ea",
-        "result.json": "c89d93bff2cbbf4e77c50ada41e9b0d7877fa0a263fccaa83729a1f6d0a3caac",
+        "covariance_empirical.csv": "0afc9613a7c66ffbc5331409c1371f85666af325d3e2af866668c2920a30220f",
+        "covariance_predicted.csv": "fc66a51573383d9a5291c19b006bba259dda1ecb051bd20b7bb6757b609e4884",
+        "records.csv": "e22651c970a285d8abca9d15321810d43254a95e901b490468071d58c433ec98",
+        "result.json": "b80f0f3f65adbb67488cd8d329d75c917d237f9b2284ff4cd8420a9e8b060765",
     },
     "tomo_noise": {
-        "covariance_empirical.csv": "6aa60a1b6ad633bf2815ede35776bbd045cd867106195b3f46c5f356c7dfcf54",
-        "covariance_predicted.csv": "9e4d15d61dea5f1572378c63362a98e0899ed678ae16f753eb6b573fb281e6f5",
-        "records.csv": "36470003ee8e10b85646d431d6a7125dcc43dc71e6f64fa9ff710b21724ba951",
-        "result.json": "39e44bfae7848ac4878ef4dd65ce74ad014c3c197406053e124d3a991df4a64c",
+        "covariance_empirical.csv": "3da62ee4d95146343d4fd8ee5d3798ebb4b1f5789bcdd69f30cfc7e2bb72b176",
+        "covariance_predicted.csv": "6468b65764ad3a7ce8635b5de7b574eecb0cb97d3e8db8b21d4ef98da50bcabc",
+        "records.csv": "b7854ac6b5ec493c8e9172a9636eaa6c1120ed810a214c0571710ec6c6722b79",
+        "result.json": "7a89090cc7c184c61be6637cb9b3d3c8b0a8261dcb195b76f1b2db41fbabb2f0",
     },
     "tomo_noise_readout": {
-        "covariance_empirical.csv": "5d0579b0268077e52a598ce07b0435e24cc6308af01c6b9c20fe79198e8371b5",
-        "covariance_predicted.csv": "82bbfca9cc6cc4b65bf751543ad9307ee8198f1109f085cabcca3160681f052b",
-        "records.csv": "028535b1e54024083c97e6f0e8aea810800ee0cbb14a1cef9f501ee8cb51c337",
-        "result.json": "aca8f5cca2de880553e7d27c084608691045482e92eab6da1a084d6b313fcc43",
+        "covariance_empirical.csv": "a05e627c650052f44e5b59cc108c37e23c00df7149bb1c0335a1b9dadeecf1e1",
+        "covariance_predicted.csv": "b98017f7f030c610119df1b617c3dd65e46a1aaf4e673efc3e36df43c36d7485",
+        "records.csv": "26ca504997ff60cfcf6a0af0993ef1dd07ccc0d55cb7019c63d19d901a43c4ea",
+        "result.json": "d7580ce74396d1ec44f3edbc6952469e0a49c57545956cca37e28a0f5b95cbb5",
     },
     "tomo_up_up": {
-        "covariance_empirical.csv": "faefa0a8f6d5b82a535506f1a735fa4e4001cbc3732f5e35ca5b0966b3773ea4",
-        "covariance_predicted.csv": "b03d2769f4d5a643255a990b501903dc37555bbd488fe9fbc6f348df782f1734",
-        "records.csv": "d1e89fcd64e766e6aff8e38c7bc07befcd11d15b6b2a443f864a7a680b026926",
-        "result.json": "045afae0afefba5d863464f50bd023be0c4b06dc1222e89bad65ffb8a0cf47ab",
+        "covariance_empirical.csv": "697b0c202606ca14f9f0da5572952ef4651408715e7031c063f2acf8e60545a5",
+        "covariance_predicted.csv": "97b1d5fc559622b01fd55f737c6551f7751e954464bb1cc772b1239ae6469c5b",
+        "records.csv": "808ae80ead0f2313b53d1e0a8d3fb74e31fb935be81a6a0e5e103f5750390021",
+        "result.json": "8875692f33e17364d4e6843ee304b5d4664c7d3e2dba85412596aabf419412ef",
     },
     "tomo_triplet_zero": {
-        "covariance_empirical.csv": "39fc71fc1070c43170a570ef6c1f7bb5548607b6954f0fb1faa8c2c061a89e64",
-        "covariance_predicted.csv": "3f8744ab16059742c6573f995a75642f8664506420c2045b82c0165444b22760",
-        "records.csv": "b9940a7b5d3d38ddf2a5552c498fe614675c183d02c1adf16e69db59d57d3b69",
-        "result.json": "638d853357077e91eaada06d500f894069a11f9bf1b1fbf8aa749103a3fb65ef",
+        "covariance_empirical.csv": "8bb410dfea1a1ecff5b4e086c15eed17863bc1fb9bbf9b1cf468cdfd35ad509b",
+        "covariance_predicted.csv": "a2298c5cbfe7a7817119a2a6de1f2948f9f2eb24e6cebe6f208d9e4902b2a4bf",
+        "records.csv": "a8f3bc5fc91a6c084d6ba16f6a3fd76e5dff1ec54386bbed379fce0633a9d67d",
+        "result.json": "35787f8dec0fce8fa0facd60ccdcb9167d609cfd657d3181b335671fe0c0c3d3",
     },
     "tomo_rank1": {
-        "covariance_predicted.csv": "7417f63f12aa24a795b6ee8b1e29592e65319efbe1681b40fbf1c2c9b17503b0",
-        "records.csv": "63671827b9fbbeea4dbeba9810dc8c5bcfde55297e50b506967290f39fcf43e7",
-        "result.json": "c6b2ee622ecaaa0090edc1e5fd3b93ae42a8108d665b75bfa09a9729aa523d26",
+        "covariance_predicted.csv": "36a74293fd7bbefb09e3f3cb7d4fee0c9ebe184044c29bd68884cc9837689a91",
+        "records.csv": "415c8e228698ce2fff7d4e119960e20c167098cbd07f03be1fc6ef3eca6d55e2",
+        "result.json": "97da31cec0b4641742a4bf13031926de15623ec1d23df95af2361a6926c3a2a3",
     },
     "tomo_rank2": {
-        "covariance_predicted.csv": "97c56f29a19be7393720ad822c42e6415edbe088d4c2f4ed05e8a3b9a2e5d847",
-        "records.csv": "7fe78a62d86ec07c24c7aa27435141027b4598ac80395bd7ab7b771e97a14342",
-        "result.json": "22c5cb601b498794cb139287b104a3c448327277e6ce2ddc04f2e93270437d04",
+        "covariance_predicted.csv": "234645973e0761df5010f3331c6708ae2b3492fecd398a453c7304130ebc3a39",
+        "records.csv": "a9026db54745455085b1799a4b50306b914d6ee31a9c92a7a4106afd4d8ad8e0",
+        "result.json": "b57bd1bd6c271f5218c85e40b70b8227b78c87ee92a21a0948a668f582539252",
     },
     "tomo_rank3": {
-        "covariance_predicted.csv": "e08c0a407287cd8854a849a52f3aad597037ec9bd9f775994becb6c79a7b2d89",
-        "result.json": "6580604e9914d99a7d8b27cd488ec6cf401d18c9f1dad56863658269a70a5bb5",
+        "covariance_predicted.csv": "abc21929debfa3aa4b8de3b40789998daf2f44e6b450160c5d5f11020b6ce342",
+        "result.json": "279900ac54ed7c17eef432e5ef4643444c1cb269216a24fb66471defd6507cb0",
     },
     "tomo_rank4": {
-        "covariance_empirical.csv": "909bdf7a656bc5aa68357456bef679a67e74dfe6ae680159e9523c48c546dacb",
-        "covariance_predicted.csv": "f50e54c8b33ab67f540c85f29843cf2214ede958d3e8f3709e9ad4eced3918ec",
-        "records.csv": "01dd168f36fc675f543fb9131b08ad870702346edfae822b4bb004ddbe261174",
-        "result.json": "423ff49cb9f2a3d2d331777755d07efd5ea23dfa36c219c3a4b72a43f01f41fb",
+        "covariance_empirical.csv": "8a3a09adbdb2885488c74a3fae93e801351f7c3893d3d549f36d4162ecc96fca",
+        "covariance_predicted.csv": "c45287366fda3fe9fd315571c97432c3d4c08b7c2afe31477f3d463a8f870dbf",
+        "records.csv": "7ed73b9e7b67b49c567c0137a0c3058dfa38d6acb13261e006239faaa83c91a9",
+        "result.json": "6858625ed880ab9887e3b1b660d4df65d3c440d2815cc2d53e885938cb1eeee6",
     },
     "tomo_huge_shots": {
-        "covariance_predicted.csv": "049e5f325ae1361ff531d15e6c8ec5fab9b68217f8be76126cadae8bbe014255",
-        "records.csv": "a353ae8ffcb8388b37cffef455339895c019c31cc1fd0c16be3f56f40b7eceea",
-        "result.json": "e308bc7da409a467d67ba5c6ed6780f6425d8771bf057d8e4dc4bb989d47a22e",
+        "covariance_predicted.csv": "25f2e7b2c8499ab3cc442b9729831ad43db33cf7de9b490feefa384085845ddb",
+        "records.csv": "18496d88832f68dbfb77e8aac849fc48b420c4e317151730d0b331356229d55a",
+        "result.json": "f76a3d996cc0d70b848e45ef41772c2e23cef69411aafb204cbe83b967d9e4be",
     },
 }
 

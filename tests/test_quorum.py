@@ -8,7 +8,6 @@ from spintomo.measure import degrade_readout
 from spintomo.qmath import (
     DOWN_UP,
     PAULI_BASIS,
-    SINGLET,
     UP_DOWN,
     UP_UP,
     PureState,
@@ -22,7 +21,7 @@ from spintomo.quorum import (
     Quorum,
     QuorumDegenerateError,
     accessible_subspace_dimension,
-    constrained_random_state,
+    constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
     james_quorum,
@@ -226,25 +225,35 @@ def test_det_upper_bound_strict_everywhere():
     assert max(dets) < DET_UPPER_BOUND
 
 
-def test_constrained_random_state_overlap():
-    for seed in range(50):
-        s = constrained_random_state(seed)
-        assert abs(abs(s.overlap(UP_UP)) ** 2 - 0.25) < 1e-13
+def test_constrained_random_kets_overlap():
+    kets = constrained_random_kets(1000)
+    assert kets.shape == (1000, 4)
+    assert np.max(np.abs(np.abs(kets[:, 0]) ** 2 - 0.25)) < 1e-13
+    assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) < 1e-13
+    # one stream, so every call draws the same family
+    np.testing.assert_array_equal(constrained_random_kets(1000), kets)
 
 
 def test_orthogonality_witness_sums():
-    family = [UP_UP] + [constrained_random_state(s) for s in range(64)]
-    sums_dev, ratio_dev = orthogonality_witness(family)
+    sums_dev, ratio_dev = orthogonality_witness(constrained_random_kets(64))
     assert sums_dev < 1e-12  # |m1| and both partial sums against 3/8, every state
     assert ratio_dev < 1e-10
-    assert orthogonality_witness([UP_UP]) == (0.0, 0.0)
+    assert orthogonality_witness(np.zeros((0, 4))) == (0.0, 0.0)  # |uu> alone
 
 
 def test_orthogonality_witness_preconditions():
-    with pytest.raises(ValueError):
-        orthogonality_witness([SINGLET])  # must start with |uu>
-    with pytest.raises(ValueError):
-        orthogonality_witness([UP_UP, UP_DOWN])  # overlap 0, not 1/4
+    kets = constrained_random_kets(8)
+    long = kets[0].copy()
+    long[1:] *= 1.01  # overlap still 1/4, norm sqrt(1.015075)
+    with pytest.raises(ValueError, match=r"norm by 7\.509e-03"):
+        orthogonality_witness(np.concatenate([kets, [long]]))
+    with pytest.raises(ValueError, match=r"overlap 1/4 by 2\.500e-01"):
+        orthogonality_witness(np.concatenate([kets, [UP_DOWN.amplitudes]]))  # overlap 0
+    with pytest.raises(ValueError, match="nan"):
+        orthogonality_witness(np.concatenate([kets, [np.full(4, np.nan)]]))
+    for shape in [(8,), (8, 3), (2, 8, 4)]:
+        with pytest.raises(ValueError, match=r"an \(n, 4\) array"):
+            orthogonality_witness(np.resize(kets, shape))
 
 
 def sequential_gram_schmidt(q: Quorum) -> np.ndarray:
