@@ -243,7 +243,10 @@ def cmd_spectrum(cfg: dict) -> dict:
         raise ConfigError(str(exc)) from exc
     if not 1 <= cfg["eps_count"] <= MAX_EPS_COUNT:
         raise ConfigError(f"eps_count must lie in 1..{MAX_EPS_COUNT}")
-    grid = np.linspace(float(cfg["eps_start"]), float(cfg["eps_stop"]), cfg["eps_count"])
+    start, stop = float(cfg["eps_start"]), float(cfg["eps_stop"])
+    if not math.isfinite(stop - start):  # on Python floats: linspace would overflow
+        raise ConfigError("eps_stop - eps_start must be a finite number")
+    grid = np.linspace(start, stop, cfg["eps_count"])
     levels = spectrum_sweep(params, grid)
     rows = [[float(e)] + [float(x) for x in row] for e, row in zip(grid, levels)]
     return {"spectrum.csv": _csv(_meta(cfg), "eps,E1,E2,E3,E4,E5,E6", rows)}
@@ -375,7 +378,7 @@ def _effective_quorum(cfg: dict) -> Quorum:
         fidelity = float(fidelity)
         matrices = degrade_readout(matrices, fidelity)
         labels = tuple(f"{label}~f={fidelity:g}" for label in labels)
-    return Quorum("mub-effective", labels, matrices, q.basis_index, q.states)
+    return Quorum("mub-effective", labels, matrices, q.basis_index)
 
 
 def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
@@ -547,19 +550,20 @@ def run_verification() -> list:
 
     q_mub = mub_quorum()
     q_james = james_quorum()
+    states = [p.prepared_state() for p in mub_preparations()]
 
     guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_mub.matrices))) - 1.0 / 32.0),
             ("det_mub", 1e-12, "| |det P| - 1/32 |"))
     guarded(lambda: abs(abs(np.linalg.det(pmatrix_entries(q_james.matrices))) - 1.0 / 512.0),
             ("det_james", 1e-12, "| |det P| - 1/512 |"))
-    guarded(lambda: closed_form_deviation([p.prepared_state() for p in mub_preparations()]),
+    guarded(lambda: closed_form_deviation(states),
             ("quorum_cross_check", 1e-12, "projectors vs closed-form Pauli terms"))
     guarded(lambda: esr_budget_excess(mub_preparations()),
             ("esr_budget", 1e-12, "one pi/2 resonant pulse max, states 4..15"))
 
     def mub_condition():
         """tr(P_a P_b) = |<a|b>|^2 is 1 or 0 within a basis and 1/4 across."""
-        matrices = np.stack([s.projector() for basis in mub_bases() for s in basis])
+        matrices = np.stack([s.projector() for basis in mub_bases(states) for s in basis])
         target = np.kron(np.eye(5), np.eye(4) - 0.25) + 0.25
         return float(np.max(np.abs(calibration_matrix(matrices) - target)))
 

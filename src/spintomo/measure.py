@@ -171,7 +171,8 @@ def plan_shots(delta: float, p_limit: float, fidelity: float = 1.0) -> int:
     bounds the failure probability by 2 exp(-2 N delta'^2).  Returns
     the smallest integer N with the bound strictly below p_limit.  The
     bound is per coefficient: to hold all 15 within delta at once, plan
-    with p_limit / 15 (a union bound).
+    with p_limit / 15 (a union bound).  Raises ValueError outside those
+    ranges, and for a delta so small that the run count overflows a float.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -183,5 +184,8 @@ def plan_shots(delta: float, p_limit: float, fidelity: float = 1.0) -> int:
     if contrast <= 0.0:
         raise ValueError("no sensitivity at fidelity 1/2: cannot plan")
     delta_prime = contrast * delta / (3.0 * math.sqrt(2.0))
-    bound = math.log(2.0 / p_limit) / (2.0 * delta_prime * delta_prime)
+    square = delta_prime * delta_prime
+    bound = math.log(2.0 / p_limit) / (2.0 * square) if square > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError("delta is too small to plan: the run count overflows")
     return int(math.floor(bound)) + 1

@@ -90,18 +90,20 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= atol)
 
 
-def pauli_expand(m: np.ndarray) -> np.ndarray:
-    """Coefficients of a Hermitian matrix in the D basis (16 reals).
-
-    Raises ValueError if m is not Hermitian within HERMITIAN_ATOL, since the
-    expansion of a non-Hermitian matrix has no real coefficient vector.
-    """
+def _expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real coefficients of a matrix (16) or a stack (..., 4, 4) in an orthonormal
+    basis; ValueError unless Hermitian within HERMITIAN_ATOL, else there are none."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a stack of them")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.einsum("kij,ji->k", PAULI_BASIS, m).real.copy()
+    return np.einsum("kij,...ji->...k", basis, m).real.copy()
+
+
+def pauli_expand(m: np.ndarray) -> np.ndarray:
+    """D coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once."""
+    return _expand(m, PAULI_BASIS)
 
 
 def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
@@ -114,12 +116,7 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
 
 def tau_expand(m: np.ndarray) -> np.ndarray:
     """Tau coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-2:] != (4, 4):
-        raise ValueError("expected a 4x4 matrix or a stack of them")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.einsum("kij,...ji->...k", TAU_BASIS, m).real.copy()
+    return _expand(m, TAU_BASIS)
 
 
 def _frozen_copy(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Measurement quorums for two-qubit state reconstruction.
 
 A quorum is a set of 15 measurement operators whose expectation values
-determine a two-qubit density matrix.  ``Quorum`` holds them as one
+determine a two-qubit density matrix.  ``Quorum`` holds only them, as one
 read-only (15, 4, 4) stack, validated once, which every computation
 reads: Born probabilities, the P matrix, the likelihood and the
 calibration matrix.  Two concrete quorums are built here:
@@ -14,23 +14,24 @@ calibration matrix.  Two concrete quorums are built here:
 
 Each MUB projector is built twice, from a closed-form Pauli
 decomposition and from its preparation circuit, and the two routes are
-cross-checked at 1e-12.  The preparation table and the quorum are fixed
-by the scheme, so each is built, and the quorum guarded, once per
-process on first use and then shared: both are frozen, with read-only
-arrays.
+cross-checked at 1e-12.  The preparation table and both quorums are
+fixed by the scheme, so each is built, and the MUB quorum guarded, once
+per process on first use and then shared: all are frozen, with
+read-only arrays.
 
 The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
 ``verify.json``.  The Gram-Schmidt lengths are the Cholesky diagonal of
 the P rows' Gram matrix; the random quorums of the determinant bound and
-the kets of the tau witness are each one array drawn from one stream.
+the kets of the tau witness are each one array drawn from one stream;
+the closure rank of the readouts is one SVD per commutator depth.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,15 +85,14 @@ class Quorum:
     ``matrices`` is a read-only (15, 4, 4) array of Hermitian, unit-trace,
     PSD operators, checked once at construction; ``labels`` and
     ``basis_index`` (the unbiased basis of each operator, None outside
-    one) follow the same order.  ``states`` are the pure states of an
-    ideal quorum, when known.
+    one) follow the same order.  No states are kept: an averaged or
+    degraded quorum holds mixed operators, which no pure state prepares.
     """
 
     name: str
     labels: tuple
     matrices: np.ndarray
     basis_index: tuple = (None,) * 15
-    states: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -103,8 +103,6 @@ class Quorum:
         mats = qmath.check_density_matrix(self.matrices).copy()
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        if self.states is not None:
-            object.__setattr__(self, "states", tuple(self.states))
 
 
 # closed-form Pauli terms of the 15 quorum projectors:
@@ -226,10 +224,10 @@ def esr_budget_excess(preps: Sequence[Preparation]) -> float:
 def closed_form_deviation(states: Sequence[PureState]) -> float:
     """Largest entry gap between the projectors of the 15 prepared states
     and the closed-form Pauli terms of the quorum projectors."""
-    return max(
-        float(np.max(np.abs(s.projector() - c)))
-        for s, c in zip(states, _CLOSED_FORMS, strict=True)
-    )
+    projectors = np.array([s.projector() for s in states])
+    if projectors.shape != _CLOSED_FORMS.shape:
+        raise ValueError(f"expected the 15 prepared states, not {len(states)}")
+    return float(np.max(np.abs(projectors - _CLOSED_FORMS)))
 
 
 @functools.cache
@@ -241,48 +239,41 @@ def mub_quorum() -> Quorum:
     when the circuits break the resonant-pulse budget or the two routes
     disagree beyond 1e-12.  Built and guarded on first use, then shared
     (a refusal is not kept); ``mub_quorum.__wrapped__`` is the uncached
-    build.
+    build.  The prepared states serve the guard and are dropped.
     """
     preps = mub_preparations()
     excess = esr_budget_excess(preps)
     if excess > CROSS_CHECK_ATOL:
         raise RuntimeError(f"preparation circuits break the ESR budget by {excess:.3e}")
-    states = tuple(prep.prepared_state() for prep in preps)
-    dev = closed_form_deviation(states)
+    dev = closed_form_deviation([prep.prepared_state() for prep in preps])
     if dev > CROSS_CHECK_ATOL:
         raise RuntimeError(f"circuit and closed form disagree (max dev {dev:.3e})")
     labels = tuple(prep.label for prep in preps)
-    return Quorum("mub", labels, _CLOSED_FORMS, tuple(j // 3 for j in range(15)), states)
+    return Quorum("mub", labels, _CLOSED_FORMS, tuple(j // 3 for j in range(15)))
 
 
+@functools.cache
 def james_quorum() -> Quorum:
-    """The separable 15-projector quorum (product states only)."""
+    """The separable 15-projector quorum, built on first use and shared."""
     kets = [
         (UP, UP), (UP, DOWN), (DOWN, UP),
         (DOWN_Y, UP), (DOWN_Y, DOWN), (UP_X, DOWN), (UP_X, UP),
         (UP_X, DOWN_Y), (UP_X, UP_X), (DOWN_Y, UP_X),
         (UP, UP_X), (DOWN, UP_X), (DOWN, UP_Y), (UP, UP_Y), (DOWN_Y, UP_Y),
     ]
-    states = tuple(kron_state(first, second) for first, second in kets)
     labels = tuple(f"J{j:02d}" for j in range(1, 16))
-    return Quorum("james", labels, np.stack([s.projector() for s in states]), states=states)
+    return Quorum("james", labels, np.stack([kron_state(a, b).projector() for a, b in kets]))
 
 
-def mub_bases() -> list:
-    """The five unbiased bases as 5 lists of 4 states.
-
-    States 3i+1 .. 3i+3 of the quorum are the first three members of
-    basis i; the fourth is the orthogonal complement with canonical phase.
-    """
-    q = mub_quorum()
-    bases = []
-    for i in range(5):
-        members = list(q.states[3 * i : 3 * i + 3])
-        stack = np.array([np.conj(s.amplitudes) for s in members])
-        _, _, vh = np.linalg.svd(stack)
-        members.append(PureState.from_amplitudes(np.conj(vh[3])))
-        bases.append(members)
-    return bases
+def mub_bases(states: Sequence[PureState]) -> list:
+    """The five unbiased bases as 5 lists of 4 states, from the 15 prepared
+    quorum states: states 3i+1 .. 3i+3 lead basis i, and one SVD of their
+    (5, 3, 4) amplitudes completes each with its fourth state."""
+    _, _, vh = np.linalg.svd(np.array([np.conj(s.amplitudes) for s in states]).reshape(5, 3, 4))
+    return [
+        list(states[3 * i : 3 * i + 3]) + [PureState.from_amplitudes(np.conj(vh[i, 3]))]
+        for i in range(5)
+    ]
 
 
 @dataclass(frozen=True)
@@ -300,6 +291,7 @@ class PMatrix:
 
 def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
     """P matrices of a stack of quorum matrices, shape (..., 15, 4, 4)."""
+    # not pauli_expand(mats)[..., 1:]: that contraction differs in the last bits, moving outputs
     return np.einsum("...jab,kba->...jk", mats, PAULI_BASIS[1:]).real
 
 
@@ -324,28 +316,24 @@ def accessible_subspace_dimension(esr_allowed: bool) -> int:
     reach span the smallest space that holds the traceless parts of the
     three readout projectors and is closed under X -> i[H, X] for every
     control generator H: exchange and the z rotations, plus the
-    resonant x rotation when ``esr_allowed``.  Gram-Schmidt builds that
-    space; a residual norm below 1e-10 counts as linearly dependent.
+    resonant x rotation when ``esr_allowed``.  Each pass stacks the
+    orthonormal span with its commutators and keeps, from one SVD, the
+    directions of singular value above 1e-10, until the rank stops growing.
     """
     kinds = [GateKind.EXCHANGE_PULSE, GateKind.Z_ROT_QUBIT1, GateKind.Z_ROT_QUBIT2]
     if esr_allowed:
         kinds.append(GateKind.ESR_X_QUBIT1)
-    generators = [generator(k) for k in kinds]
-    basis = []
-
-    def add(x: np.ndarray) -> None:
-        for b in basis:
-            x = x - np.vdot(b, x) * b
-        norm = np.linalg.norm(x)
-        if norm > 1e-10:
-            basis.append(x / norm)
-
-    for state in BASE_STATES.values():
-        add(state.projector() - np.eye(4) / 4.0)
-    for x in basis:  # the loop also visits every direction it appends
-        for h in generators:
-            add(1j * (h @ x - x @ h))
-    return len(basis)
+    h = np.stack([generator(k) for k in kinds])[:, None]
+    span = np.stack([s.projector() - np.eye(4) / 4.0 for s in BASE_STATES.values()])
+    rank = 0
+    while True:
+        moved = 1j * (h @ span - span @ h)
+        stack = np.concatenate([span, moved.reshape(-1, 4, 4)]).reshape(-1, 16)
+        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+        span = vh[sv > 1e-10].reshape(-1, 4, 4)
+        if len(span) == rank:
+            return rank
+        rank = len(span)
 
 
 def orthogonality_witness(kets: np.ndarray) -> tuple:
@@ -422,10 +410,6 @@ def gram_schmidt_lengths(q: Quorum) -> np.ndarray:
 def quorum_records(q: Quorum) -> list:
     """JSON-ready operator records: label, basis index, 16 Pauli coefficients."""
     return [
-        {
-            "label": label,
-            "basis_index": basis,
-            "pauli_coefficients": [float(x) for x in pauli_expand(m)],
-        }
-        for label, basis, m in zip(q.labels, q.basis_index, q.matrices)
+        {"label": label, "basis_index": basis, "pauli_coefficients": coeffs.tolist()}
+        for label, basis, coeffs in zip(q.labels, q.basis_index, pauli_expand(q.matrices))
     ]

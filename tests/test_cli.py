@@ -113,6 +113,11 @@ def test_spectrum_rejects_bad_configs(tmp_path):
         {"dot": _dot(t=0.02), "eps_start": 0.0, "eps_stop": "STOP", "eps_count": 3}
     ).replace('"STOP"', "1e400"))
     assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
+    # finite bounds whose span overflows
+    cfg = _write_cfg(
+        tmp_path, "s.json", {"dot": _dot(), "eps_start": -1e308, "eps_stop": 1e308, "eps_count": 3}
+    )
+    assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONFIG
     cfg = _write_cfg(
         tmp_path, "e.json", {"dot": _dot(), "eps_start": 0, "eps_stop": 1, "eps_count": 10**30}
     )
@@ -473,6 +478,27 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     assert calls == Counter(circuit_apply=15, adjoint=15, parser=6)  # 5 subcommand parsers
 
 
+def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
+    # both quorums are built once per process: a second verify prepares
+    # the 15 MUB states it checks, and builds no product state
+    assert main(["verify"]) == EXIT_OK
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("spintomo.quorum.kron_state", counting(quorum.kron_state))
+    monkeypatch.setattr("spintomo.quorum.circuit_apply", counting(quorum.circuit_apply))
+    assert main(["verify"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == Counter(circuit_apply=15)
+    quorum.james_quorum.__wrapped__()  # the uncached build makes every product state
+    assert calls == Counter(circuit_apply=15, kron_state=15)
+
+
 # ---------------------------------------------------------------------- plan
 
 
@@ -494,6 +520,17 @@ def test_plan_table(tmp_path):
     assert table[1.0] == "1476"
     assert table[0.8] == "5457"
     assert table[0.5] == "unplannable"
+
+
+def test_plan_marks_a_vanishing_delta_unplannable(tmp_path):
+    # delta'^2 underflows to 0 at 1e-200 and the run count overflows at
+    # 1e-160: each is a row of the table, not a traceback
+    cfg = _write_cfg(tmp_path, "p.json", {"delta": [1e-200, 1e-160, 0.05], "p_limit": 0.05})
+    out = tmp_path / "out"
+    assert main(["plan", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = [l.split(",") for l in (out / "plan.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[3] for r in rows] == ["unplannable", "unplannable", "1476"]
 
 
 def test_plan_rejects_bad_values(tmp_path):
@@ -522,7 +559,7 @@ def test_verification_detects_perturbed_quorum(monkeypatch):
     q = mub_quorum()
     mats = q.matrices.copy()
     mats[4] = 0.9 * mats[4] + 0.1 * np.eye(4) / 4.0  # PSD, trace 1, smaller det
-    broken = Quorum("mub-broken", q.labels, mats, q.basis_index, q.states)
+    broken = Quorum("mub-broken", q.labels, mats, q.basis_index)
     monkeypatch.setattr("spintomo.cli.mub_quorum", lambda: broken)
     results = {r["check_id"]: r for r in run_verification()}
     assert not results["det_mub"]["passed"]

@@ -5,7 +5,7 @@ every file it writes with a pinned digest.  A change that claims to keep
 the outputs (a refactor, a speed-up) must keep every digest; a change
 that moves outputs on purpose bumps ``__version__``, which moves every
 digest, and re-records the table.  In one process the cases share the
-constants built once per process (the MUB quorum, its readout circuits,
+constants built once per process (both quorums, the MUB readout circuits,
 the argument parser), so two cases also run in a fresh interpreter,
 where they are built cold.
 
@@ -207,7 +207,8 @@ import json, sys, tempfile
 from pathlib import Path
 from spintomo import cli, quorum
 from test_golden_outputs import PANEL, run_case
-cached = (quorum.mub_preparations, quorum.mub_quorum, cli._noise_readouts, cli._build_parser)
+cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, cli._noise_readouts,
+          cli._build_parser)
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:

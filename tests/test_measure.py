@@ -322,6 +322,10 @@ def test_plan_shots_validation_and_divergence():
         plan_shots(0.05, 0.05, 0.3)
     with pytest.raises(ValueError):
         plan_shots(0.05, 0.05, 0.5)  # zero contrast: unplannable
+    # delta'^2 underflows to 0 at 1e-200; at 1e-160 the run count overflows a float
+    for tiny in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match="too small"):
+            plan_shots(tiny, 0.05)
 
 
 def test_plan_shots_monotone_in_fidelity():

@@ -87,18 +87,18 @@ def test_expand_rejects_non_hermitian():
         tau_expand(bad)
 
 
-def test_tau_expand_of_a_stack_is_the_expansion_of_each_matrix():
+@pytest.mark.parametrize("expand", [tau_expand, pauli_expand], ids=lambda f: f.__name__)
+def test_expansion_of_a_stack_is_the_expansion_of_each_matrix(expand):
     kets = constrained_random_kets(1000)
     stack = np.einsum("na,nb->nab", kets, kets.conj())
-    each = np.array([tau_expand(m) for m in stack])
-    np.testing.assert_allclose(tau_expand(stack), each, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(tau_expand(stack.reshape(10, 100, 4, 4)),
-                               each.reshape(10, 100, 16), rtol=0, atol=1e-15)
+    each = np.array([expand(m) for m in stack])
+    np.testing.assert_array_equal(expand(stack), each)  # bit for bit
+    np.testing.assert_array_equal(expand(stack.reshape(10, 100, 4, 4)), each.reshape(10, 100, 16))
     with pytest.raises(ValueError, match="not Hermitian"):
-        tau_expand(np.concatenate([stack, [np.triu(np.ones((4, 4)))]]))
+        expand(np.concatenate([stack, [np.triu(np.ones((4, 4)))]]))
     with pytest.raises(ValueError, match="4x4"):
-        tau_expand(np.ones((4, 3)))
-    assert tau_expand(np.zeros((0, 4, 4))).shape == (0, 16)  # an empty stack is Hermitian
+        expand(np.ones((4, 3)))
+    assert expand(np.zeros((0, 4, 4))).shape == (0, 16)  # an empty stack is Hermitian
 
 
 def test_density_trace_is_first_pauli_coefficient():

@@ -1,16 +1,25 @@
 """Quorum construction, P matrix, witnesses and subspace ranks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spintomo.gates import Circuit, Gate, GateKind
+from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix
 from spintomo.measure import degrade_readout
 from spintomo.qmath import (
+    DOWN,
     DOWN_UP,
+    DOWN_Y,
     PAULI_BASIS,
+    UP,
     UP_DOWN,
     UP_UP,
+    UP_X,
+    UP_Y,
+    SINGLET,
     PureState,
+    kron_state,
     pauli_expand,
     random_pure,
 )
@@ -21,6 +30,7 @@ from spintomo.quorum import (
     Quorum,
     QuorumDegenerateError,
     accessible_subspace_dimension,
+    closed_form_deviation,
     constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
@@ -35,6 +45,18 @@ from spintomo.quorum import (
 )
 
 LABELS = tuple(f"X{j:02d}" for j in range(1, 16))
+#: the product kets of the separable quorum, in its order
+JAMES_KETS = [
+    (UP, UP), (UP, DOWN), (DOWN, UP),
+    (DOWN_Y, UP), (DOWN_Y, DOWN), (UP_X, DOWN), (UP_X, UP),
+    (UP_X, DOWN_Y), (UP_X, UP_X), (DOWN_Y, UP_X),
+    (UP, UP_X), (DOWN, UP_X), (DOWN, UP_Y), (UP, UP_Y), (DOWN_Y, UP_Y),
+]
+
+
+def prepared_states() -> list:
+    """The 15 states the MUB preparation circuits prepare."""
+    return [p.prepared_state() for p in mub_preparations()]
 
 
 def projector_coefficients(state: PureState) -> np.ndarray:
@@ -113,15 +135,19 @@ def test_mub_quorum_cross_check_and_labels():
     q = mub_quorum()
     assert q.matrices.shape == (15, 4, 4)
     assert q.labels == tuple(f"P{j:02d}" for j in range(1, 16))
-    assert q.states is not None and len(q.states) == 15
-    for j, (m, s) in enumerate(zip(q.matrices, q.states), start=1):
+    states = prepared_states()
+    for j, (m, s) in enumerate(zip(q.matrices, states, strict=True), start=1):
         np.testing.assert_allclose(m, s.projector(), atol=1e-13)
         assert q.basis_index[j - 1] == (j - 1) // 3  # five bases, zero-indexed
+    assert closed_form_deviation(states) < 1e-13
+    for count in (14, 16):  # the comparison takes exactly the 15 states
+        with pytest.raises(ValueError, match="15 prepared states"):
+            closed_form_deviation((states * 2)[:count])
     james = james_quorum()
     assert james.labels == tuple(f"J{j:02d}" for j in range(1, 16))
     assert james.basis_index == (None,) * 15
-    for m, s in zip(james.matrices, james.states):
-        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
+    for m, (a, b) in zip(james.matrices, JAMES_KETS, strict=True):
+        np.testing.assert_allclose(m, kron_state(a, b).projector(), atol=1e-13)
 
 
 def test_mub_preparations_structure():
@@ -147,15 +173,17 @@ def test_measurement_circuit_inverts_preparation():
 
 
 def test_first_three_states():
-    q = mub_quorum()
-    assert q.states[0] == UP_UP
-    assert q.states[1] == UP_DOWN
-    assert q.states[2] == DOWN_UP  # pi exchange pulse swaps |ud>
+    states = prepared_states()
+    assert states[0] == UP_UP
+    assert states[1] == UP_DOWN
+    assert states[2] == DOWN_UP  # pi exchange pulse swaps |ud>
 
 
 def test_mub_condition_all_bases():
-    bases = mub_bases()
+    states = prepared_states()
+    bases = mub_bases(states)
     assert len(bases) == 5
+    assert [s for basis in bases for s in basis[:3]] == states  # the fourth completes each
     for bi in range(5):
         for si in range(4):
             for bj in range(5):
@@ -191,17 +219,18 @@ def test_degenerate_quorum_raises():
 
 
 def test_james_quorum_is_separable_products():
-    q = james_quorum()
-    for s in q.states:
+    for m, (a, b) in zip(james_quorum().matrices, JAMES_KETS, strict=True):
+        s = kron_state(a, b)
         # product state <=> reduced state pure <=> concurrence-like det = 0
         amp = s.amplitudes.reshape(2, 2)
         assert abs(np.linalg.det(amp)) < 1e-12
+        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
 
 
 def test_projector_coefficients_match_general_expansion():
     # closed-form coefficient table vs the generic Pauli expansion
     states = [random_pure(seed) for seed in range(25)]
-    states += list(mub_quorum().states)
+    states += prepared_states()
     for s in states:
         got = projector_coefficients(s)
         expected = pauli_expand(s.projector())
@@ -299,10 +328,31 @@ def test_accessible_subspace_ranks():
     assert accessible_subspace_dimension(esr_allowed=True) == 15
 
 
-def test_quorum_frozen_states_tuple():
+@pytest.mark.parametrize("esr, rank", [(False, 5), (True, 15)])
+def test_accessible_subspace_matches_random_circuits(esr, rank):
+    # oracle without commutators: conjugate the three readouts by seeded
+    # random circuits over every allowed gate kind and take the rank of
+    # the span of their traceless parts
+    kinds = [k for k in GateKind if esr or k != GateKind.ESR_X_QUBIT1]
+    rng = np.random.default_rng(20130411)
+    readouts = [s.projector() - np.eye(4) / 4.0 for s in (UP_UP, UP_DOWN, SINGLET)]
+    evolved = []
+    for _ in range(60):
+        u = np.eye(4, dtype=np.complex128)
+        for j in rng.integers(len(kinds), size=8):
+            u = gate_matrix(kinds[j], rng.uniform(-np.pi, np.pi)) @ u
+        evolved += [evolve_projector(u, x) for x in readouts]
+    oracle = np.linalg.matrix_rank(np.reshape(evolved, (-1, 16)), tol=1e-8)
+    assert oracle == accessible_subspace_dimension(esr_allowed=esr) == rank
+
+
+def test_quorum_frozen_tuples():
     q = mub_quorum()
-    assert isinstance(q.labels, tuple) and isinstance(q.states, tuple)
-    assert isinstance(q.basis_index, tuple) and not q.matrices.flags.writeable
+    assert isinstance(q.labels, tuple) and isinstance(q.basis_index, tuple)
+    assert not q.matrices.flags.writeable
+    # the operators are all a quorum holds: no states beside them
+    assert [f.name for f in dataclasses.fields(Quorum)] == ["name", "labels", "matrices",
+                                                            "basis_index"]
 
 
 def test_mub_quorum_is_built_once_and_shared():
@@ -310,7 +360,8 @@ def test_mub_quorum_is_built_once_and_shared():
     q = mub_quorum()
     assert q is mub_quorum()
     assert not q.matrices.flags.writeable
-    assert not any(s.amplitudes.flags.writeable for s in q.states)
+    assert james_quorum() is james_quorum()
+    assert not james_quorum().matrices.flags.writeable
 
 
 def test_esr_budget_enforced_at_construction(monkeypatch):

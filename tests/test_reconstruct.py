@@ -252,7 +252,7 @@ def test_degraded_quorum_round_trip():
     # a readout-fidelity error exactly at the probability level
     q = mub_quorum()
     f = 0.85
-    dq = Quorum("mub-degraded", q.labels, degrade_readout(q.matrices, f), q.basis_index, q.states)
+    dq = Quorum("mub-degraded", q.labels, degrade_readout(q.matrices, f), q.basis_index)
     pm = pmatrix(dq)
     expected_det = (1.0 / 32.0) * ((4 * f * f - 1) / 3.0) ** 15
     assert abs(abs(pm.det) - expected_det) < 1e-15
