@@ -37,11 +37,12 @@ from .dotmodel import DotParams, spectrum_sweep
 from .gates import GateKind, evolve_projector, gate_matrix
 from .measure import (
     NoiseModel,
-    average_projector,
+    average_readouts,
     born_probabilities,
     calibration_matrix,
     degrade_readout,
     plan_shots,
+    readout_steps,
     simulate_counts,
 )
 from .qmath import (
@@ -52,6 +53,7 @@ from .qmath import (
     UP_DOWN,
     UP_UP,
     DensityMatrix,
+    check_density_matrix,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -61,7 +63,6 @@ from .qmath import (
 )
 from .quorum import (
     DET_UPPER_BOUND,
-    Projector,
     Quorum,
     QuorumDegenerateError,
     accessible_subspace_dimension,
@@ -338,12 +339,16 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
 
 @functools.cache
 def _noise_readouts() -> tuple:
-    """The 15 (measurement circuit, base readout) pairs that noise
-    averaging starts from, fixed by the scheme: built on first use and shared."""
-    return tuple(
-        (prep.measurement_circuit(), Projector(prep.base_state.projector(), prep.base_label))
-        for prep in mub_preparations()
-    )
+    """What noise averaging starts from, fixed by the scheme: the
+    ``readout_steps`` of the 15 measurement circuits, the (15, 4, 4) stack
+    of base readouts and their base labels.  Built on first use and
+    shared, so a noisy run averages all 15 readouts in one batched pass
+    over gate positions and builds no gate table."""
+    preps = mub_preparations()
+    bases = np.stack([prep.base_state.projector() for prep in preps])
+    bases.setflags(write=False)
+    steps = readout_steps(prep.measurement_circuit() for prep in preps)
+    return steps, bases, tuple(prep.base_label for prep in preps)
 
 
 def _effective_quorum(cfg: dict) -> Quorum:
@@ -368,10 +373,7 @@ def _effective_quorum(cfg: dict) -> Quorum:
                           f"noise config for {kind}")
         try:
             noise = NoiseModel.from_json(noise_cfg)
-            matrices = np.stack([
-                average_projector(circuit, base, noise).projector.matrix
-                for circuit, base in _noise_readouts()
-            ])
+            matrices = check_density_matrix(average_readouts(*_noise_readouts(), noise))
         except ValueError as exc:
             raise ConfigError(f"bad noise model: {exc}") from exc
     if fidelity is not None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import cli, quorum
+from spintomo import cli, measure, quorum
 from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -441,9 +441,10 @@ def test_configs_reject_non_finite_numbers(tmp_path, command, text):
 
 
 def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsys):
-    # the quorum, its readout circuits and the parser are built once per
-    # process: after one run of each config, a second one prepares no
-    # state, inverts no circuit and builds no parser
+    # the quorum, its readout circuits and their gate tables and the
+    # parser are built once per process: after one run of each config, a
+    # second one prepares no state, inverts no circuit, builds no gate
+    # table and no parser, and averages no readout on its own
     argvs = [
         ["tomography", "--config", _write_cfg(tmp_path, f"c{i}.json", dict(
             {"state": {"kind": "random", "seed": 3}, "shots": 500}, **extra)),
@@ -467,6 +468,9 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(Circuit, "adjoint", counting("adjoint", Circuit.adjoint))
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         counting("parser", argparse.ArgumentParser.__init__))
+    monkeypatch.setattr(cli, "readout_steps", counting("readout_steps", cli.readout_steps))
+    monkeypatch.setattr(measure, "average_projector",
+                        counting("average_projector", measure.average_projector))
     for argv in argvs:
         assert main(argv) == EXIT_OK
     capsys.readouterr()
@@ -475,7 +479,8 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     mub_quorum.__wrapped__()
     cli._noise_readouts.__wrapped__()
     cli._build_parser.__wrapped__()
-    assert calls == Counter(circuit_apply=15, adjoint=15, parser=6)  # 5 subcommand parsers
+    assert calls == Counter(circuit_apply=15, adjoint=15, parser=6,  # 5 subcommand parsers
+                            readout_steps=1)
 
 
 def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):

@@ -63,6 +63,15 @@ PANEL = (
                 "z_rot_both": {"mean_rad": -0.02, "std_rad": 0.04},
                 "esr_x_qubit1": {"mean_rad": 0.01, "std_rad": 0.08}}},
      ["--seed", "6", "--reps", "8"]),
+    ("tomo_noise_all_kinds", "tomography",
+     {"state": {"kind": "random", "seed": 8, "rank": 3}, "shots": 1200,
+      "noise": {"exchange_pulse": {"mean_rad": 0.02, "std_rad": 0.05},
+                "z_rot_qubit1": {"mean_rad": -0.01, "std_rad": 0.06},
+                "z_rot_qubit2": {"mean_rad": 0.015, "std_rad": 0.07},
+                "z_rot_both": {"std_rad": 0.04},
+                "gradient_z": {"mean_rad": 0.01, "std_rad": 0.03},
+                "esr_x_qubit1": {"mean_rad": -0.02, "std_rad": 0.09}}},
+     ["--seed", "8", "--reps", "6"]),
     ("tomo_up_up", "tomography", {"state": {"kind": "named", "name": "up_up"}, "shots": 100},
      ["--reps", "10"]),
     ("tomo_triplet_zero", "tomography",
@@ -140,6 +149,12 @@ DIGESTS = {
         "covariance_predicted.csv": "b98017f7f030c610119df1b617c3dd65e46a1aaf4e673efc3e36df43c36d7485",
         "records.csv": "26ca504997ff60cfcf6a0af0993ef1dd07ccc0d55cb7019c63d19d901a43c4ea",
         "result.json": "d7580ce74396d1ec44f3edbc6952469e0a49c57545956cca37e28a0f5b95cbb5",
+    },
+    "tomo_noise_all_kinds": {
+        "covariance_empirical.csv": "07aedcf8233eeb04198ef0f8152dc81bf982a5b2b21b078d28729908b9393eb8",
+        "covariance_predicted.csv": "88082832a03614a4fc519c5eecda9690ba801e5435d05fbd69ede9959d8dc47b",
+        "records.csv": "c0ce5a36bf44973b3d51f631abe44848556b82f5e0393afba2eac3925f5dc081",
+        "result.json": "bbc861077e908bb1a8eaa78a2e7af4b0f9d4933a4f350535c7ba30e37250202a",
     },
     "tomo_up_up": {
         "covariance_empirical.csv": "697b0c202606ca14f9f0da5572952ef4651408715e7031c063f2acf8e60545a5",

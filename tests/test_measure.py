@@ -9,10 +9,12 @@ from spintomo.measure import (
     AveragedProjector,
     NoiseModel,
     average_projector,
+    average_readouts,
     born_probabilities,
     calibration_matrix,
     degrade_readout,
     plan_shots,
+    readout_steps,
     simulate_counts,
     tail_bound,
 )
@@ -249,6 +251,29 @@ def test_averaged_projector_is_valid_operator():
     huge = NoiseModel({GateKind.ESR_X_QUBIT1: AngleNoise(1e308, 0.0)})
     with pytest.raises(ValueError, match="not finite"):
         average_projector(prep.measurement_circuit(), base, huge)
+
+
+def test_stacked_average_rows_are_each_circuits_own_average():
+    # the 15 MUB readouts hold 0 to 5 gates, so each gate position from the
+    # end reaches a different set of rows; under noise on all six kinds,
+    # each row of the one batched pass is its circuit's average alone
+    noise = NoiseModel({kind: AngleNoise(0.01 * (i + 1), 0.05 + 0.02 * i)
+                        for i, kind in enumerate(GateKind)})
+    preps = mub_preparations()
+    circuits = [prep.measurement_circuit() for prep in preps]
+    assert sorted({len(c.gates) for c in circuits}) == [0, 1, 2, 3, 4, 5]
+    bases = np.stack([prep.base_state.projector() for prep in preps])
+    labels = [prep.base_label for prep in preps]
+    stacked = average_readouts(readout_steps(circuits), bases, labels, noise)
+    for row, circuit, base, label in zip(stacked, circuits, bases, labels):
+        own = average_projector(circuit, Projector(base, label), noise).projector.matrix
+        np.testing.assert_array_equal(row, own)
+    np.testing.assert_array_equal(stacked[:2], bases[:2])  # P01, P02: no gate
+    # an overflowing phase names the label of the first readout it
+    # reaches: P04 holds the first resonant pulse
+    huge = NoiseModel({GateKind.ESR_X_QUBIT1: AngleNoise(1e308, 0.0)})
+    with pytest.raises(ValueError, match="^P04: averaged readout is not finite"):
+        average_readouts(readout_steps(circuits), bases, [p.label for p in preps], huge)
 
 
 def test_calibration_matrix_gram():
