@@ -53,7 +53,6 @@ from .qmath import (
     UP_DOWN,
     UP_UP,
     DensityMatrix,
-    check_density_matrix,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -210,8 +209,8 @@ def _write_all(out: Path, files: dict) -> None:
     written = []
     try:
         for name, text in files.items():
-            (out / name).write_text(text)
-            written.append(out / name)
+            written.append(out / name)  # before writing: a write may fail halfway
+            written[-1].write_text(text)
     except OSError:
         for path in written:
             path.unlink(missing_ok=True)
@@ -371,16 +370,17 @@ def _effective_quorum(cfg: dict) -> Quorum:
         for kind, entry in noise_cfg.items():
             _check_fields(entry, {}, dict.fromkeys(("mean_rad", "std_rad"), (int, float)),
                           f"noise config for {kind}")
-        try:
-            noise = NoiseModel.from_json(noise_cfg)
-            matrices = check_density_matrix(average_readouts(*_noise_readouts(), noise))
-        except ValueError as exc:
-            raise ConfigError(f"bad noise model: {exc}") from exc
-    if fidelity is not None:
-        fidelity = float(fidelity)
-        matrices = degrade_readout(matrices, fidelity)
-        labels = tuple(f"{label}~f={fidelity:g}" for label in labels)
-    return Quorum("mub-effective", labels, matrices, q.basis_index)
+    try:
+        if noise_cfg is not None:
+            matrices = average_readouts(*_noise_readouts(), NoiseModel.from_json(noise_cfg))
+        if fidelity is not None:
+            fidelity = float(fidelity)
+            matrices = degrade_readout(matrices, fidelity)
+            labels = tuple(f"{label}~f={fidelity:g}" for label in labels)
+        # the one check of the averaged, degraded stack
+        return Quorum("mub-effective", labels, matrices, q.basis_index)
+    except ValueError as exc:
+        raise ConfigError(f"bad noise model: {exc}") from exc
 
 
 def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:

@@ -21,10 +21,13 @@ read-only arrays.
 
 The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
-``verify.json``.  The Gram-Schmidt lengths are the Cholesky diagonal of
-the P rows' Gram matrix; the random quorums of the determinant bound and
-the kets of the tau witness are each one array drawn from one stream;
-the closure rank of the readouts is one SVD per commutator depth.
+``verify.json``.  The P matrices of one quorum or a stack of them are
+one product with a constant (16, 15) weight matrix.  The Gram-Schmidt
+lengths are the Cholesky diagonal of the P rows' Gram matrix; the random
+quorums of the determinant bound and the kets of the tau witness are
+each one array drawn from one stream; the closure rank of the readouts
+runs on the 15 real traceless D coordinates, one product with the real
+15x15 adjoint tables of the generators and one SVD per commutator depth.
 """
 
 from __future__ import annotations
@@ -289,10 +292,19 @@ class PMatrix:
     inverse: np.ndarray
 
 
+#: tr(M D_k) = M.ravel() @ _PMATRIX_WEIGHTS[:, k - 1] for k = 1..15
+_PMATRIX_WEIGHTS = np.ascontiguousarray(PAULI_BASIS[1:].transpose(0, 2, 1).reshape(15, 16).T)
+_PMATRIX_WEIGHTS.setflags(write=False)
+
+
 def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
-    """P matrices of a stack of quorum matrices, shape (..., 15, 4, 4)."""
-    # not pauli_expand(mats)[..., 1:]: that contraction differs in the last bits, moving outputs
-    return np.einsum("...jab,kba->...jk", mats, PAULI_BASIS[1:]).real
+    """P matrices of a stack of quorum matrices, shape (..., 15, 4, 4):
+    one product of the flattened (..., 15, 16) stack with a constant
+    (16, 15) weight matrix."""
+    # keep .real a strided view: callers such as covariance_predict multiply
+    # these entries, and a contiguous copy takes another matmul path there,
+    # moving the last bits of their outputs
+    return (mats.reshape(*mats.shape[:-2], 16) @ _PMATRIX_WEIGHTS).real
 
 
 def pmatrix(q: Quorum) -> PMatrix:
@@ -308,6 +320,19 @@ def pmatrix(q: Quorum) -> PMatrix:
     return PMatrix(entries, det, np.linalg.inv(entries))
 
 
+@functools.cache
+def adjoint_table(kind: GateKind) -> np.ndarray:
+    """The map X -> i[H, X] of one control generator H on the 15 traceless
+    D coordinates, as a real, antisymmetric, read-only 15x15 table T:
+    x @ T holds the coordinates of i[H, X] for X = sum_k x_k D_k.  Built
+    on first use (not at import) and kept."""
+    h = generator(kind)
+    d = PAULI_BASIS[1:]
+    table = pauli_expand(1j * (h @ d - d @ h))[:, 1:]
+    table.setflags(write=False)
+    return table
+
+
 def accessible_subspace_dimension(esr_allowed: bool) -> int:
     """Dimension of the operator space reachable by evolved readouts.
 
@@ -316,21 +341,23 @@ def accessible_subspace_dimension(esr_allowed: bool) -> int:
     reach span the smallest space that holds the traceless parts of the
     three readout projectors and is closed under X -> i[H, X] for every
     control generator H: exchange and the z rotations, plus the
-    resonant x rotation when ``esr_allowed``.  Each pass stacks the
-    orthonormal span with its commutators and keeps, from one SVD, the
-    directions of singular value above 1e-10, until the rank stops growing.
+    resonant x rotation when ``esr_allowed``.  The span lives in the 15
+    real traceless D coordinates, where each commutator map is one
+    ``adjoint_table``.  Each pass stacks the orthonormal span with its
+    images, one real product with the stacked tables, and keeps, from
+    one SVD of that real (n, 15) stack, the directions of singular value
+    above 1e-10, until the rank stops growing.
     """
     kinds = [GateKind.EXCHANGE_PULSE, GateKind.Z_ROT_QUBIT1, GateKind.Z_ROT_QUBIT2]
     if esr_allowed:
         kinds.append(GateKind.ESR_X_QUBIT1)
-    h = np.stack([generator(k) for k in kinds])[:, None]
-    span = np.stack([s.projector() - np.eye(4) / 4.0 for s in BASE_STATES.values()])
+    tables = np.stack([adjoint_table(k) for k in kinds])
+    span = pauli_expand(np.stack([s.projector() for s in BASE_STATES.values()]))[:, 1:]
     rank = 0
     while True:
-        moved = 1j * (h @ span - span @ h)
-        stack = np.concatenate([span, moved.reshape(-1, 4, 4)]).reshape(-1, 16)
+        stack = np.concatenate([span, (span @ tables).reshape(-1, 15)])
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        span = vh[sv > 1e-10].reshape(-1, 4, 4)
+        span = vh[sv > 1e-10]
         if len(span) == rank:
             return rank
         rank = len(span)

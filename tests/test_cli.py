@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import argparse
+import errno
 import json
 import os
 import random
@@ -682,6 +683,25 @@ def test_unwritable_output_file_exits_config(tmp_path, command, blocked, capsys)
     assert "configuration error" in err and blocked in err
     # the files written before the failure are removed again
     assert list(out.iterdir()) == [out / blocked]
+
+
+def test_a_write_failing_halfway_leaves_no_file(tmp_path, monkeypatch):
+    cfg = _tomo_cfg(tmp_path)
+    out = tmp_path / "o"
+    real_write, names = Path.write_text, []
+
+    def full_disk_on_second_file(path, text, *args, **kwargs):
+        # the second output gets half its text, then the disk is full
+        names.append(path.name)
+        if len(names) == 2:
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk_on_second_file)
+    assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert len(names) == 2
+    assert list(out.iterdir()) == []
 
 
 def _strict_json(path):

@@ -222,8 +222,8 @@ import json, sys, tempfile
 from pathlib import Path
 from spintomo import cli, quorum
 from test_golden_outputs import PANEL, run_case
-cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, cli._noise_readouts,
-          cli._build_parser)
+cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quorum.adjoint_table,
+          cli._noise_readouts, cli._build_parser)
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:

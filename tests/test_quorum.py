@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix
+from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix, generator
 from spintomo.measure import degrade_readout
 from spintomo.qmath import (
     DOWN,
@@ -20,8 +20,10 @@ from spintomo.qmath import (
     SINGLET,
     PureState,
     kron_state,
+    pauli_assemble,
     pauli_expand,
     random_pure,
+    stream,
 )
 from spintomo.quorum import (
     DET_UPPER_BOUND,
@@ -30,6 +32,7 @@ from spintomo.quorum import (
     Quorum,
     QuorumDegenerateError,
     accessible_subspace_dimension,
+    adjoint_table,
     closed_form_deviation,
     constrained_random_kets,
     esr_budget_excess,
@@ -201,6 +204,21 @@ def test_pmatrix_entries_against_manual_traces():
         for k in range(15):
             manual = np.trace(q.matrices[j] @ PAULI_BASIS[k + 1]).real
             assert abs(entries[j, k] - manual) < 1e-14
+    # a strided .real view, as its callers' outputs were recorded with
+    assert not entries.flags.c_contiguous
+
+
+def test_pmatrix_entries_of_a_stack_match_each_quorum_bit_for_bit():
+    # the stack of the det_upper_bound_strict row of verify
+    rng = stream("det-bound")
+    kets = rng.standard_normal((100, 15, 4)) + 1j * rng.standard_normal((100, 15, 4))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    randoms = np.einsum("tja,tjb->tjab", kets, kets.conj())
+    mats = np.concatenate([[mub_quorum().matrices, james_quorum().matrices], randoms])
+    entries = pmatrix_entries(mats)
+    assert entries.shape == (102, 15, 15)
+    np.testing.assert_array_equal(entries[0], pmatrix_entries(mub_quorum().matrices))
+    np.testing.assert_array_equal(entries[1], pmatrix_entries(james_quorum().matrices))
 
 
 def test_determinants_frozen_values():
@@ -321,6 +339,28 @@ def test_gram_schmidt_lengths_match_sequential_oracle():
 def test_gram_schmidt_rejects_cross_triple_overlap():
     with pytest.raises(ValueError, match="different triples"):
         gram_schmidt_lengths(james_quorum())  # product quorum rows overlap
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_adjoint_table_is_real_and_antisymmetric(kind):
+    # i[H, .] is skew-adjoint under the Hilbert-Schmidt product
+    table = adjoint_table(kind)
+    assert table.shape == (15, 15) and table.dtype == np.float64
+    assert not table.flags.writeable
+    np.testing.assert_allclose(table, -table.T, rtol=0, atol=1e-15)
+    assert adjoint_table(kind) is table  # built once
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_adjoint_table_moves_coordinates_like_the_commutator(kind):
+    h = generator(kind)
+    rng = np.random.default_rng(4096)
+    for _ in range(20):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        x = a + a.conj().T
+        moved = np.concatenate([[0.0], pauli_expand(x)[1:] @ adjoint_table(kind)])
+        np.testing.assert_allclose(pauli_assemble(moved), 1j * (h @ x - x @ h),
+                                   rtol=0, atol=1e-12)
 
 
 def test_accessible_subspace_ranks():
