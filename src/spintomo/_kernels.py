@@ -1,7 +1,9 @@
 """The binomial likelihood and its ascent, the inner loop of the MLE.
 
 Kept apart from ``reconstruct`` so that the ascent, ``mle_ascend``, can
-be timed and traced on its own.
+be timed and traced on its own.  The likelihood reads a quorum only
+through its ``quadratic_forms``, which a ``Quorum`` builds once and
+keeps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ _OFF_DIAGONAL = _TRIL_ROW != _TRIL_COL
 _ROW = np.concatenate([_TRIL_ROW, _TRIL_ROW[_OFF_DIAGONAL]])
 _COL = np.concatenate([_TRIL_COL, _TRIL_COL[_OFF_DIAGONAL]])
 _UNIT = np.concatenate([np.ones(10), np.full(6, 1j)])
+_IDENTITY = np.eye(16)
+# x and 15 unit vectors: the first QR factor of [x, _PAD] spans the tangent space
+_PAD = np.eye(16)[:, :15]
 
 
 def _to_coordinates(t_mat):
@@ -38,8 +43,9 @@ def _to_matrix(x):
     return t_mat
 
 
-def _quadratic_forms(projs):
-    """Real symmetric A_j with tr(P_j T^dag T) = x^T A_j x; tr(T^dag T) = x^T x."""
+def quadratic_forms(projs):
+    """Real symmetric A_j with tr(P_j T^dag T) = x^T A_j x, shape (15, 16, 16),
+    for the (15, 4, 4) quorum stack projs; tr(T^dag T) = x^T x."""
     same_row = _ROW[:, None] == _ROW[None, :]
     entries = projs[:, _COL[None, :], _COL[:, None]]  # [j, k, l] -> P_j[col_l, col_k]
     return (np.conj(_UNIT)[:, None] * _UNIT[None, :] * same_row * entries).real
@@ -52,31 +58,38 @@ def loglik(q, m, nw):
     return float(np.sum(nw * (m * np.log(qc) + (1.0 - m) * np.log1p(-qc))))
 
 
-def mle_ascend(projs, m, nw, t0):
+def mle_ascend(forms, m, nw, t0):
     """Likelihood ascent over the triangular square-root parametrization.
 
     Maximizes the weighted binomial log-likelihood of rho(T) = T^dag T /
     tr(T^dag T) over the 16 real coordinates x of a lower-triangular T
-    with real diagonal.  The objective depends on x only through
-    x / |x|, so the iterate stays on the unit sphere and each step is a
-    damped Newton step in its tangent space: the damping is the least
-    that makes the negated Hessian positive definite, raised fourfold
-    until the step ascends and lowered fourfold after each accepted
-    step.  Rank-deficient optima, where plain gradient ascent crawls,
-    are reached in a few steps.  Stops when the gradient norm drops
-    below GTOL, when a step gains less than a relative 1e-14, when no
-    damped step ascends, or after MAX_ITER steps.  Returns (T, scaled
-    loglik, iterations, converged).
+    with real diagonal, where tr(P_j rho) = x^T A_j x / x^T x for the
+    ``quadratic_forms`` A_j of the quorum.  The objective depends on x
+    only through x / |x|, so the iterate stays on the unit sphere and
+    each step is a damped Newton step in its tangent space: the damping
+    is the least that makes the negated Hessian positive definite,
+    raised fourfold until the step ascends and lowered fourfold after
+    each accepted step.  Rank-deficient optima, where plain gradient
+    ascent crawls, are reached in a few steps.
+
+    Returns (T, scaled loglik, iterations, converged, reason), where T is
+    t0 itself when no step was taken and reason says why the ascent
+    stopped: "gradient" (the gradient norm fell below GTOL), "stall" (a
+    step gained less than a relative 1e-14), "no_ascent" (no damped step
+    ascends) or "max_iter" (MAX_ITER steps, the one exit that is not
+    converged).
     """
-    forms = _quadratic_forms(np.asarray(projs))
-    t_mat = np.asarray(t0, dtype=np.complex128).copy()
-    x = _to_coordinates(t_mat)
+    x = _to_coordinates(np.asarray(t0, dtype=np.complex128))
     x = x / np.linalg.norm(x)
 
     def evaluate(x):
         ax = forms @ x
         q = ax @ x
         return ax, q, loglik(q, m, nw)
+
+    def stop(iterations, reason):
+        t_mat = np.array(t0, dtype=np.complex128) if iterations == 0 else _to_matrix(x)
+        return t_mat, lik, iterations, reason != "max_iter", reason
 
     ax, q, lik = evaluate(x)
     damping = 0.0
@@ -87,11 +100,11 @@ def mle_ascend(projs, m, nw, t0):
         dq = 2.0 * (ax - q[:, None] * x)  # gradients of q_j on the unit sphere
         grad = d1 @ dq
         if np.linalg.norm(grad) < GTOL:
-            return t_mat, lik, it, True
+            return stop(it, "gradient")
         # minus the Hessian; its terms along x drop out in the tangent space
         neg_hess = (dq.T * d2) @ dq - 2.0 * np.einsum("j,jkl->kl", d1, forms)
-        neg_hess += 2.0 * np.dot(d1, q) * np.eye(16)
-        tangent = np.linalg.qr(np.column_stack([x, np.eye(16)[:, :15]]))[0][:, 1:]
+        neg_hess += 2.0 * np.dot(d1, q) * _IDENTITY
+        tangent = np.linalg.qr(np.column_stack([x, _PAD]))[0][:, 1:]
         curv, vecs = np.linalg.eigh(tangent.T @ neg_hess @ tangent)
         basis = tangent @ vecs
         grad_b = basis.T @ grad
@@ -106,11 +119,10 @@ def mle_ascend(projs, m, nw, t0):
             damping = max(4.0 * damping, 1e-12 * scale)
         else:
             # no step of any damping ascends: a maximum to working precision
-            return t_mat, lik, it, True
+            return stop(it, "no_ascent")
         gain = lik_new - lik
         x, ax, q, lik = x_new, ax_new, q_new, lik_new
-        t_mat = _to_matrix(x)
         damping *= 0.25
         if gain <= _FTOL * (1.0 + abs(lik)):
-            return t_mat, lik, it + 1, True
-    return t_mat, lik, MAX_ITER, False
+            return stop(it + 1, "stall")
+    return stop(MAX_ITER, "max_iter")

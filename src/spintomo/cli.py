@@ -78,7 +78,7 @@ from .quorum import (
     pmatrix_entries,
     quorum_records,
 )
-from .reconstruct import covariance_predict, linear_coefficients, mle_from_frequencies, psd_project
+from .reconstruct import covariance_predict, linear_coefficients, mle_from_frequencies
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,14 +182,18 @@ def _numbers(value, where: str, count: Optional[int] = None) -> list:
     return [float(x) for x in values]
 
 
+#: how _fmt prints a non-finite float
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
 def _csv(meta: dict, header: str, rows) -> str:
     """CSV text; a NaN or infinity is a numerical failure (exit 3), as in JSON."""
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(header)
-    for row in rows:
-        if not all(math.isfinite(x) for x in row if isinstance(x, float)):
-            raise RuntimeError(f"an output would hold a non-finite number: {row}")
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+    lines = [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    # one check per file: no label, count or finite float prints as these
+    bad = _NON_FINITE.intersection(",".join(lines).split(","))
+    if bad:
+        raise RuntimeError(f"an output would hold a non-finite number: {sorted(bad)}")
+    lines[:0] = [f"# {k}={v}" for k, v in meta.items()] + [header]
     return "\n".join(lines) + "\n"
 
 
@@ -439,7 +443,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     payload["converged"] = result.converged
     payload["iterations"] = result.iterations
 
-    lin_projected = psd_project(rho_lin)
+    lin_projected = result.psd_projection
     payload["linear"] = {
         "rho_real": rho_lin.real.tolist(),
         "rho_imag": rho_lin.imag.tolist(),
@@ -452,10 +456,11 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
 
     diag = {
         "mle_trace_distance_to_truth": trace_distance(rho_mle, truth.matrix),
-        "mle_fidelity_to_truth": state_fidelity(rho_mle, truth.matrix),
+        # the DensityMatrix objects, validated when built, are not checked again
+        "mle_fidelity_to_truth": state_fidelity(result.rho_mle, truth),
         "linear_max_entry_error": float(np.max(np.abs(rho_lin - truth.matrix))),
         "linear_fidelity_to_truth": (
-            state_fidelity(rho_lin, truth.matrix) if linear_psd else None
+            state_fidelity(rho_lin, truth) if linear_psd else None
         ),
     }
     payload["diagnostics"] = diag

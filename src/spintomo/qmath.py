@@ -10,6 +10,7 @@ tr(A^dag B).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -234,10 +235,20 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _checked_operator(obj) -> np.ndarray:
+    """Matrix of a state argument; a DensityMatrix was checked when built."""
+    if isinstance(obj, DensityMatrix):
+        return obj.matrix
+    return check_density_matrix(as_operator(obj))
+
+
 def state_fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
-    rho = check_density_matrix(as_operator(rho))
-    sigma = check_density_matrix(as_operator(sigma))
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+
+    Each argument is a DensityMatrix, a PureState or a bare array, which
+    is checked as a density matrix first."""
+    rho = _checked_operator(rho)
+    sigma = _checked_operator(sigma)
     r = _psd_sqrt(rho)
     vals = np.linalg.eigvalsh(r @ sigma @ r)
     f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
@@ -269,8 +280,35 @@ def stream(*path) -> np.random.Generator:
     """
     text = "/".join(str(p) for p in path)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _register_philox_key()
+    return np.random.Generator(np.random.Philox(_PhiloxKey(digest[:16])))
+
+
+class _PhiloxKey:
+    """A seed that is only a Philox key, the 16 bytes given.
+
+    ``Philox(_PhiloxKey(b))`` has the state of ``Philox(key=k)`` for the
+    two 64-bit words k of b, counter 0, and so the same draws, without
+    the SeedSequence that ``Philox(key=...)`` first seeds from OS entropy
+    and then discards.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: bytes):
+        self.key = np.frombuffer(key, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its key: two uint64 words
+        return self.key
+
+
+@functools.cache
+def _register_philox_key() -> None:
+    # on the first stream, so that importing the package loads no numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
 
 
 def random_density(seed: int, rank: int = 4) -> DensityMatrix:

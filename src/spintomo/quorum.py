@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qmath
+from . import _kernels, qmath
 from .gates import Circuit, Gate, GateKind, circuit_apply, generator
 from .qmath import (
     DOWN,
@@ -90,6 +90,10 @@ class Quorum:
     ``basis_index`` (the unbiased basis of each operator, None outside
     one) follow the same order.  No states are kept: an averaged or
     degraded quorum holds mixed operators, which no pure state prepares.
+    What is a function of the stack alone, the P matrix (``pmatrix``) and
+    the likelihood's ``likelihood_forms``, is built on first use and kept
+    on the quorum, read-only: the shared MUB quorum builds each once per
+    process, an averaged or degraded one once per run.
     """
 
     name: str
@@ -106,6 +110,17 @@ class Quorum:
         mats = qmath.check_density_matrix(self.matrices).copy()
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+
+    @functools.cached_property
+    def likelihood_forms(self) -> np.ndarray:
+        """The read-only (15, 16, 16) ``_kernels.quadratic_forms`` of the stack."""
+        forms = _kernels.quadratic_forms(self.matrices)
+        forms.setflags(write=False)
+        return forms
+
+    @functools.cached_property
+    def _pmatrix(self) -> "PMatrix":
+        return _build_pmatrix(self)
 
 
 # closed-form Pauli terms of the 15 quorum projectors:
@@ -284,7 +299,8 @@ class PMatrix:
     """Overlap matrix between quorum projectors and the traceless D_k.
 
     entries[j, k-1] = tr(P_j D_k) for k = 1..15.  Rows follow quorum
-    order, columns ascending k = 4*i + l.
+    order, columns ascending k = 4*i + l.  ``entries`` and ``inverse``
+    are read-only: a quorum's P matrix is shared by every run using it.
     """
 
     entries: np.ndarray
@@ -308,16 +324,24 @@ def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
 
 
 def pmatrix(q: Quorum) -> PMatrix:
-    """Build the overlap matrix, its LU determinant and inverse.
+    """The overlap matrix of a quorum, its LU determinant and inverse,
+    built on the quorum's first call and kept on it.
 
     Raises QuorumDegenerateError when |det| < 1e-9, since reconstruction
     divides by this determinant.
     """
+    return q._pmatrix
+
+
+def _build_pmatrix(q: Quorum) -> PMatrix:
     entries = pmatrix_entries(q.matrices)
     det = float(np.linalg.det(entries))
     if abs(det) < DET_FLOOR:
         raise QuorumDegenerateError(f"quorum {q.name!r}: |det| = {abs(det):.3e}")
-    return PMatrix(entries, det, np.linalg.inv(entries))
+    inverse = np.linalg.inv(entries)
+    entries.setflags(write=False)
+    inverse.setflags(write=False)
+    return PMatrix(entries, det, inverse)
 
 
 @functools.cache

@@ -1,13 +1,15 @@
 """State reconstruction from quorum frequencies.
 
-``mle_from_frequencies`` builds the P matrix once and returns both
-estimators with it.  Linear inversion, P^-1 (m - 1/4), is exact on exact
-probabilities and runs on whole stacks of repetitions, but its output
-can have (slightly) negative eigenvalues at finite shot counts.  The
+``mle_from_frequencies`` returns both estimators with the quorum's P
+matrix, which the quorum builds once and keeps.  Linear inversion,
+P^-1 (m - 1/4), is exact on exact probabilities and runs on whole
+stacks of repetitions, but its output can have (slightly) negative
+eigenvalues at finite shot counts.  The
 likelihood route reparametrizes rho = T^dag T / tr(T^dag T), which is
 PSD by construction, and ascends the binomial log-likelihood; it is
 seeded from the PSD-projected linear estimate, so on clean data it
-starts essentially converged.
+starts essentially converged.  One eigendecomposition of the linear
+estimate gives both that seed and the reported PSD projection.
 """
 
 from __future__ import annotations
@@ -80,6 +82,17 @@ def covariance_bound(pm: PMatrix, n_shots: float) -> float:
     return COVARIANCE_BOUND_NUMERATOR / (n_shots * pm.det**2)
 
 
+def _hermitian_eigh(matrix: np.ndarray) -> tuple:
+    sym = 0.5 * (np.asarray(matrix, dtype=np.complex128) + np.asarray(matrix).conj().T)
+    return np.linalg.eigh(sym)
+
+
+def _clip_renormalize(vals: np.ndarray, vecs: np.ndarray, floor: float) -> np.ndarray:
+    vals = np.clip(vals, floor, None)
+    rho = (vecs * vals) @ vecs.conj().T
+    return rho / np.trace(rho).real
+
+
 def psd_project(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Clip the negative eigenvalues at zero and renormalize the trace to one.
 
@@ -89,11 +102,12 @@ def psd_project(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
     seed the likelihood ascent, whose square-root parametrization needs
     a nonsingular starting point).
     """
-    sym = 0.5 * (np.asarray(matrix, dtype=np.complex128) + np.asarray(matrix).conj().T)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, floor, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.trace(rho).real
+    return _clip_renormalize(*_hermitian_eigh(matrix), floor)
+
+
+def _lower_square_root(rho: np.ndarray) -> np.ndarray:
+    upper = np.linalg.cholesky((_REVERSAL @ rho @ _REVERSAL).T).T
+    return _REVERSAL @ upper @ _REVERSAL
 
 
 def seed_square_root(rho_linear: np.ndarray) -> np.ndarray:
@@ -106,22 +120,27 @@ def seed_square_root(rho_linear: np.ndarray) -> np.ndarray:
     that reads the upper triangle of A, which is Hermitian only up to
     rounding, just as an upper-triangular LAPACK Cholesky does.
     """
-    rho = psd_project(rho_linear, floor=_SEED_EIGENVALUE_FLOOR)
-    upper = np.linalg.cholesky((_REVERSAL @ rho @ _REVERSAL).T).T
-    return _REVERSAL @ upper @ _REVERSAL
+    return _lower_square_root(psd_project(rho_linear, floor=_SEED_EIGENVALUE_FLOOR))
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Both estimators of one run, with the P matrix they were built from."""
+    """Both estimators of one run, with the P matrix they were built from.
+
+    ``psd_projection`` is the linear estimate clipped to a physical state
+    (``psd_project``); ``stop_reason`` says why the ascent stopped (see
+    ``_kernels.mle_ascend``).
+    """
 
     rho_linear: np.ndarray
+    psd_projection: np.ndarray
     rho_mle: DensityMatrix
     covariance_predicted: np.ndarray
     loglik: float
     linear_loglik: float
     iterations: int
     converged: bool
+    stop_reason: str
     linear_psd: bool
     pm: PMatrix
 
@@ -143,11 +162,12 @@ def mle_from_frequencies(
         raise ValueError("every frequency needs a positive trial count")
     pm = pmatrix(quorum)
     rho_linear = linear_from_frequencies(m, pm)
-    t0 = seed_square_root(rho_linear)
+    vals, vecs = _hermitian_eigh(rho_linear)
+    t0 = _lower_square_root(_clip_renormalize(vals, vecs, _SEED_EIGENVALUE_FLOOR))
     projs = quorum.matrices
     weights = shots / shots.sum()
-    t_mat, lik_scaled, iters, converged = _kernels.mle_ascend(
-        projs, m, weights, t0
+    t_mat, lik_scaled, iters, converged, reason = _kernels.mle_ascend(
+        quorum.likelihood_forms, m, weights, t0
     )
     rho = t_mat.conj().T @ t_mat
     rho = rho / np.trace(rho).real
@@ -156,12 +176,14 @@ def mle_from_frequencies(
     cov = covariance_predict(result_rho, pm, shots)
     return ReconstructionResult(
         rho_linear=rho_linear,
+        psd_projection=_clip_renormalize(vals, vecs, 0.0),
         rho_mle=result_rho,
         covariance_predicted=cov,
         loglik=float(lik_scaled * shots.sum()),
         linear_loglik=_kernels.loglik(np.einsum("jab,ba->j", projs, rho_linear).real, m, shots),
         iterations=int(iters),
         converged=bool(converged),
+        stop_reason=reason,
         linear_psd=is_psd(rho_linear),
         pm=pm,
     )

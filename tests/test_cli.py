@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import cli, measure, quorum
+from spintomo import _kernels, cli, measure, quorum
 from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -29,6 +29,7 @@ from spintomo.quorum import (
     Quorum,
     mub_preparations,
     mub_quorum,
+    pmatrix,
 )
 
 
@@ -445,7 +446,9 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     # the quorum, its readout circuits and their gate tables and the
     # parser are built once per process: after one run of each config, a
     # second one prepares no state, inverts no circuit, builds no gate
-    # table and no parser, and averages no readout on its own
+    # table and no parser, and averages no readout on its own; the P
+    # matrix and likelihood forms are built once per quorum, so the plain
+    # run builds neither and each run on a degraded or noisy quorum one
     argvs = [
         ["tomography", "--config", _write_cfg(tmp_path, f"c{i}.json", dict(
             {"state": {"kind": "random", "seed": 3}, "shots": 500}, **extra)),
@@ -472,16 +475,25 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "readout_steps", counting("readout_steps", cli.readout_steps))
     monkeypatch.setattr(measure, "average_projector",
                         counting("average_projector", measure.average_projector))
-    for argv in argvs:
+    monkeypatch.setattr(quorum, "pmatrix_entries",
+                        counting("pmatrix", quorum.pmatrix_entries))
+    monkeypatch.setattr(_kernels, "quadratic_forms",
+                        counting("forms", _kernels.quadratic_forms))
+    assert main(argvs[0]) == EXIT_OK
+    assert calls == Counter()
+    for argv in argvs[1:]:
         assert main(argv) == EXIT_OK
     capsys.readouterr()
-    assert calls == Counter()
+    assert calls == Counter(pmatrix=2, forms=2)
+    calls.clear()
     # the counters do see the work: the uncached builds make every call
-    mub_quorum.__wrapped__()
+    fresh = mub_quorum.__wrapped__()
     cli._noise_readouts.__wrapped__()
     cli._build_parser.__wrapped__()
+    pmatrix(fresh)
+    fresh.likelihood_forms
     assert calls == Counter(circuit_apply=15, adjoint=15, parser=6,  # 5 subcommand parsers
-                            readout_steps=1)
+                            readout_steps=1, pmatrix=1, forms=1)
 
 
 def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):

@@ -16,9 +16,8 @@ def test_numpy_mle_converges_on_exact_input():
     m = born_probabilities(psi, q.matrices)
     pm = pmatrix(q)
     t0 = seed_square_root(linear_from_frequencies(m, pm))
-    projs = q.matrices
     nw = np.full(15, 1.0 / 15.0)
-    t_mat, lik, its, conv = _kernels.mle_ascend(projs, m, nw, t0)
+    t_mat, lik, its, conv, reason = _kernels.mle_ascend(q.likelihood_forms, m, nw, t0)
     assert conv
     rho = t_mat.conj().T @ t_mat
     rho /= np.trace(rho).real
@@ -36,7 +35,7 @@ def test_mle_ascend_reaches_rank_deficient_optimum(seed):
     m = simulate_counts(truth, q.matrices, 10000, seed)[0] / 10000
     nw = np.full(15, 1.0 / 15.0)
     t0 = seed_square_root(linear_from_frequencies(m, pmatrix(q)))
-    t_mat, lik, its, conv = _kernels.mle_ascend(projs, m, nw, t0)
+    t_mat, lik, its, conv, reason = _kernels.mle_ascend(q.likelihood_forms, m, nw, t0)
     assert conv and its <= 50
     rho = t_mat.conj().T @ t_mat
     rho /= np.trace(rho).real

@@ -198,6 +198,20 @@ def test_stream_determinism_and_independence():
     del g1
 
 
+def test_stream_is_philox_keyed_by_the_path_hash_without_os_entropy(monkeypatch):
+    import hashlib
+
+    import numpy.random.bit_generator as bit_generator
+
+    key = np.frombuffer(hashlib.sha256(b"shots/1/2").digest()[:16], dtype=np.uint64)
+    expected = np.random.Philox(key=key)
+    # Philox(key=...) seeds a throwaway SeedSequence from OS entropy; stream does not
+    monkeypatch.setattr(bit_generator, "randbits", lambda *args: pytest.fail("OS entropy"))
+    rng = stream("shots", 1, 2)
+    assert repr(rng.bit_generator.state) == repr(expected.state)  # key, counter 0
+    np.testing.assert_array_equal(rng.random(16), np.random.Generator(expected).random(16))
+
+
 def test_random_density_ranks():
     for rank in (1, 2, 3, 4):
         dm = random_density(7, rank)

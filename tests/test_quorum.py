@@ -231,6 +231,18 @@ def test_pmatrix_inverse():
     np.testing.assert_allclose(pm.entries @ pm.inverse, np.eye(15), atol=1e-12)
 
 
+def test_quorum_constants_are_built_once_and_read_only():
+    q = mub_quorum()
+    pm, forms = pmatrix(q), q.likelihood_forms
+    assert pmatrix(q) is pm and q.likelihood_forms is forms
+    for arr in (pm.entries, pm.inverse, forms):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    # still the strided .real view that pmatrix_entries documents
+    assert not pm.entries.flags.c_contiguous
+
+
 def test_degenerate_quorum_raises():
     with pytest.raises(QuorumDegenerateError):
         pmatrix(Quorum("degenerate", LABELS, np.stack([UP_UP.projector()] * 15)))
