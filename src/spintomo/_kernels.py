@@ -3,7 +3,9 @@
 Kept apart from ``reconstruct`` so that the ascent, ``mle_ascend``, can
 be timed and traced on its own.  The likelihood reads a quorum only
 through its ``quadratic_forms``, which a ``Quorum`` builds once and
-keeps.
+keeps.  Each step of the ascent costs one (15, 256) product for the
+curvature of the forms and one 16x16 eigh for the tangent Newton step
+(``tangent_eigh``): no QR basis of the tangent space is formed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ _ROW = np.concatenate([_TRIL_ROW, _TRIL_ROW[_OFF_DIAGONAL]])
 _COL = np.concatenate([_TRIL_COL, _TRIL_COL[_OFF_DIAGONAL]])
 _UNIT = np.concatenate([np.ones(10), np.full(6, 1j)])
 _IDENTITY = np.eye(16)
-# x and 15 unit vectors: the first QR factor of [x, _PAD] spans the tangent space
-_PAD = np.eye(16)[:, :15]
 
 
 def _to_coordinates(t_mat):
@@ -56,6 +56,22 @@ def loglik(q, m, nw):
     clamped into (0, 1) (an unphysical linear estimate may leave them)."""
     qc = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
     return float(np.sum(nw * (m * np.log(qc) + (1.0 - m) * np.log1p(-qc))))
+
+
+def tangent_eigh(neg_hess, x):
+    """Eigenvalues (ascending) and eigenvectors, as columns, of a symmetric
+    16x16 matrix restricted to the tangent space of the unit sphere at x.
+
+    With P = I - x x^T, P neg_hess P plus s x x^T is one rank-2 update
+    of neg_hess.  The shift s = -(1 + 2 sum |neg_hess_ij|) lies below the
+    whole tangent spectrum, which |neg_hess|_2 bounds, so x is eigenvector
+    0 of one 16x16 eigh and dropping it leaves the 15 tangent pairs.
+    """
+    h = neg_hess @ x
+    shift = -(1.0 + 2.0 * np.abs(neg_hess).sum())
+    u = h - 0.5 * (x @ h + shift) * x
+    vals, vecs = np.linalg.eigh(neg_hess - np.outer(x, u) - np.outer(u, x))
+    return vals[1:], vecs[:, 1:]
 
 
 def mle_ascend(forms, m, nw, t0):
@@ -102,11 +118,9 @@ def mle_ascend(forms, m, nw, t0):
         if np.linalg.norm(grad) < GTOL:
             return stop(it, "gradient")
         # minus the Hessian; its terms along x drop out in the tangent space
-        neg_hess = (dq.T * d2) @ dq - 2.0 * np.einsum("j,jkl->kl", d1, forms)
+        neg_hess = (dq.T * d2) @ dq - 2.0 * (d1 @ forms.reshape(15, 256)).reshape(16, 16)
         neg_hess += 2.0 * np.dot(d1, q) * _IDENTITY
-        tangent = np.linalg.qr(np.column_stack([x, _PAD]))[0][:, 1:]
-        curv, vecs = np.linalg.eigh(tangent.T @ neg_hess @ tangent)
-        basis = tangent @ vecs
+        curv, basis = tangent_eigh(neg_hess, x)
         grad_b = basis.T @ grad
         scale = max(1.0, abs(curv[-1]))
         damping = max(damping, 1e-12 * scale - curv[0])

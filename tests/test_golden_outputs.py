@@ -89,109 +89,109 @@ PANEL = (
 
 DIGESTS = {
     "spectrum": {
-        "spectrum.csv": "5c29a63b5b527a3c016fb78dc03aabde6228183cf9d3f73281044b232d243a7c",
+        "spectrum.csv": "1d721d5c78b308885e9a4704331add8d171fa3bf8020b37fe53bb32f1fc1f385",
     },
     "quorum_mub": {
-        "circuits.json": "3547faa3deb1b75975e194ef7d2f4e8701d055bc12ab4d90d83140f984b59ce2",
-        "pmatrix.csv": "66145b25b15af9e90138d98c237a18eec290bfd013105598ce7da36d1f4f5c3e",
-        "quorum.json": "7763f949e3a3ac2dca3d43decd8fc254e1a80f75ae9649687f37c9d5f5e17d87",
+        "circuits.json": "8dce7e666fee397d7820334ec6f57cc95a0d24b7c1a4fceea75f17bd4a79a23e",
+        "pmatrix.csv": "82f7e62f0dd6fa12c2e3c6f444947aa7664a35cc868c131a453d423d2bdf097b",
+        "quorum.json": "27bb2d99d1d01306a1116716fa34e4060c9e8c0ccdebbeb753b2eb7d453e2b26",
     },
     "quorum_james": {
-        "pmatrix.csv": "da3a7e85761d36a6d05e5e477618dbbbab964367387142891305ef96f902b591",
-        "quorum.json": "1c3d27581b2987ef934efffd6c90d87bad7d0e389a6ae03bfe70133a50afa4b8",
+        "pmatrix.csv": "31a562bc8d9369492ea3f48fe40b3d80604309240ac18690771015b80bd4e932",
+        "quorum.json": "0cd2a133ad1821f528bf03298f28ba5caef4228ea7ed3079f3005b81aab17173",
     },
     "plan": {
-        "plan.csv": "d1f3a70ae5706c513a7f76da22a9c1dfabdc0eef95295c4b1888971db0972aa7",
+        "plan.csv": "a64cbbbcbd64df0133f14c828aa5159b3af8ddbdfc5f7e54842af6fd04f45788",
     },
     "verify": {
-        "verify.json": "18a3a74e5395d2c9bbb8feba2c118f49b93290763b94271e4ee5c8b3cba43c38",
+        "verify.json": "e6102fe7256c20b442de162e3a10682e7da937cf275fc593dbc91ef5f4de37a8",
     },
     "tomo_plain": {
-        "covariance_predicted.csv": "6790107ab0ef3d98d9ea04e412eac9e573f04bb1563a45db6d09cf6a5159082b",
-        "records.csv": "7684c6c821d5e6d948dd8fcfa5e4b9accd28a85fff0a3d76cc32c91c6402b685",
-        "result.json": "f620162c7a550bb85b244a14475314aaa0eb03c5e88048749a6bc333dd5f36d5",
+        "covariance_predicted.csv": "b39c747df2ebb3e230f0fbcc28f4be06ce81d9af052b2114b5ca0098d723c089",
+        "records.csv": "6833dbc49d49de8b6b8e0289e15e860f6a9651f019b3b2580dfb3dbb9adfc9ae",
+        "result.json": "77a252cac8455adad5d85ed65864c408ef708ea28c89af2d56486d880fffe22b",
     },
     "tomo_exact": {
-        "covariance_predicted.csv": "da1a96fc7f1089268b5a0343ad31da4c82af74d89bcec695abf7499f814eb6db",
-        "result.json": "0640b5b67b7090544514a1b9d70a1077325db5ae93d11b607074acfdd5048e54",
+        "covariance_predicted.csv": "7fcbdf02e2710b179cffeff0507c3874b57447913778f73304324008a71c5374",
+        "result.json": "5525d4ee838400574b808207224d9529fcff3c865644e904763e1632537f2eb9",
     },
     "tomo_reps": {
-        "covariance_empirical.csv": "6fb0f8fb976fb44520d01a061e9ce7ed951b325a263c77b5ea8accf931ce83aa",
-        "covariance_predicted.csv": "6790107ab0ef3d98d9ea04e412eac9e573f04bb1563a45db6d09cf6a5159082b",
-        "records.csv": "7684c6c821d5e6d948dd8fcfa5e4b9accd28a85fff0a3d76cc32c91c6402b685",
-        "result.json": "59436022d89da36c6d6500c71d1431b6f95d0a95fd3cb357bf98b7034add4dfb",
+        "covariance_empirical.csv": "b038b195d2ffe0cbbf9589fcfbdaf50ce7b4486ad5e98f2c20bb9dd24010bf45",
+        "covariance_predicted.csv": "b39c747df2ebb3e230f0fbcc28f4be06ce81d9af052b2114b5ca0098d723c089",
+        "records.csv": "6833dbc49d49de8b6b8e0289e15e860f6a9651f019b3b2580dfb3dbb9adfc9ae",
+        "result.json": "639cc7a2f4fe61717e95e103f67855f328e0f57498d44fba55e250406fb81818",
     },
     "tomo_exact_reps": {
-        "covariance_empirical.csv": "6fb0f8fb976fb44520d01a061e9ce7ed951b325a263c77b5ea8accf931ce83aa",
-        "covariance_predicted.csv": "da1a96fc7f1089268b5a0343ad31da4c82af74d89bcec695abf7499f814eb6db",
-        "result.json": "c995f6ba9341973fcd75dad7e544414866eb04390886609367b8e5105341c3d8",
+        "covariance_empirical.csv": "b038b195d2ffe0cbbf9589fcfbdaf50ce7b4486ad5e98f2c20bb9dd24010bf45",
+        "covariance_predicted.csv": "7fcbdf02e2710b179cffeff0507c3874b57447913778f73304324008a71c5374",
+        "result.json": "26ab4f87ae1b4fc36b6bc8772b11ed49ab0dad4f12b0607641cb4c1fb44b194a",
     },
     "tomo_shots_list": {
-        "covariance_empirical.csv": "56f3b396614c7987a8896ed89a473ebf3a7b5e9e53dd326ce74a556ccc3882bb",
-        "covariance_predicted.csv": "f762f73a2518bc111e7a8a23865a132fdf1255409b3a0096ec2b9ea1c7d25f95",
-        "records.csv": "6d7de3b471055d43990f42dba5fdaba679677d359e8dda62082e63d21fb75e3e",
-        "result.json": "32806c6c2f0a772d1fd8b777f59b0bb7329e97360533f34031a9119d19acf2ee",
+        "covariance_empirical.csv": "127d5785707719d7ce4b7c54e2ef66771aa79d1fcbc938cf6aa4388fd8664b48",
+        "covariance_predicted.csv": "db83e1db8d9a92eaa58092716eb762d59e01a43e3414b0b68c177a2717dc6e72",
+        "records.csv": "929806754304d2d2b516fd72f57502f569b603ada372aacd00eab1f67e50b7fc",
+        "result.json": "e503984267e2d23f5b2d8d2fefe2740b17bf323cdd8cae87bc31e32fa2799d1a",
     },
     "tomo_readout": {
-        "covariance_empirical.csv": "0afc9613a7c66ffbc5331409c1371f85666af325d3e2af866668c2920a30220f",
-        "covariance_predicted.csv": "fc66a51573383d9a5291c19b006bba259dda1ecb051bd20b7bb6757b609e4884",
-        "records.csv": "e22651c970a285d8abca9d15321810d43254a95e901b490468071d58c433ec98",
-        "result.json": "b80f0f3f65adbb67488cd8d329d75c917d237f9b2284ff4cd8420a9e8b060765",
+        "covariance_empirical.csv": "644c35b647c4af266db85c71466c852ae9286bef7d636ee19b3c58f360b45dc1",
+        "covariance_predicted.csv": "377498196c47e382d376443f849b16af780c922e0d0e10c77eb636e80d0c6935",
+        "records.csv": "b43e8639a909d1cb9529b0b1712b6aacec2ad0e69ad01fee2a845d9ac131328d",
+        "result.json": "33531ec185ac0a2e531c4882c8e33d0e08a57d90a843c97edb5e6c1606139f7e",
     },
     "tomo_noise": {
-        "covariance_empirical.csv": "3da62ee4d95146343d4fd8ee5d3798ebb4b1f5789bcdd69f30cfc7e2bb72b176",
-        "covariance_predicted.csv": "6468b65764ad3a7ce8635b5de7b574eecb0cb97d3e8db8b21d4ef98da50bcabc",
-        "records.csv": "b7854ac6b5ec493c8e9172a9636eaa6c1120ed810a214c0571710ec6c6722b79",
-        "result.json": "7a89090cc7c184c61be6637cb9b3d3c8b0a8261dcb195b76f1b2db41fbabb2f0",
+        "covariance_empirical.csv": "3d558dbee6dda2a227985d986199c71d9d59e3dbe3958e64d787a6a67523c467",
+        "covariance_predicted.csv": "3459b0f0eccdcc321ba03c70104a17ef288c1f31ad584c982a3d3622499dee68",
+        "records.csv": "4b7c1ab608a135b3975e4dfe6c7bbb00f2a756995144f49f2199748848f2c383",
+        "result.json": "abcb7a20086ac2d0899b0f79a35c75aeac9fbcd370d00181bbf6537a66a57a41",
     },
     "tomo_noise_readout": {
-        "covariance_empirical.csv": "a05e627c650052f44e5b59cc108c37e23c00df7149bb1c0335a1b9dadeecf1e1",
-        "covariance_predicted.csv": "b98017f7f030c610119df1b617c3dd65e46a1aaf4e673efc3e36df43c36d7485",
-        "records.csv": "26ca504997ff60cfcf6a0af0993ef1dd07ccc0d55cb7019c63d19d901a43c4ea",
-        "result.json": "d7580ce74396d1ec44f3edbc6952469e0a49c57545956cca37e28a0f5b95cbb5",
+        "covariance_empirical.csv": "bbe02212d3e91a304e7b4f6929fa95df95341e5b74b52adb32c4eff23c5e9f7b",
+        "covariance_predicted.csv": "961d3cb12e463538cf0a5a010d4a8720db35f9e5b1f6e023deb38f7b7b9ab021",
+        "records.csv": "6554a765c1a5604440ee636395d00aa003cf7f3340f8ca8d4e4d9ead846bc0cc",
+        "result.json": "467c24fa51318ff084107daa518a116255910657c2f7528b8f75d766e9b4000a",
     },
     "tomo_noise_all_kinds": {
-        "covariance_empirical.csv": "07aedcf8233eeb04198ef0f8152dc81bf982a5b2b21b078d28729908b9393eb8",
-        "covariance_predicted.csv": "88082832a03614a4fc519c5eecda9690ba801e5435d05fbd69ede9959d8dc47b",
-        "records.csv": "c0ce5a36bf44973b3d51f631abe44848556b82f5e0393afba2eac3925f5dc081",
-        "result.json": "bbc861077e908bb1a8eaa78a2e7af4b0f9d4933a4f350535c7ba30e37250202a",
+        "covariance_empirical.csv": "cb8fe9c7dee400a4a55908edb07424b6dbf1befca62a4754b076252b8800162a",
+        "covariance_predicted.csv": "13e4096e06e05c6ae50d50026752e125d84e686562b5388c54f8a7875111b926",
+        "records.csv": "b2009db6641087a791d3af28fc1fd7168e4f97c9b44f30bece53ca8c3a917f94",
+        "result.json": "68022a3bcec844117182efef407dd8256e7509da02afa837c7c64fee2fc10f94",
     },
     "tomo_up_up": {
-        "covariance_empirical.csv": "697b0c202606ca14f9f0da5572952ef4651408715e7031c063f2acf8e60545a5",
-        "covariance_predicted.csv": "97b1d5fc559622b01fd55f737c6551f7751e954464bb1cc772b1239ae6469c5b",
-        "records.csv": "808ae80ead0f2313b53d1e0a8d3fb74e31fb935be81a6a0e5e103f5750390021",
-        "result.json": "8875692f33e17364d4e6843ee304b5d4664c7d3e2dba85412596aabf419412ef",
+        "covariance_empirical.csv": "f5a19ebf54bf8cf68d53d92f908e64c9c4f19696e2c34cb9441f5659ac813188",
+        "covariance_predicted.csv": "8352828122a92f51636e82143698fe2f0551792b0bd6bc459697d461f0601eef",
+        "records.csv": "0ac3d4590a87e0e1c29d3408af5f16790a843fcc00f474ccb9589424db5e6350",
+        "result.json": "f8d21f559e86b1113749d210308fd40628beb1da91e9ffecb2d444e110ebf11d",
     },
     "tomo_triplet_zero": {
-        "covariance_empirical.csv": "8bb410dfea1a1ecff5b4e086c15eed17863bc1fb9bbf9b1cf468cdfd35ad509b",
-        "covariance_predicted.csv": "a2298c5cbfe7a7817119a2a6de1f2948f9f2eb24e6cebe6f208d9e4902b2a4bf",
-        "records.csv": "a8f3bc5fc91a6c084d6ba16f6a3fd76e5dff1ec54386bbed379fce0633a9d67d",
-        "result.json": "35787f8dec0fce8fa0facd60ccdcb9167d609cfd657d3181b335671fe0c0c3d3",
+        "covariance_empirical.csv": "c84228c33577b533f56ebb968f788005c83ea4e97dbc8a21cbbdfa124e0d1110",
+        "covariance_predicted.csv": "0511730d929f518e66b821657ee38128c15d63db310304c743b141cf3858becd",
+        "records.csv": "f3b4755ab43ff4586fb858874e0defb426dce487537ad997b83b36280ca5ae65",
+        "result.json": "1249caccd1b1c8b0ab8d6ee361e804760ee1b3aa6269bdcc6e84fb8665adff65",
     },
     "tomo_rank1": {
-        "covariance_predicted.csv": "36a74293fd7bbefb09e3f3cb7d4fee0c9ebe184044c29bd68884cc9837689a91",
-        "records.csv": "415c8e228698ce2fff7d4e119960e20c167098cbd07f03be1fc6ef3eca6d55e2",
-        "result.json": "97da31cec0b4641742a4bf13031926de15623ec1d23df95af2361a6926c3a2a3",
+        "covariance_predicted.csv": "c127edf7b5c204ca679a26b9e2906a76663bdb04eee3bdbbdf7bfdf931e1642e",
+        "records.csv": "40f95a52a7dd6935d8cbb42c8cd4f32b1b9546167ed0c2e3c4b775731e0b98a6",
+        "result.json": "158b37962e4a8c8cc8e4c7ea7d0cfecfff1e368404b17517c982502f10b369f0",
     },
     "tomo_rank2": {
-        "covariance_predicted.csv": "234645973e0761df5010f3331c6708ae2b3492fecd398a453c7304130ebc3a39",
-        "records.csv": "a9026db54745455085b1799a4b50306b914d6ee31a9c92a7a4106afd4d8ad8e0",
-        "result.json": "b57bd1bd6c271f5218c85e40b70b8227b78c87ee92a21a0948a668f582539252",
+        "covariance_predicted.csv": "f6b7c6ed50b2eefed993fb4ea4c4a2bb1d32e51fd40905ef8714d3647b01b849",
+        "records.csv": "007b3641c11914359283498d7ba7713598cd3ac05af6be1c89f410bead7b0c65",
+        "result.json": "96f8fc15ff521ad10543f040d11737e1802d5466f1295801aef130cb3e78ee13",
     },
     "tomo_rank3": {
-        "covariance_predicted.csv": "abc21929debfa3aa4b8de3b40789998daf2f44e6b450160c5d5f11020b6ce342",
-        "result.json": "279900ac54ed7c17eef432e5ef4643444c1cb269216a24fb66471defd6507cb0",
+        "covariance_predicted.csv": "2eaf68ef53715e9de406d875d71eb0b18f2ced6c52e9c6662312fc57cea6cb98",
+        "result.json": "38f18cb8d94943b7183e884358631aa8fae1ccbce8fad16ba534662af61d3c04",
     },
     "tomo_rank4": {
-        "covariance_empirical.csv": "8a3a09adbdb2885488c74a3fae93e801351f7c3893d3d549f36d4162ecc96fca",
-        "covariance_predicted.csv": "c45287366fda3fe9fd315571c97432c3d4c08b7c2afe31477f3d463a8f870dbf",
-        "records.csv": "7ed73b9e7b67b49c567c0137a0c3058dfa38d6acb13261e006239faaa83c91a9",
-        "result.json": "6858625ed880ab9887e3b1b660d4df65d3c440d2815cc2d53e885938cb1eeee6",
+        "covariance_empirical.csv": "ebc222d51673b0d98856e0c4082da217f4dee727173f34f199055016f23afb1d",
+        "covariance_predicted.csv": "622d4e56cbc3b0a98b0f7b0e6c379a8fa980d674cbaf23107ff089ec36b71f1c",
+        "records.csv": "cec0ed8a0898c6036a33ecac4f9ca0ef20a71752fe7d9cc2054169fba7d3e11b",
+        "result.json": "5013ed2da898fb16ee1bd4cc569057c69d9a0acb85998c0bed8ef421fa1c5d1a",
     },
     "tomo_huge_shots": {
-        "covariance_predicted.csv": "25f2e7b2c8499ab3cc442b9729831ad43db33cf7de9b490feefa384085845ddb",
-        "records.csv": "18496d88832f68dbfb77e8aac849fc48b420c4e317151730d0b331356229d55a",
-        "result.json": "f76a3d996cc0d70b848e45ef41772c2e23cef69411aafb204cbe83b967d9e4be",
+        "covariance_predicted.csv": "84a72311fee72f61321e32ec530d9c4c1dab9099616397b75a61b578d89ad7a0",
+        "records.csv": "2a06689f19b38ab5f6666b2a2dd8796f4383c2c52f7bb27fa2b06754dc693a3b",
+        "result.json": "b236b361aa6782f00e198c523bdce71f8797039b6eeb0cba61640ee678bb35e0",
     },
 }
 

@@ -44,3 +44,32 @@ def test_mle_ascend_reaches_rank_deficient_optimum(seed):
     p = np.einsum("jab,ba->j", projs, rho).real
     grad = np.einsum("j,jab->ab", nw * (m / p - (1.0 - m) / (1.0 - p)), projs)
     assert np.linalg.eigvalsh(grad)[-1] - np.trace(grad @ rho).real < 1e-10
+
+
+def _qr_tangent_step(neg_hess, grad, x, damping):
+    """The former route, kept as the oracle: an orthonormal tangent basis
+    from the QR of [x, I_15], then a 15x15 eigh in that basis."""
+    tangent = np.linalg.qr(np.column_stack([x, np.eye(16)[:, :15]]))[0][:, 1:]
+    curv, vecs = np.linalg.eigh(tangent.T @ neg_hess @ tangent)
+    basis = tangent @ vecs
+    return curv, basis @ (basis.T @ grad / (curv + damping))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tangent_eigh_matches_the_qr_basis(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((16, 16)) * 10.0 ** rng.uniform(-3, 6)
+    neg_hess = a + a.T
+    x = rng.standard_normal(16)
+    x /= np.linalg.norm(x)
+    grad = rng.standard_normal(16)
+    grad -= (x @ grad) * x  # the likelihood gradient is tangent
+    curv_qr = _qr_tangent_step(neg_hess, grad, x, 0.0)[0]
+    scale = np.max(np.abs(curv_qr))
+    damping = scale - curv_qr[0]  # every damped curvature at least scale
+    step_qr = _qr_tangent_step(neg_hess, grad, x, damping)[1]
+    curv, basis = _kernels.tangent_eigh(neg_hess, x)
+    np.testing.assert_allclose(curv, curv_qr, rtol=0.0, atol=1e-12 * scale)
+    step = basis @ (basis.T @ grad / (curv + damping))
+    np.testing.assert_allclose(step, step_qr, rtol=0.0, atol=1e-12 * np.linalg.norm(step_qr))
+    np.testing.assert_allclose(basis.T @ x, 0.0, atol=1e-12)
