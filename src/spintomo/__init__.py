@@ -14,7 +14,7 @@ qmath        Pauli/tau operator bases, states, fidelities, RNG streams
 gates        native gate set and circuits
 quorum       quorum construction (the 15 operators as one validated
              (15, 4, 4) stack), P matrix, structural witnesses
-dotmodel     six-level two-electron charge/spin model and sweeps
+dotmodel     six-level two-electron charge/spin model, tracked level sweeps
 measure      shot counts (one sampler for a run and a study) and readout
              degradation, both on operator stacks; exact averaging over
              Gaussian gate-angle noise
@@ -27,7 +27,7 @@ cli          command line front end (``spintomo ...``)
 __version__ = "0.6.0"
 
 from . import dotmodel, gates, measure, qmath, quorum, reconstruct
-from .dotmodel import DotParams, exchange_J, min_singlet_gap, spectrum_sweep
+from .dotmodel import DotParams, spectrum_sweep
 from .gates import Circuit, Gate, GateKind, evolve_projector
 from .measure import (
     NoiseModel,
@@ -57,7 +57,6 @@ from .quorum import (
 )
 from .reconstruct import (
     ReconstructionResult,
-    covariance_bound,
     covariance_predict,
     linear_from_frequencies,
     mle_from_frequencies,
@@ -71,9 +70,9 @@ __all__ = [
     "Circuit", "Gate", "GateKind", "evolve_projector",
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",
     "pmatrix",
-    "DotParams", "exchange_J", "min_singlet_gap", "spectrum_sweep",
+    "DotParams", "spectrum_sweep",
     "NoiseModel", "average_projector", "born_probabilities", "degrade_readout",
     "plan_shots", "simulate_counts",
-    "ReconstructionResult", "covariance_bound", "covariance_predict",
+    "ReconstructionResult", "covariance_predict",
     "linear_from_frequencies", "mle_from_frequencies",
 ]

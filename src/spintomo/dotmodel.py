@@ -14,23 +14,14 @@ spins.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .qmath import SIGMA
-from .quorum import BASE_STATES, Projector
-
-BASIS_LABELS = ("up_up", "up_down", "down_up", "down_down", "S20", "S02")
-
-#: occupation asymmetry is checked against this fraction of the gap scale
-PERTURBATIVE_RATIO = 0.1
 
 #: all 720 orderings of the six levels, for the level-tracking assignment
 _PERMUTATIONS = np.array(list(itertools.permutations(range(6))))
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,7 @@ def zeeman_block(p: DotParams) -> np.ndarray:
 
 
 def hamiltonian6(p: DotParams) -> np.ndarray:
-    """Six-level Hamiltonian in the BASIS_LABELS ordering."""
+    """Six-level Hamiltonian in the basis order of the module docstring."""
     h = np.zeros((6, 6), dtype=np.complex128)
     h[:4, :4] = zeeman_block(p)
     h[4, 4] = p.U + p.epsilon
@@ -79,53 +70,6 @@ def hamiltonian6(p: DotParams) -> np.ndarray:
         h[col, 1] = p.t
         h[col, 2] = -p.t
     return h
-
-
-def singlet_block(p: DotParams) -> np.ndarray:
-    """3x3 Hamiltonian on (S(1,1), S(2,0), S(0,2)); exact when h1 = h2 = 0."""
-    s2t = np.sqrt(2.0) * p.t
-    return np.array(
-        [
-            [0.0, s2t, s2t],
-            [s2t, p.U + p.epsilon, 0.0],
-            [s2t, 0.0, p.U - p.epsilon],
-        ]
-    )
-
-
-def schrieffer_wolff_valid(p: DotParams) -> bool:
-    """True when |t| is below PERTURBATIVE_RATIO of both charge gaps."""
-    gap = min(abs(p.U - p.epsilon), abs(p.U + p.epsilon))
-    return abs(p.t) <= PERTURBATIVE_RATIO * gap
-
-
-def exchange_J(p: DotParams) -> float:
-    """Second-order exchange splitting 4 t^2 U / (U^2 - eps^2).
-
-    Raises at the charge degeneracy eps = +-U; warns when the
-    perturbative condition |t| << |U -+ eps| is not met.
-    """
-    denom = p.U * p.U - p.epsilon * p.epsilon
-    if abs(denom) < 1e-12 * p.U * p.U:
-        raise ValueError("exchange has a pole at eps = +-U")
-    if not schrieffer_wolff_valid(p):
-        warnings.warn(
-            "exchange_J outside its perturbative regime: |t| is not small "
-            "against |U -+ eps|",
-            stacklevel=2,
-        )
-    return 4.0 * p.t * p.t * p.U / denom
-
-
-def exact_exchange_splitting(p: DotParams) -> float:
-    """Singlet-triplet splitting E(T0) - E(S) from the six-level model at h = 0.
-
-    The triplets stay at zero energy; the splitting is minus the lowest
-    eigenvalue of the singlet block.
-    """
-    if any(p.h1) or any(p.h2):
-        raise ValueError("exact splitting oracle is defined at zero field")
-    return -float(np.linalg.eigvalsh(singlet_block(p))[0])
 
 
 def spectrum_sweep(p: DotParams, eps_values: np.ndarray) -> np.ndarray:
@@ -151,55 +95,3 @@ def spectrum_sweep(p: DotParams, eps_values: np.ndarray) -> np.ndarray:
         out[row] = vals
         prev_vecs = vecs
     return out
-
-
-def min_singlet_gap(p: DotParams, eps_window: tuple) -> float:
-    """Smallest gap between the two lowest singlet levels over a window.
-
-    Near eps = U this is the S-(0,2) anticrossing, whose gap is
-    2 sqrt(2) |t| up to O(t^2/U) corrections from the far-detuned
-    (2,0) singlet.  A golden-section search narrows the window to a
-    width of 1e-12 (or a few ulps, for windows far from zero).
-    """
-    lo, hi = float(eps_window[0]), float(eps_window[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise ValueError("eps_window must be a finite ordered pair (lo, hi)")
-
-    def gap(eps):
-        vals = np.linalg.eigvalsh(singlet_block(p.replace_epsilon(eps)))
-        return vals[1] - vals[0]
-
-    tol = 1e-12 + 4.0 * np.spacing(max(abs(lo), abs(hi)))
-    while hi - lo > tol:
-        a, b = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-        if gap(a) < gap(b):
-            hi = b
-        else:
-            lo = a
-    return float(gap(0.5 * (lo + hi)))
-
-
-class SweepProtocol(str, Enum):
-    SLOW_ADIABATIC = "slow_adiabatic"
-    SLOW_THEN_FAST = "slow_then_fast"
-    FAST = "fast"
-
-
-#: the readout state (a key of quorum.BASE_STATES) each protocol projects onto
-_SWEEP_READOUT = {
-    SweepProtocol.SLOW_ADIABATIC: "up_up",
-    SweepProtocol.SLOW_THEN_FAST: "up_down",
-    SweepProtocol.FAST: "singlet",
-}
-
-
-def sweep_projector(protocol: SweepProtocol) -> Projector:
-    """Readout projector realized by a detuning sweep protocol.
-
-    A fully adiabatic sweep maps the lowest polarized triplet, a sweep
-    that is adiabatic only through the nuclear-gradient region maps
-    |ud>, and a sudden sweep preserves the singlet; the corresponding
-    measurement operators are P_uu, P_ud and P_S.
-    """
-    base = _SWEEP_READOUT[SweepProtocol(protocol)]
-    return Projector(BASE_STATES[base].projector(), f"P_{base}")

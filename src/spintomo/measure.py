@@ -222,11 +222,6 @@ def calibration_matrix(matrices: np.ndarray) -> np.ndarray:
     return np.einsum("iab,jba->ij", matrices, matrices).real
 
 
-def tail_bound(n_runs: int, delta: float) -> float:
-    """Two-sided Hoeffding bound 2 exp(-2 n delta^2) on |m - p| > delta."""
-    return 2.0 * math.exp(-2.0 * n_runs * delta * delta)
-
-
 def plan_shots(delta: float, p_limit: float, fidelity: float = 1.0) -> int:
     """Smallest run count that puts each Pauli coefficient, on its own,
     within delta of the truth with failure probability below p_limit.

@@ -162,9 +162,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __eq__(self, other):
         if not isinstance(other, PureState):
             return NotImplemented
@@ -224,9 +221,6 @@ class DensityMatrix:
     @property
     def pauli_coeffs(self) -> np.ndarray:
         return pauli_expand(self.matrix)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -324,10 +318,3 @@ def random_density(seed: int, rank: int = 4) -> DensityMatrix:
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(rho)
-
-
-def random_pure(seed: int) -> PureState:
-    """Haar-random two-qubit pure state."""
-    rng = stream("random-pure", seed)
-    g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState.from_amplitudes(g)

@@ -23,9 +23,10 @@ The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
 ``verify.json``.  The P matrices of one quorum or a stack of them are
 one product with a constant (16, 15) weight matrix.  The Gram-Schmidt
-lengths are the Cholesky diagonal of the P rows' Gram matrix; the random
-quorums of the determinant bound and the kets of the tau witness are
-each one array drawn from one stream; the closure rank of the readouts
+lengths are the Cholesky diagonal of the P rows' Gram matrix; the kets
+of the tau witness are one array drawn from one stream (the random
+quorums of the determinant bound are drawn likewise, by
+``cli.run_verification``); the closure rank of the readouts
 runs on the 15 real traceless D coordinates, one product with the real
 15x15 adjoint tables of the generators and one SVD per commutator depth.
 """

@@ -22,9 +22,6 @@ from . import _kernels
 from .qmath import PSD_SLACK, DensityMatrix, pauli_assemble, pauli_expand
 from .quorum import PMatrix, Quorum, pmatrix
 
-#: adjugate-route constant 15 (3/4)^14 / 4 in the covariance bound
-COVARIANCE_BOUND_NUMERATOR = 15.0 * 0.75**14 / 4.0
-
 _SEED_EIGENVALUE_FLOOR = 1e-9
 _REVERSAL = np.fliplr(np.eye(4))
 
@@ -51,19 +48,6 @@ def is_psd(matrix: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(matrix)[0] >= -PSD_SLACK)
 
 
-def degraded_marginal_rho4(p4: float, p6: float, fidelity: float) -> float:
-    """Single Pauli coefficient rho_4 from two degraded-readout probabilities.
-
-    With ideal readout rho_4 = (2 (p4 + p6) - 1) / 2; readout fidelity f
-    rescales the traceless signal by (4 f^2 - 1)/3, giving
-    rho_4 = 3 (2 (p4 + p6) - 1) / (2 (4 f^2 - 1)).
-    """
-    if not 0.5 < fidelity <= 1.0:
-        raise ValueError("fidelity must lie in (1/2, 1]: no signal at 1/2")
-    contrast = 4.0 * fidelity * fidelity - 1.0
-    return 3.0 * (2.0 * (p4 + p6) - 1.0) / (2.0 * contrast)
-
-
 def covariance_predict(rho, pm: PMatrix, shots) -> np.ndarray:
     """Covariance of the linearly reconstructed coefficients.
 
@@ -77,11 +61,6 @@ def covariance_predict(rho, pm: PMatrix, shots) -> np.ndarray:
     return pm.inverse @ b @ pm.inverse.T
 
 
-def covariance_bound(pm: PMatrix, n_shots: float) -> float:
-    """Uniform bound on |C_kl| for equal shot counts: 15 (3/4)^14 / (4 N det^2)."""
-    return COVARIANCE_BOUND_NUMERATOR / (n_shots * pm.det**2)
-
-
 def _hermitian_eigh(matrix: np.ndarray) -> tuple:
     sym = 0.5 * (np.asarray(matrix, dtype=np.complex128) + np.asarray(matrix).conj().T)
     return np.linalg.eigh(sym)
@@ -93,43 +72,26 @@ def _clip_renormalize(vals: np.ndarray, vecs: np.ndarray, floor: float) -> np.nd
     return rho / np.trace(rho).real
 
 
-def psd_project(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clip the negative eigenvalues at zero and renormalize the trace to one.
-
-    The result is a physical state, but not in general the nearest one
-    in Frobenius norm (that projection also lowers the kept eigenvalues).
-    The optional floor lifts eigenvalues strictly above zero (used to
-    seed the likelihood ascent, whose square-root parametrization needs
-    a nonsingular starting point).
-    """
-    return _clip_renormalize(*_hermitian_eigh(matrix), floor)
-
-
 def _lower_square_root(rho: np.ndarray) -> np.ndarray:
+    """Lower-triangular T with T^dag T = rho (rather than T T^dag).
+
+    The upper factor U of A = U^dag U is the transpose of the lower
+    factor of A^T: that reads the upper triangle of A, which is Hermitian
+    only up to rounding, just as an upper-triangular LAPACK Cholesky does.
+    The seed's eigenvalue floor keeps rho positive definite.
+    """
     upper = np.linalg.cholesky((_REVERSAL @ rho @ _REVERSAL).T).T
     return _REVERSAL @ upper @ _REVERSAL
-
-
-def seed_square_root(rho_linear: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dag T equal to the PSD projection of the input.
-
-    Eigenvalues are floored at 1e-9 and the trace renormalized, then the
-    reversed-permutation Cholesky trick produces the lower-triangular
-    factor of the T^dag T (rather than T T^dag) convention.  The upper
-    factor U of A = U^dag U is the transpose of the lower factor of A^T:
-    that reads the upper triangle of A, which is Hermitian only up to
-    rounding, just as an upper-triangular LAPACK Cholesky does.
-    """
-    return _lower_square_root(psd_project(rho_linear, floor=_SEED_EIGENVALUE_FLOOR))
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Both estimators of one run, with the P matrix they were built from.
 
-    ``psd_projection`` is the linear estimate clipped to a physical state
-    (``psd_project``); ``stop_reason`` says why the ascent stopped (see
-    ``_kernels.mle_ascend``).
+    ``psd_projection`` is the linear estimate with its eigenvalues
+    clipped at 0 and renormalised to unit trace: a physical state, but
+    not in general the nearest one in Frobenius norm.  ``stop_reason``
+    says why the ascent stopped (see ``_kernels.mle_ascend``).
     """
 
     rho_linear: np.ndarray

@@ -1,33 +1,21 @@
-"""Six-level double-dot model: spectrum, exchange, sweep projectors."""
+"""Six-level double-dot model: spectrum, exchange splitting, anticrossing gap.
+
+The exchange and gap closed forms are checked on ``hamiltonian6``, the
+Hamiltonian that ``spintomo spectrum`` diagonalises.
+"""
 
 import numpy as np
 import pytest
 
-from spintomo.dotmodel import (
-    BASIS_LABELS,
-    DotParams,
-    SweepProtocol,
-    exact_exchange_splitting,
-    exchange_J,
-    hamiltonian6,
-    min_singlet_gap,
-    schrieffer_wolff_valid,
-    singlet_block,
-    spectrum_sweep,
-    sweep_projector,
-    zeeman_block,
-)
-from spintomo.qmath import SINGLET, UP_DOWN, UP_UP
+from spintomo.dotmodel import DotParams, hamiltonian6, spectrum_sweep, zeeman_block
+
+from support import exchange_splitting, singlet_levels
 
 ZERO_FIELD = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _params(epsilon=0.0, U=1.0, t=0.02, h1=(0, 0, 0), h2=(0, 0, 0)):
     return DotParams(epsilon=epsilon, U=U, t=t, h1=h1, h2=h2)
-
-
-def test_basis_labels():
-    assert BASIS_LABELS == ("up_up", "up_down", "down_up", "down_down", "S20", "S02")
 
 
 def test_params_validation():
@@ -98,22 +86,6 @@ def test_hopping_couples_only_singlet_combination():
     assert abs(triplet_11 @ h @ s20) < 1e-15
 
 
-def test_exchange_value_and_pole():
-    assert abs(exchange_J(_params(t=0.1, U=1.0, epsilon=0.0)) - 0.04) < 1e-15
-    with pytest.raises(ValueError):
-        exchange_J(_params(epsilon=1.0))
-    # eps -> 0 limit: J = 4 t^2 / U
-    p = _params(t=0.01, U=2.0)
-    assert abs(exchange_J(p) - 4 * 0.01**2 / 2.0) < 1e-15
-
-
-def test_exchange_warns_outside_validity():
-    with pytest.warns(UserWarning):
-        exchange_J(_params(t=0.5, U=1.0, epsilon=0.0))
-    assert not schrieffer_wolff_valid(_params(t=0.5))
-    assert schrieffer_wolff_valid(_params(t=0.01))
-
-
 def test_exchange_against_exact_splitting():
     # relative error of the perturbative J is O((t/U)^2); the constant was
     # fitted once on this grid: about 4.0 at eps = 0, 8.9 at eps = 0.5
@@ -121,34 +93,28 @@ def test_exchange_against_exact_splitting():
     ratio_constant = 12.0
     for t in np.logspace(-4, -1.5, 8):
         p = _params(epsilon=eps, U=U, t=t)
-        exact = exact_exchange_splitting(p)
-        rel = abs(exchange_J(p) - exact) / exact
+        exact = exchange_splitting(p)
+        rel = abs(4.0 * t * t * U / (U * U - eps * eps) - exact) / exact
         assert rel <= ratio_constant * (t / U) ** 2
-
-
-def test_exact_splitting_requires_zero_field():
-    with pytest.raises(ValueError):
-        exact_exchange_splitting(_params(h1=(0, 0, 0.1)))
 
 
 def test_singlet_block_matches_six_level_at_zero_field():
     p = _params(epsilon=0.3, t=0.04)
-    sb_vals = np.linalg.eigvalsh(singlet_block(p))
     full_vals = np.linalg.eigvalsh(hamiltonian6(p))
-    # the three singlet eigenvalues appear in the six-level spectrum
-    for v in sb_vals:
+    # the singlet sector is invariant: its three levels are in the spectrum
+    for v in singlet_levels(p):
         assert np.min(np.abs(full_vals - v)) < 1e-12
 
 
 def test_anticrossing_gap():
-    p = _params(t=1e-3, U=1.0)
-    gap = min_singlet_gap(p, (0.9, 1.1))
-    assert abs(gap - 2.0 * np.sqrt(2.0) * 1e-3) < 1e-8
+    # at eps = U the S(1,1)-S(0,2) gap is 2 sqrt(2) |t| up to O(t^2 / U)
+    levels = singlet_levels(_params(epsilon=1.0, t=1e-3, U=1.0))
+    assert abs(levels[1] - levels[0] - 2.0 * np.sqrt(2.0) * 1e-3) < 1e-8
 
 
 def test_crossing_without_tunneling():
-    gap = min_singlet_gap(_params(t=0.0), (0.9, 1.1))
-    assert gap < 1e-12
+    levels = singlet_levels(_params(epsilon=1.0, t=0.0))
+    assert levels[1] - levels[0] < 1e-12
 
 
 def test_triplets_flat_in_t_at_zero_field():
@@ -196,17 +162,3 @@ def test_noncollinear_fields_open_gap():
         return np.min(levels[:, 1] - levels[:, 0])
 
     assert min_gap_12(tilted) > min_gap_12(collinear) + 1e-6
-
-
-def test_sweep_projector_mapping():
-    np.testing.assert_allclose(
-        sweep_projector(SweepProtocol.SLOW_ADIABATIC).matrix, UP_UP.projector(), atol=0
-    )
-    np.testing.assert_allclose(
-        sweep_projector(SweepProtocol.SLOW_THEN_FAST).matrix, UP_DOWN.projector(), atol=0
-    )
-    np.testing.assert_allclose(
-        sweep_projector(SweepProtocol.FAST).matrix, SINGLET.projector(), atol=1e-15
-    )
-    # string coercion
-    assert sweep_projector("fast").label == "P_singlet"

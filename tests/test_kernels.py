@@ -5,9 +5,11 @@ import pytest
 
 from spintomo import _kernels
 from spintomo.measure import born_probabilities, simulate_counts
-from spintomo.qmath import SINGLET, DensityMatrix, random_pure
+from spintomo.qmath import SINGLET, DensityMatrix
 from spintomo.quorum import mub_quorum, pmatrix
-from spintomo.reconstruct import linear_from_frequencies, seed_square_root
+from spintomo.reconstruct import linear_from_frequencies
+
+from support import mle_seed, random_pure
 
 
 def test_numpy_mle_converges_on_exact_input():
@@ -15,7 +17,7 @@ def test_numpy_mle_converges_on_exact_input():
     psi = random_pure(6)
     m = born_probabilities(psi, q.matrices)
     pm = pmatrix(q)
-    t0 = seed_square_root(linear_from_frequencies(m, pm))
+    t0 = mle_seed(linear_from_frequencies(m, pm))
     nw = np.full(15, 1.0 / 15.0)
     t_mat, lik, its, conv, reason = _kernels.mle_ascend(q.likelihood_forms, m, nw, t0)
     assert conv
@@ -34,7 +36,7 @@ def test_mle_ascend_reaches_rank_deficient_optimum(seed):
     truth = DensityMatrix(SINGLET.projector())
     m = simulate_counts(truth, q.matrices, 10000, seed)[0] / 10000
     nw = np.full(15, 1.0 / 15.0)
-    t0 = seed_square_root(linear_from_frequencies(m, pmatrix(q)))
+    t0 = mle_seed(linear_from_frequencies(m, pmatrix(q)))
     t_mat, lik, its, conv, reason = _kernels.mle_ascend(q.likelihood_forms, m, nw, t0)
     assert conv and its <= 50
     rho = t_mat.conj().T @ t_mat

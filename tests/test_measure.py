@@ -16,7 +16,6 @@ from spintomo.measure import (
     plan_shots,
     readout_steps,
     simulate_counts,
-    tail_bound,
 )
 from spintomo.qmath import (
     SINGLET,
@@ -284,23 +283,6 @@ def test_calibration_matrix_gram():
     # unbiased cross-basis entries equal 1/4
     assert abs(gram[0, 3] - 0.25) < 1e-13
     np.testing.assert_allclose(gram, gram.T, atol=1e-14)
-
-
-def test_tail_bound_values():
-    assert abs(tail_bound(100, 0.1) - 2.0 * np.exp(-2.0)) < 1e-15
-    assert tail_bound(200, 0.1) < tail_bound(100, 0.1)
-    assert tail_bound(100, 0.2) < tail_bound(100, 0.1)
-
-
-def test_tail_bound_is_a_real_bound():
-    # empirical failure rate never exceeds the Hoeffding bound
-    from spintomo.qmath import stream
-
-    n, delta, p = 500, 0.06, 0.5
-    bound = tail_bound(n, delta)
-    rng = stream("hoeffding-test", 0)
-    fails = np.mean(np.abs(rng.binomial(n, p, size=3000) / n - p) > delta)
-    assert fails <= bound
 
 
 def test_plan_shots_frozen_values():

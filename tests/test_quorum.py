@@ -22,7 +22,6 @@ from spintomo.qmath import (
     kron_state,
     pauli_assemble,
     pauli_expand,
-    random_pure,
     stream,
 )
 from spintomo.quorum import (
@@ -46,6 +45,8 @@ from spintomo.quorum import (
     pmatrix_entries,
     quorum_records,
 )
+
+from support import random_pure
 
 LABELS = tuple(f"X{j:02d}" for j in range(1, 16))
 #: the product kets of the separable quorum, in its order
@@ -191,7 +192,7 @@ def test_mub_condition_all_bases():
         for si in range(4):
             for bj in range(5):
                 for sj in range(4):
-                    ov = abs(bases[bi][si].overlap(bases[bj][sj])) ** 2
+                    ov = abs(np.vdot(bases[bi][si].amplitudes, bases[bj][sj].amplitudes)) ** 2
                     target = (1.0 if si == sj else 0.0) if bi == bj else 0.25
                     assert abs(ov - target) < 1e-12
 

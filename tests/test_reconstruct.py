@@ -9,24 +9,20 @@ from spintomo.qmath import (
     DensityMatrix,
     pauli_expand,
     random_density,
-    random_pure,
     state_fidelity,
     trace_distance,
 )
 from spintomo.quorum import Quorum, mub_quorum, pmatrix
 from spintomo.reconstruct import (
-    COVARIANCE_BOUND_NUMERATOR,
     ReconstructionResult,
-    covariance_bound,
     covariance_predict,
-    degraded_marginal_rho4,
     is_psd,
     linear_coefficients,
     linear_from_frequencies,
     mle_from_frequencies,
-    psd_project,
-    seed_square_root,
 )
+
+from support import mle_seed, random_pure
 
 
 def _pm():
@@ -72,21 +68,20 @@ def test_linear_inversion_of_one_run_is_a_row_of_the_stack():
 
 
 def test_degraded_marginal_rho4_oracles():
+    # coefficient k = 4 of the linear inversion through a degraded quorum
+    # is the two-projector marginal 3 (2 (p4 + p6) - 1) / (2 (4 f^2 - 1))
     q = mub_quorum()
     rho = random_density(11)
     truth = pauli_expand(rho.matrix)[4]
-    probs = born_probabilities(rho, q.matrices)
-    # ideal readout: two-projector marginal identity for the k = 4 coefficient
-    assert abs(degraded_marginal_rho4(probs[3], probs[5], 1.0) - truth) < 1e-12
-    # degraded readout: probabilities through the degraded projectors invert exactly
-    f = 0.8
-    p4 = np.trace(degrade_readout(q.matrices[3], f) @ rho.matrix).real
-    p6 = np.trace(degrade_readout(q.matrices[5], f) @ rho.matrix).real
-    assert abs(degraded_marginal_rho4(p4, p6, f) - truth) < 1e-12
-    # maximally mixed input has no signal
-    assert abs(degraded_marginal_rho4(0.25, 0.25, 0.8)) < 1e-15
-    with pytest.raises(ValueError):
-        degraded_marginal_rho4(0.3, 0.3, 0.5)
+    for f in (1.0, 0.8):
+        dq = Quorum("mub-degraded", q.labels, degrade_readout(q.matrices, f), q.basis_index)
+        probs = born_probabilities(rho, dq.matrices)
+        rho4 = linear_coefficients(probs, pmatrix(dq))[3]
+        closed = 3.0 * (2.0 * (probs[3] + probs[5]) - 1.0) / (2.0 * (4.0 * f * f - 1.0))
+        assert abs(rho4 - closed) < 1e-12
+        assert abs(rho4 - truth) < 1e-12
+        # maximally mixed input has no signal
+        assert abs(linear_coefficients(np.full(15, 0.25), pmatrix(dq))[3]) < 1e-15
 
 
 def test_covariance_predict_maximally_mixed_analytic():
@@ -125,46 +120,55 @@ def test_covariance_matches_empirical_moments():
 
 
 def test_covariance_bound_dominates_entries():
+    # the adjugate route bounds every entry by 15 (3/4)^14 / (4 N det^2)
     pm = _pm()
     n = 500.0
-    bound = covariance_bound(pm, n)
-    assert abs(COVARIANCE_BOUND_NUMERATOR - 15.0 * 0.75**14 / 4.0) < 1e-18
-    assert abs(bound - COVARIANCE_BOUND_NUMERATOR / (n / 1024.0)) / bound < 1e-12
+    bound = 15.0 * 0.75**14 / (4.0 * n * pm.det**2)
     for seed in range(12):
         cov = covariance_predict(random_density(seed), pm, n)
         assert np.max(np.abs(cov)) <= bound
 
 
+def _clipped(matrix, floor):
+    """Eigenvalues of a Hermitian matrix clipped at the floor, trace renormalised."""
+    vals, vecs = np.linalg.eigh(matrix)
+    vals = np.clip(vals, floor, None)
+    return (vecs * (vals / vals.sum())) @ vecs.conj().T
+
+
 def test_psd_project_properties():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = h + h.conj().T
-        out = psd_project(h)
+    # the reported projection of sampled pure states, whose linear estimates
+    # have negative eigenvalues
+    q = mub_quorum()
+    non_psd = 0
+    for seed in range(10):
+        truth = DensityMatrix(random_pure(seed).projector())
+        m = simulate_counts(truth, q.matrices, 200, seed=seed)[0] / 200
+        res = mle_from_frequencies(m, 200, q)
+        non_psd += not res.linear_psd
+        out = res.psd_projection
         assert np.linalg.eigvalsh(out)[0] >= -1e-14
         np.testing.assert_allclose(np.trace(out).real, 1.0, atol=1e-13)
         np.testing.assert_allclose(out, out.conj().T, atol=1e-13)
+        np.testing.assert_allclose(out, _clipped(res.rho_linear, 0.0), atol=1e-13)
+    assert non_psd == 10
     # a state is a fixed point
     rho = random_density(1)
-    np.testing.assert_allclose(psd_project(rho.matrix), rho.matrix, atol=1e-13)
-    # known clip: diag(1.2, -0.2, 0, 0) -> diag(1, 0, 0, 0)
-    out = psd_project(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
-    np.testing.assert_allclose(out, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
-    # the floor lifts the spectrum
-    floored = psd_project(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), floor=1e-6)
-    assert np.linalg.eigvalsh(floored)[0] > 1e-7
+    res = mle_from_frequencies(born_probabilities(rho, q.matrices), 10**5, q)
+    np.testing.assert_allclose(res.psd_projection, rho.matrix, atol=1e-13)
 
 
 def test_seed_square_root_shape_and_factorization():
+    # the ascent's seed: the lower-triangular square root of the linear
+    # estimate with its eigenvalues floored at 1e-9
     for seed in (0, 5, 9):
         rho = random_density(seed, rank=2)
-        t = seed_square_root(rho.matrix)
+        t = mle_seed(rho.matrix)
         np.testing.assert_allclose(np.triu(t, 1), 0.0, atol=0.0)
         np.testing.assert_allclose(np.imag(np.diag(t)), 0.0, atol=1e-14)
         rebuilt = t.conj().T @ t
-        np.testing.assert_allclose(
-            rebuilt, psd_project(rho.matrix, floor=1e-9), atol=1e-12
-        )
+        np.testing.assert_allclose(rebuilt, _clipped(rho.matrix, 1e-9), atol=1e-12)
+        assert np.linalg.eigvalsh(rebuilt)[0] > 0.5e-9
 
 
 def test_mle_exact_probabilities_recover_pure_state():
@@ -211,7 +215,7 @@ def test_mle_beats_projected_linear_likelihood():
     res = mle_from_frequencies(m, n, q)
     shots = np.full(15, float(n))
     ll_mle = _binomial_loglik(res.rho_mle.matrix, m, shots, q)
-    ll_lin = _binomial_loglik(psd_project(res.rho_linear), m, shots, q)
+    ll_lin = _binomial_loglik(res.psd_projection, m, shots, q)
     assert ll_mle >= ll_lin - 1e-9
     np.testing.assert_allclose(res.loglik, ll_mle, rtol=1e-9)
     np.testing.assert_allclose(
