@@ -24,7 +24,7 @@ _kernels     the binomial likelihood and its ascent loop
 cli          command line front end (``spintomo ...``)
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from . import dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, spectrum_sweep

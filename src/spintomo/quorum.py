@@ -24,11 +24,10 @@ The structural measures here return bare numbers, which the rows of
 ``verify.json``.  The P matrices of one quorum or a stack of them are
 one product with a constant (16, 15) weight matrix.  The Gram-Schmidt
 lengths are the Cholesky diagonal of the P rows' Gram matrix; the kets
-of the tau witness are one array drawn from one stream (the random
-quorums of the determinant bound are drawn likewise, by
-``cli.run_verification``); the closure rank of the readouts
-runs on the 15 real traceless D coordinates, one product with the real
-15x15 adjoint tables of the generators and one SVD per commutator depth.
+of the tau witness are one array drawn from one stream; the closure rank
+of the readouts runs on the 15 real traceless D coordinates, one product
+with the real 15x15 adjoint tables of the generators and one SVD per
+commutator depth.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ from .qmath import (
 
 CROSS_CHECK_ATOL = 1e-12
 DET_FLOOR = 1e-9
-#: |det P| can never reach (3/4)^(15/2) for any projector quorum
-DET_UPPER_BOUND = 0.75 ** 7.5
 
 
 class QuorumDegenerateError(ValueError):
@@ -443,11 +440,12 @@ def gram_schmidt_lengths(q: Quorum) -> np.ndarray:
     so the lengths are that diagonal and their product is |det P|.  For
     a quorum drawn from mutually unbiased bases the rows of different
     triples are orthogonal; within a triple the lengths are sqrt(3/4),
-    sqrt(2/3), sqrt(1/2).  Raises ValueError when rows of different
-    triples overlap beyond 1e-10, read from the same Gram matrix, and
-    LinAlgError when the rows are linearly dependent.
+    sqrt(2/3), sqrt(1/2).  The rows are the quorum's kept P matrix, so a
+    quorum whose rows are linearly dependent raises QuorumDegenerateError,
+    as ``pmatrix`` does.  Raises ValueError when rows of different
+    triples overlap beyond 1e-10, read from the same Gram matrix.
     """
-    rows = pmatrix_entries(q.matrices)
+    rows = pmatrix(q).entries
     gram = rows @ rows.T
     triple = np.arange(15) // 3
     cross = np.where(triple[:, None] != triple[None, :], np.abs(gram), 0.0)

@@ -44,10 +44,6 @@ def linear_from_frequencies(m: np.ndarray, pm: PMatrix) -> np.ndarray:
     return pauli_assemble(np.concatenate(([0.5], linear_coefficients(m, pm))))
 
 
-def is_psd(matrix: np.ndarray) -> bool:
-    return bool(np.linalg.eigvalsh(matrix)[0] >= -PSD_SLACK)
-
-
 def covariance_predict(rho, pm: PMatrix, shots) -> np.ndarray:
     """Covariance of the linearly reconstructed coefficients.
 
@@ -146,6 +142,6 @@ def mle_from_frequencies(
         iterations=int(iters),
         converged=bool(converged),
         stop_reason=reason,
-        linear_psd=is_psd(rho_linear),
+        linear_psd=bool(vals[0] >= -PSD_SLACK),
         pm=pm,
     )

@@ -635,9 +635,9 @@ def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_opens_two_rng_streams(monkeypatch, capsys):
-    # the random quorums of the determinant bound and the tau witness's
-    # constrained kets are one draw each, from one stream each
+def test_verify_opens_one_rng_stream(monkeypatch, capsys):
+    # the tau witness's constrained kets are one draw from one stream; the
+    # determinant bound is certified, not sampled
     calls = Counter()
 
     def counting(fn):
@@ -647,10 +647,9 @@ def test_verify_opens_two_rng_streams(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr("spintomo.qmath.stream", counting(spintomo.qmath.stream))
-    monkeypatch.setattr("spintomo.cli.stream", counting(cli.stream))
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == Counter({("det-bound",): 1, ("constrained-states",): 1})
+    assert calls == Counter({("constrained-states",): 1})
 
 
 def test_pyproject_version_is_the_package_version():

@@ -89,109 +89,109 @@ PANEL = (
 
 DIGESTS = {
     "spectrum": {
-        "spectrum.csv": "1d721d5c78b308885e9a4704331add8d171fa3bf8020b37fe53bb32f1fc1f385",
+        "spectrum.csv": "c6fc9aa2e222915a34581dece1255872b141ccd89dfe6270ce677a3f167e786c",
     },
     "quorum_mub": {
-        "circuits.json": "8dce7e666fee397d7820334ec6f57cc95a0d24b7c1a4fceea75f17bd4a79a23e",
-        "pmatrix.csv": "82f7e62f0dd6fa12c2e3c6f444947aa7664a35cc868c131a453d423d2bdf097b",
-        "quorum.json": "27bb2d99d1d01306a1116716fa34e4060c9e8c0ccdebbeb753b2eb7d453e2b26",
+        "circuits.json": "94a0d67e50f1ebbb13b32c5a1c2be88d9d021fb9b66f5bf5ca73f5f64e9c3fc4",
+        "pmatrix.csv": "78c7c3f951c001e3f5fb2626603d4959344f58149b89c644c80942f2c899ea14",
+        "quorum.json": "98f9dafc4e03fe3ab3b0214f56e49889579a62ac4f5b62ea03e5da31de6b55ec",
     },
     "quorum_james": {
-        "pmatrix.csv": "31a562bc8d9369492ea3f48fe40b3d80604309240ac18690771015b80bd4e932",
-        "quorum.json": "0cd2a133ad1821f528bf03298f28ba5caef4228ea7ed3079f3005b81aab17173",
+        "pmatrix.csv": "909151991f0d2ad18fbdb5f5551c99b626ca36ec9b5ca64f0e580d82593701dd",
+        "quorum.json": "105e36d491388878aa1e682c9cdcc8bd76fc6c002cb35fe5e90b1f2e0683b31d",
     },
     "plan": {
-        "plan.csv": "a64cbbbcbd64df0133f14c828aa5159b3af8ddbdfc5f7e54842af6fd04f45788",
+        "plan.csv": "2b76b8deeb320af8ed57f2cbb053a1222717af72c3fb9b3ec0f75471d42ed8e3",
     },
     "verify": {
-        "verify.json": "e6102fe7256c20b442de162e3a10682e7da937cf275fc593dbc91ef5f4de37a8",
+        "verify.json": "8bdb4e6e864258eb1127834550b70423aff08e691f8d41ab597089b1c3da2155",
     },
     "tomo_plain": {
-        "covariance_predicted.csv": "b39c747df2ebb3e230f0fbcc28f4be06ce81d9af052b2114b5ca0098d723c089",
-        "records.csv": "6833dbc49d49de8b6b8e0289e15e860f6a9651f019b3b2580dfb3dbb9adfc9ae",
-        "result.json": "77a252cac8455adad5d85ed65864c408ef708ea28c89af2d56486d880fffe22b",
+        "covariance_predicted.csv": "c74d084965e188f7dd55b3f7bd319a1709e6fe0ab6ecbc7b8c4b621759484a89",
+        "records.csv": "40b5dfb4eb9e55972d523a9ecf2233169fffd5fc6fa1e497010c177c3d7ec81c",
+        "result.json": "9db4ca9f1de815d8b11d0656ac367c1685aedb2ea3734d76cdb6a667c5dc79ff",
     },
     "tomo_exact": {
-        "covariance_predicted.csv": "7fcbdf02e2710b179cffeff0507c3874b57447913778f73304324008a71c5374",
-        "result.json": "5525d4ee838400574b808207224d9529fcff3c865644e904763e1632537f2eb9",
+        "covariance_predicted.csv": "5086c05a43d9fc57c513249888220ae87f3b70c1ee71dc226d121a451bbc3d12",
+        "result.json": "0bdefea906a69ddc4ab61e3ed9b8569552636b6f75f48489cd0c3931a3bf5d3f",
     },
     "tomo_reps": {
-        "covariance_empirical.csv": "b038b195d2ffe0cbbf9589fcfbdaf50ce7b4486ad5e98f2c20bb9dd24010bf45",
-        "covariance_predicted.csv": "b39c747df2ebb3e230f0fbcc28f4be06ce81d9af052b2114b5ca0098d723c089",
-        "records.csv": "6833dbc49d49de8b6b8e0289e15e860f6a9651f019b3b2580dfb3dbb9adfc9ae",
-        "result.json": "639cc7a2f4fe61717e95e103f67855f328e0f57498d44fba55e250406fb81818",
+        "covariance_empirical.csv": "c1fcca3395bab09c7354978cede55de0f99195ab3574ffc9478bfceef6f2f4cf",
+        "covariance_predicted.csv": "c74d084965e188f7dd55b3f7bd319a1709e6fe0ab6ecbc7b8c4b621759484a89",
+        "records.csv": "40b5dfb4eb9e55972d523a9ecf2233169fffd5fc6fa1e497010c177c3d7ec81c",
+        "result.json": "5062063e3f11dd4885cf6adcecc71ea65eb7fa36aae6b41c9d9d87ad11ef7d43",
     },
     "tomo_exact_reps": {
-        "covariance_empirical.csv": "b038b195d2ffe0cbbf9589fcfbdaf50ce7b4486ad5e98f2c20bb9dd24010bf45",
-        "covariance_predicted.csv": "7fcbdf02e2710b179cffeff0507c3874b57447913778f73304324008a71c5374",
-        "result.json": "26ab4f87ae1b4fc36b6bc8772b11ed49ab0dad4f12b0607641cb4c1fb44b194a",
+        "covariance_empirical.csv": "c1fcca3395bab09c7354978cede55de0f99195ab3574ffc9478bfceef6f2f4cf",
+        "covariance_predicted.csv": "5086c05a43d9fc57c513249888220ae87f3b70c1ee71dc226d121a451bbc3d12",
+        "result.json": "dff3b2a0b646b3db34fc3db771a2251fc7318c4fcec63a470e14ab017d243e0f",
     },
     "tomo_shots_list": {
-        "covariance_empirical.csv": "127d5785707719d7ce4b7c54e2ef66771aa79d1fcbc938cf6aa4388fd8664b48",
-        "covariance_predicted.csv": "db83e1db8d9a92eaa58092716eb762d59e01a43e3414b0b68c177a2717dc6e72",
-        "records.csv": "929806754304d2d2b516fd72f57502f569b603ada372aacd00eab1f67e50b7fc",
-        "result.json": "e503984267e2d23f5b2d8d2fefe2740b17bf323cdd8cae87bc31e32fa2799d1a",
+        "covariance_empirical.csv": "fb8e8249f4b673223aaf8a07a79eadbd0711f17ceebe2a70eefb843bba24babf",
+        "covariance_predicted.csv": "70b06f2c52b33ffb9c5182970acec1bc7b9d39cd265d04370dc49f82cefc1d3d",
+        "records.csv": "c5743b65b2645ff7ba91928437250d0b68b29325d48edc3084addb886223150e",
+        "result.json": "a2486c0587072afa245ac63b744120c0924ced72995921f94c41519ee1e27dcb",
     },
     "tomo_readout": {
-        "covariance_empirical.csv": "644c35b647c4af266db85c71466c852ae9286bef7d636ee19b3c58f360b45dc1",
-        "covariance_predicted.csv": "377498196c47e382d376443f849b16af780c922e0d0e10c77eb636e80d0c6935",
-        "records.csv": "b43e8639a909d1cb9529b0b1712b6aacec2ad0e69ad01fee2a845d9ac131328d",
-        "result.json": "33531ec185ac0a2e531c4882c8e33d0e08a57d90a843c97edb5e6c1606139f7e",
+        "covariance_empirical.csv": "8684a5dbf58a87228aa1a5404c27a5192b06986258a3d6ee4752711d3bdff9d9",
+        "covariance_predicted.csv": "77cb8900163c6c9e67cf9d9cc47437ab68eaa0f3e1244b817160c6d6a25ff58a",
+        "records.csv": "2da06eb9f6b915920ecc2c529ce519986cd1d8f4ef97abef776d56a4c919abb8",
+        "result.json": "d805af54cbc854817ff82cfbbcf120b30a608901942dd75bf27ce9fa4935b9f7",
     },
     "tomo_noise": {
-        "covariance_empirical.csv": "3d558dbee6dda2a227985d986199c71d9d59e3dbe3958e64d787a6a67523c467",
-        "covariance_predicted.csv": "3459b0f0eccdcc321ba03c70104a17ef288c1f31ad584c982a3d3622499dee68",
-        "records.csv": "4b7c1ab608a135b3975e4dfe6c7bbb00f2a756995144f49f2199748848f2c383",
-        "result.json": "abcb7a20086ac2d0899b0f79a35c75aeac9fbcd370d00181bbf6537a66a57a41",
+        "covariance_empirical.csv": "bc0c8fd89e3d928d2be58f986cdeee2b0c3807afbc111442cc138478d7b85779",
+        "covariance_predicted.csv": "8be63816d1bfdafd7a6bedc39ce9bdf7b021318ac8340c6787244e3b970ae7bb",
+        "records.csv": "2cee843be8da1efa4fb0535d11e21822bac6867de538ebb49edbbdfbf83d03af",
+        "result.json": "20cec6c6528a9e537f185324d5268f59f437892b0b50c5136fa33a47dce84653",
     },
     "tomo_noise_readout": {
-        "covariance_empirical.csv": "bbe02212d3e91a304e7b4f6929fa95df95341e5b74b52adb32c4eff23c5e9f7b",
-        "covariance_predicted.csv": "961d3cb12e463538cf0a5a010d4a8720db35f9e5b1f6e023deb38f7b7b9ab021",
-        "records.csv": "6554a765c1a5604440ee636395d00aa003cf7f3340f8ca8d4e4d9ead846bc0cc",
-        "result.json": "467c24fa51318ff084107daa518a116255910657c2f7528b8f75d766e9b4000a",
+        "covariance_empirical.csv": "e503efec3dd70b233b1e11e5edabc7a056fc587ca56dc918d58a1b14ef5f19a8",
+        "covariance_predicted.csv": "2bcc7391431fe209f027510775c6593df5129be239c1fdfab3f91776b296a0e4",
+        "records.csv": "c979171d84a124d55f4ef92cdb3827dd57321791bf2240f56e952e920f925419",
+        "result.json": "cbf931c087b31506139a87d45b90ae3dd7b514a80e1c51f8f400283a489c6f2b",
     },
     "tomo_noise_all_kinds": {
-        "covariance_empirical.csv": "cb8fe9c7dee400a4a55908edb07424b6dbf1befca62a4754b076252b8800162a",
-        "covariance_predicted.csv": "13e4096e06e05c6ae50d50026752e125d84e686562b5388c54f8a7875111b926",
-        "records.csv": "b2009db6641087a791d3af28fc1fd7168e4f97c9b44f30bece53ca8c3a917f94",
-        "result.json": "68022a3bcec844117182efef407dd8256e7509da02afa837c7c64fee2fc10f94",
+        "covariance_empirical.csv": "7c545be26f64ab3c3ed7a1a63d2e5c9e971f00fba6580cacb6366c4c18e737a3",
+        "covariance_predicted.csv": "73d35a2f19a48a9bd080e7152e42db376e572557100a807a8bbc3b28c8647587",
+        "records.csv": "77ba4635244cb8f3bdaea027cf02e04067c3f5da2434f984ae6be21f773ec728",
+        "result.json": "94ff95fa71f50d70059405e1601983539105756ecee9199ff249f171b5ed5e56",
     },
     "tomo_up_up": {
-        "covariance_empirical.csv": "f5a19ebf54bf8cf68d53d92f908e64c9c4f19696e2c34cb9441f5659ac813188",
-        "covariance_predicted.csv": "8352828122a92f51636e82143698fe2f0551792b0bd6bc459697d461f0601eef",
-        "records.csv": "0ac3d4590a87e0e1c29d3408af5f16790a843fcc00f474ccb9589424db5e6350",
-        "result.json": "f8d21f559e86b1113749d210308fd40628beb1da91e9ffecb2d444e110ebf11d",
+        "covariance_empirical.csv": "8a4d4fd193e1bc601deca621785b6e65ba64b847aa227517b0a0ae655331beea",
+        "covariance_predicted.csv": "febec4fad0b5fd7e20c1b4b07cbb5dda4c847f1a59a72473c3654459c26e4fd1",
+        "records.csv": "e1a1e9eb89a17c44ca9350aba598eb389289d3810c97bea412848463ec0e5709",
+        "result.json": "c230293bab7c6d4d6ea5f1c3227a431ed078d38ab975beaaa5cc3e78e7513538",
     },
     "tomo_triplet_zero": {
-        "covariance_empirical.csv": "c84228c33577b533f56ebb968f788005c83ea4e97dbc8a21cbbdfa124e0d1110",
-        "covariance_predicted.csv": "0511730d929f518e66b821657ee38128c15d63db310304c743b141cf3858becd",
-        "records.csv": "f3b4755ab43ff4586fb858874e0defb426dce487537ad997b83b36280ca5ae65",
-        "result.json": "1249caccd1b1c8b0ab8d6ee361e804760ee1b3aa6269bdcc6e84fb8665adff65",
+        "covariance_empirical.csv": "067974fa414d4906ac9618a312268503b17e7bd8473a0f49ad649dc6b68552bb",
+        "covariance_predicted.csv": "b95597fb2cc20e8326e5f3f1c9122fb61c96f9b7364b9477643a586eb6135b06",
+        "records.csv": "dc0785a871175d406e3714a60edfda68c5d576702a3141bfa1b4490ada14ba41",
+        "result.json": "a81a9d009668bf3236681bb3b8e8ab2fac73e8a715e7e066e999757da094d43e",
     },
     "tomo_rank1": {
-        "covariance_predicted.csv": "c127edf7b5c204ca679a26b9e2906a76663bdb04eee3bdbbdf7bfdf931e1642e",
-        "records.csv": "40f95a52a7dd6935d8cbb42c8cd4f32b1b9546167ed0c2e3c4b775731e0b98a6",
-        "result.json": "158b37962e4a8c8cc8e4c7ea7d0cfecfff1e368404b17517c982502f10b369f0",
+        "covariance_predicted.csv": "2e20248be9ed46ce1a85c7ae63dac3631affe4dab310d09aee5ec1564ae0955e",
+        "records.csv": "7ae310d22f4907a2d8e5eb2f05a6e2030ff37b3585acb69fcddf0bdf64fd4637",
+        "result.json": "5360a861d469fb911da011221c0140aa092255cd241d3b5a318219b2de7ba082",
     },
     "tomo_rank2": {
-        "covariance_predicted.csv": "f6b7c6ed50b2eefed993fb4ea4c4a2bb1d32e51fd40905ef8714d3647b01b849",
-        "records.csv": "007b3641c11914359283498d7ba7713598cd3ac05af6be1c89f410bead7b0c65",
-        "result.json": "96f8fc15ff521ad10543f040d11737e1802d5466f1295801aef130cb3e78ee13",
+        "covariance_predicted.csv": "de24af2902eb58a10fc482854248da7a6f5cd5b5a8810053a46a61420df9a506",
+        "records.csv": "f713ddb668bf0b5fe8960c9816423ac1370f0605aa8c63a103703fa50a172e7d",
+        "result.json": "6596225e64ae990f5e45fa31f2903faedef9970979f239c2a89764f829398340",
     },
     "tomo_rank3": {
-        "covariance_predicted.csv": "2eaf68ef53715e9de406d875d71eb0b18f2ced6c52e9c6662312fc57cea6cb98",
-        "result.json": "38f18cb8d94943b7183e884358631aa8fae1ccbce8fad16ba534662af61d3c04",
+        "covariance_predicted.csv": "ad7ee9db3c93d5707fd27971bc678031166746702e14c1308f88c409f43a00a3",
+        "result.json": "454dd58315033c40572e52bf98dcf1779400247c4d01a4d6ae11845901ac4cfc",
     },
     "tomo_rank4": {
-        "covariance_empirical.csv": "ebc222d51673b0d98856e0c4082da217f4dee727173f34f199055016f23afb1d",
-        "covariance_predicted.csv": "622d4e56cbc3b0a98b0f7b0e6c379a8fa980d674cbaf23107ff089ec36b71f1c",
-        "records.csv": "cec0ed8a0898c6036a33ecac4f9ca0ef20a71752fe7d9cc2054169fba7d3e11b",
-        "result.json": "5013ed2da898fb16ee1bd4cc569057c69d9a0acb85998c0bed8ef421fa1c5d1a",
+        "covariance_empirical.csv": "3654decee8549f607bb6c90b3940635f6d41e693d34a3cd9ca1ba40902bc89b1",
+        "covariance_predicted.csv": "58cc23a2f4d3a8f6dec6de168604388c790629d96786caa64e7ddec8063a8669",
+        "records.csv": "25847d6f538aefffc0111e8ae105fe35c6f18bdcac74203ae5b5b735996f21e7",
+        "result.json": "ac15d9e0d0b97b050cc8b171a543ded0c7be196b480a1fe53362edf70a7f6a60",
     },
     "tomo_huge_shots": {
-        "covariance_predicted.csv": "84a72311fee72f61321e32ec530d9c4c1dab9099616397b75a61b578d89ad7a0",
-        "records.csv": "2a06689f19b38ab5f6666b2a2dd8796f4383c2c52f7bb27fa2b06754dc693a3b",
-        "result.json": "b236b361aa6782f00e198c523bdce71f8797039b6eeb0cba61640ee678bb35e0",
+        "covariance_predicted.csv": "b01c8a6f010704da5a00a2b3b6387fa15670292cca55595be973f6c64dfdaa2e",
+        "records.csv": "683f4c66ab7e59f5eb0b91b46c9e12d71c6a02013c5f32704fa67438caeebee2",
+        "result.json": "86ce5bdc41acaebc8035a67faa75dd6e1059d54bbe944df8f29b9e78699df704",
     },
 }
 

@@ -23,9 +23,9 @@ from spintomo.qmath import (
     pauli_assemble,
     pauli_expand,
     stream,
+    tau_expand,
 )
 from spintomo.quorum import (
-    DET_UPPER_BOUND,
     Preparation,
     Projector,
     Quorum,
@@ -210,7 +210,6 @@ def test_pmatrix_entries_against_manual_traces():
 
 
 def test_pmatrix_entries_of_a_stack_match_each_quorum_bit_for_bit():
-    # the stack of the det_upper_bound_strict row of verify
     rng = stream("det-bound")
     kets = rng.standard_normal((100, 15, 4)) + 1j * rng.standard_normal((100, 15, 4))
     kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
@@ -278,11 +277,16 @@ def test_quorum_records_schema():
 
 
 def test_det_upper_bound_strict_everywhere():
+    # every P row of a pure projector has squared norm 3/4, the identity
+    # verify's det_upper_bound row checks on the mub and james rows, so
+    # Hadamard's inequality bounds |det P| by (3/4)^(15/2)
     dets = [abs(pmatrix(mub_quorum()).det), abs(pmatrix(james_quorum()).det)]
     for trial in range(30):
         stack = np.stack([random_pure(5000 + 31 * trial + i).projector() for i in range(15)])
-        dets.append(abs(np.linalg.det(pmatrix_entries(Quorum("rand", LABELS, stack).matrices))))
-    assert max(dets) < DET_UPPER_BOUND
+        rows = pmatrix_entries(Quorum("rand", LABELS, stack).matrices)
+        assert np.max(np.abs(np.sum(rows**2, axis=1) - 0.75)) <= 1e-15
+        dets.append(abs(np.linalg.det(rows)))
+    assert max(dets) < 0.75 ** 7.5
 
 
 def test_constrained_random_kets_overlap():
@@ -299,6 +303,31 @@ def test_orthogonality_witness_sums():
     assert sums_dev < 1e-12  # |m1| and both partial sums against 3/8, every state
     assert ratio_dev < 1e-10
     assert orthogonality_witness(np.zeros((0, 4))) == (0.0, 0.0)  # |uu> alone
+
+
+def _quadratic_features(kets):
+    """Every tau coefficient m_a of each ket's projector, then every m_a m_b, a <= b."""
+    m = tau_expand(np.einsum("na,nb->nab", kets, kets.conj()))
+    a, b = np.triu_indices(16)
+    return np.column_stack([m, m[:, a] * m[:, b]])
+
+
+def test_tau_witness_kets_determine_every_quadratic_function():
+    # On kets with |<uu|phi>|^2 = 1/4 the functions of degree <= 2 in the tau
+    # coefficients span 84 dimensions, and the 200 witness kets of verify
+    # evaluate all 84 well apart from zero: a quadratic function constant on
+    # them, such as the tau rows' partial sums, is constant on the family.
+    witness = _quadratic_features(constrained_random_kets(200))
+    sv = np.linalg.svd(witness, compute_uv=False)
+    assert sv[83] / sv[0] > 1e-2
+    assert sv[84] / sv[0] < 1e-12
+    # 1000 kets of the same family from another stream add no dimension
+    rng = stream("tau-rank", 0)
+    rest = rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3))
+    rest *= np.sqrt(0.75) / np.linalg.norm(rest, axis=1, keepdims=True)
+    fresh = np.column_stack([0.5 * np.exp(2j * np.pi * rng.uniform(size=1000)), rest])
+    sv = np.linalg.svd(np.vstack([witness, _quadratic_features(fresh)]), compute_uv=False)
+    assert sv[84] / sv[0] < 1e-12
 
 
 def test_orthogonality_witness_preconditions():
