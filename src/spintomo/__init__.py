@@ -11,26 +11,26 @@ inversion or maximum likelihood, with predicted error covariances.
 Layout
 ------
 qmath        Pauli/tau operator bases, states, fidelities, RNG streams
-gates        native gate set and circuits
+gates        native gate set, circuits, and the one pass that runs
+             circuits on readouts (exact, or averaged over Gaussian
+             gate-angle noise)
 quorum       quorum construction (the 15 operators as one validated
              (15, 4, 4) stack), P matrix, structural witnesses
 dotmodel     six-level two-electron charge/spin model, tracked level sweeps
 measure      shot counts (one sampler for a run and a study) and readout
-             degradation, both on operator stacks; exact averaging over
-             Gaussian gate-angle noise
+             degradation, both on operator stacks
 reconstruct  one entry point for linear inversion and maximum likelihood,
              covariance prediction
 _kernels     the binomial likelihood and its ascent loop
 cli          command line front end (``spintomo ...``)
 """
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 from . import dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, spectrum_sweep
-from .gates import Circuit, Gate, GateKind, evolve_projector
+from .gates import Circuit, Gate, GateKind, NoiseModel
 from .measure import (
-    NoiseModel,
     average_projector,
     born_probabilities,
     degrade_readout,
@@ -67,11 +67,11 @@ __all__ = [
     "qmath", "gates", "quorum", "dotmodel", "measure", "reconstruct",
     "DensityMatrix", "PureState", "pauli_assemble", "pauli_expand",
     "random_density", "state_fidelity", "tau_expand", "trace_distance",
-    "Circuit", "Gate", "GateKind", "evolve_projector",
+    "Circuit", "Gate", "GateKind", "NoiseModel",
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",
     "pmatrix",
     "DotParams", "spectrum_sweep",
-    "NoiseModel", "average_projector", "born_probabilities", "degrade_readout",
+    "average_projector", "born_probabilities", "degrade_readout",
     "plan_shots", "simulate_counts",
     "ReconstructionResult", "covariance_predict",
     "linear_from_frequencies", "mle_from_frequencies",

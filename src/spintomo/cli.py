@@ -34,15 +34,12 @@ import numpy as np
 
 from . import __version__
 from .dotmodel import DotParams, spectrum_sweep
-from .gates import GateKind, evolve_projector, gate_matrix
+from .gates import Circuit, Gate, GateKind, NoiseModel, average_readouts, readout_steps
 from .measure import (
-    NoiseModel,
-    average_readouts,
     born_probabilities,
     calibration_matrix,
     degrade_readout,
     plan_shots,
-    readout_steps,
     simulate_counts,
 )
 from .qmath import (
@@ -67,10 +64,11 @@ from .quorum import (
     constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
+    ideal_readouts,
     james_quorum,
-    mub_bases,
     mub_preparations,
     mub_quorum,
+    mub_readouts,
     orthogonality_witness,
     pmatrix,
     quorum_records,
@@ -337,20 +335,6 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
         raise ConfigError(str(exc)) from exc
 
 
-@functools.cache
-def _noise_readouts() -> tuple:
-    """What noise averaging starts from, fixed by the scheme: the
-    ``readout_steps`` of the 15 measurement circuits, the (15, 4, 4) stack
-    of base readouts and their base labels.  Built on first use and
-    shared, so a noisy run averages all 15 readouts in one batched pass
-    over gate positions and builds no gate table."""
-    preps = mub_preparations()
-    bases = np.stack([prep.base_state.projector() for prep in preps])
-    bases.setflags(write=False)
-    steps = readout_steps(prep.measurement_circuit() for prep in preps)
-    return steps, bases, tuple(prep.base_label for prep in preps)
-
-
 def _effective_quorum(cfg: dict) -> Quorum:
     """The MUB quorum as the detector actually realizes it: the ideal
     stack, averaged over the config's gate-angle noise, then degraded by
@@ -373,7 +357,7 @@ def _effective_quorum(cfg: dict) -> Quorum:
                           f"noise config for {kind}")
     try:
         if noise_cfg is not None:
-            matrices = average_readouts(*_noise_readouts(), NoiseModel.from_json(noise_cfg))
+            matrices = average_readouts(*mub_readouts(), NoiseModel.from_json(noise_cfg))
         if fidelity is not None:
             fidelity = float(fidelity)
             matrices = degrade_readout(matrices, fidelity)
@@ -554,20 +538,25 @@ def run_verification() -> list:
 
     q_mub = mub_quorum()
     q_james = james_quorum()
-    states = [p.prepared_state() for p in mub_preparations()]
+    # the 15 readouts the measurement circuits realize, run once per call
+    # through the noise-free pass that noisy runs average with
+    readouts = ideal_readouts(mub_preparations())
 
     guarded(lambda: abs(abs(pmatrix(q_mub).det) - 1.0 / 32.0),
             ("det_mub", 1e-12, "| |det P| - 1/32 |"))
     guarded(lambda: abs(abs(pmatrix(q_james).det) - 1.0 / 512.0),
             ("det_james", 1e-12, "| |det P| - 1/512 |"))
-    guarded(lambda: closed_form_deviation(states),
+    guarded(lambda: closed_form_deviation(readouts),
             ("quorum_cross_check", 1e-12, "projectors vs closed-form Pauli terms"))
     guarded(lambda: esr_budget_excess(mub_preparations()),
             ("esr_budget", 1e-12, "one pi/2 resonant pulse max, states 4..15"))
 
     def mub_condition():
-        """tr(P_a P_b) = |<a|b>|^2 is 1 or 0 within a basis and 1/4 across."""
-        matrices = np.stack([s.projector() for basis in mub_bases(states) for s in basis])
+        """tr(P_a P_b) = |<a|b>|^2 is 1 or 0 within a basis and 1/4 across;
+        readouts 3i+1 .. 3i+3 lead basis i, and I minus their sum completes it."""
+        led = readouts.reshape(5, 3, 4, 4)
+        fourth = np.eye(4) - led.sum(axis=1)
+        matrices = np.concatenate([led, fourth[:, None]], axis=1).reshape(20, 4, 4)
         target = np.kron(np.eye(5), np.eye(4) - 0.25) + 0.25
         return float(np.max(np.abs(calibration_matrix(matrices) - target)))
 
@@ -608,10 +597,16 @@ def run_verification() -> list:
 
     def evolution_error(kind, base, cos_terms, sin_terms):
         """One gate conjugating a readout projector, against its Pauli
-        expansion I/4 - zz/4 + cos(angle) (cos terms) + sin(angle) (sin terms)."""
+        expansion I/4 - zz/4 + cos(angle) (cos terms) + sin(angle) (sin terms).
+        The readout pass runs U^dag B U, so the one-gate circuit of angle
+        -angle gives exp(i angle H) B exp(-i angle H)."""
+        angles = (0.0, np.pi / 4, np.pi / 2, np.pi)
+        circuits = [Circuit((Gate(kind, -angle),)) for angle in angles]
+        bases = np.stack([base.projector()] * len(angles))
+        evolved = average_readouts(readout_steps(circuits), bases, [kind.value] * len(angles),
+                                   NoiseModel())
         worst = 0.0
-        for angle in (0.0, np.pi / 4, np.pi / 2, np.pi):
-            lhs = evolve_projector(gate_matrix(kind, angle), base.projector())
+        for angle, lhs in zip(angles, evolved):
             coeffs = np.zeros(16)
             coeffs[0] = 0.5
             coeffs[15] = -0.5

@@ -1,4 +1,5 @@
-"""Gate set available in the double-dot device, and circuits built from it.
+"""Gate set available in the double-dot device, circuits built from it,
+and the one pass that runs circuits on readout operators.
 
 Every gate is generated by one control knob:
 
@@ -10,18 +11,24 @@ Every gate is generated by one control knob:
 * resonant x rotation of qubit 1  exp(i theta sigma_{1x})
 
 Circuits list gates in execution order: the leftmost gate acts first.
+No unitary is ever formed: a circuit acts on a readout operator B as
+U^dag B U, gate by gate in the eigenbasis of each gate's generator.
+``readout_steps`` builds the gate tables of a stack of circuits once,
+position by position counted from the end of each circuit, and
+``average_readouts`` applies them to a stack of readouts, averaged over
+Gaussian angle errors (``NoiseModel``).  With no noise that pass is the
+exact conjugation, and it is the only way a circuit is run: the quorum
+guard, ``spintomo verify`` and every noisy tomography run share it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .qmath import SINGLET, PureState, is_hermitian, two_qubit_pauli
-
-UNITARY_ATOL = 1e-10
+from .qmath import SINGLET, two_qubit_pauli
 
 
 class GateKind(str, Enum):
@@ -46,7 +53,7 @@ for _h in _GENERATORS.values():
 
 
 def generator(kind: GateKind) -> np.ndarray:
-    """Hermitian H with gate_matrix(kind, angle) = exp(i angle H), read-only."""
+    """Hermitian H of the gate exp(i angle H) of this kind, read-only."""
     return _GENERATORS[GateKind(kind)]
 
 
@@ -75,18 +82,6 @@ class Gate:
         return {"kind": self.kind.value, "angle_radians": float(self.angle)}
 
 
-def gate_matrix(kind: GateKind, angle: float) -> np.ndarray:
-    """exp(i angle H) from its closed form: the z-type generators are diagonal,
-    exchange and the resonant rotation have two distinct eigenvalues."""
-    kind = GateKind(kind)
-    h = _GENERATORS[kind]
-    if kind == GateKind.EXCHANGE_PULSE:
-        return np.eye(4, dtype=np.complex128) + (np.exp(1j * angle) - 1.0) * h
-    if kind == GateKind.ESR_X_QUBIT1:
-        return np.cos(angle) * np.eye(4, dtype=np.complex128) + 1j * np.sin(angle) * h
-    return np.diag(np.exp(1j * angle * np.diag(h).real))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate sequence; gates[0] acts first."""
@@ -99,13 +94,6 @@ class Circuit:
             if not isinstance(g, Gate):
                 raise TypeError("Circuit gates must be Gate instances")
 
-    def unitary(self) -> np.ndarray:
-        """Product of the gate unitaries; the leftmost listed gate acts first."""
-        u = np.eye(4, dtype=np.complex128)
-        for g in self.gates:
-            u = gate_matrix(g.kind, g.angle) @ u
-        return u
-
     def adjoint(self) -> "Circuit":
         """Inverse circuit: reversed order, negated angles."""
         return Circuit(tuple(Gate(g.kind, -g.angle) for g in reversed(self.gates)))
@@ -117,20 +105,116 @@ class Circuit:
         return [g.to_record() for g in self.gates]
 
 
-def circuit_apply(circuit: Circuit, state: PureState) -> PureState:
-    """Run the circuit on a state; output carries the canonical phase."""
-    return PureState.from_amplitudes(circuit.unitary() @ state.amplitudes)
+@dataclass(frozen=True)
+class AngleNoise:
+    mean_rad: float
+    std_rad: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mean_rad) and np.isfinite(self.std_rad)):
+            raise ValueError("noise parameters must be finite")
+        if self.std_rad < 0:
+            raise ValueError("std_rad must be nonnegative")
 
 
-def evolve_projector(u: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """Heisenberg conjugation U P U^dag with a unitarity check on U."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (4, 4):
-        raise ValueError("expected a 4x4 unitary")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-    if dev > UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (deviation {dev!r})")
-    projector = np.asarray(projector, dtype=np.complex128)
-    if not is_hermitian(projector):
-        raise ValueError("projector must be Hermitian")
-    return u @ projector @ u.conj().T
+@dataclass(frozen=True)
+class NoiseModel:
+    """Additive Gaussian angle error per gate instance, by gate kind.
+
+    Kinds absent from the table are noise-free.
+    """
+
+    gates: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "NoiseModel":
+        """The model of a checked noise config block: gate kind name ->
+        {"mean_rad", "std_rad"}, where an absent field is 0."""
+        return cls({
+            GateKind(kind): AngleNoise(float(p.get("mean_rad", 0.0)), float(p.get("std_rad", 0.0)))
+            for kind, p in data.items()
+        })
+
+    def for_kind(self, kind: GateKind) -> AngleNoise:
+        return self.gates.get(kind, AngleNoise(0.0, 0.0))
+
+
+@dataclass(frozen=True)
+class ReadoutStep:
+    """The gates at one position, counted from the end, of a stack of
+    readout circuits: the stack ``rows`` that have a gate there, and per
+    row its kind (an index into ``GateKind``), its base angle, the
+    eigenvalue differences d_ij = lambda_j - lambda_i of its generator and
+    the generator's eigenvectors V and V^dag.  Arrays are read-only."""
+
+    rows: np.ndarray
+    kinds: np.ndarray
+    angles: np.ndarray
+    d: np.ndarray
+    vecs: np.ndarray
+    vecs_h: np.ndarray
+
+
+_KINDS = tuple(GateKind)
+
+
+def readout_steps(circuits) -> tuple:
+    """The circuits of a readout stack as ``ReadoutStep``s, one per gate
+    position counted from the end of each circuit: step 0 holds every
+    circuit's last gate, which acts on the readout first."""
+    circuits = tuple(circuits)
+    steps = []
+    for pos in range(max((len(c.gates) for c in circuits), default=0)):
+        rows = [i for i, c in enumerate(circuits) if len(c.gates) > pos]
+        gates = [circuits[i].gates[-1 - pos] for i in rows]
+        eighs = [generator_eigh(g.kind) for g in gates]
+        arrays = (
+            np.array(rows),
+            np.array([_KINDS.index(g.kind) for g in gates]),
+            np.array([g.angle for g in gates], dtype=float),
+            np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
+            np.stack([vecs for _, vecs in eighs]),
+            np.stack([vecs.conj().T for _, vecs in eighs]),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        steps.append(ReadoutStep(*arrays))
+    return tuple(steps)
+
+
+def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.ndarray:
+    """Exact means of U(alpha)^dag B U(alpha) over Gaussian gate angles,
+    for a stack of readouts at once: (n, 4, 4) from the ``readout_steps``
+    of the n circuits, their base operators ``bases`` and base labels.
+
+    Each gate's angle is perturbed by an independent Gaussian error of its
+    kind's mean and std.  In the eigenbasis of a gate's generator H, entry
+    (i, j) of the conjugated operator picks up
+    E[exp(i d a)] = exp(i d (angle + mean) - d^2 std^2 / 2) with
+    d = lambda_j - lambda_i.  One step is one batched pass over the rows
+    with a gate at that position, so the gates of every circuit are
+    applied last first; with no noise each row is the exact conjugation
+    U^dag B U by the circuit's unitary U.  The results are made
+    Hermitian and unit-trace; they are not otherwise checked.
+
+    Raises ValueError, naming the label of the first readout at fault,
+    when an angle is so large that the phases overflow.
+    """
+    means = np.array([noise.for_kind(k).mean_rad for k in _KINDS])
+    stds = np.array([noise.for_kind(k).std_rad for k in _KINDS])
+    x = np.array(bases, dtype=np.complex128)
+    for step in steps:
+        shift = (step.angles + means[step.kinds])[:, None, None]
+        spread = stds[step.kinds][:, None, None]
+        # a huge std damps a coherence to exactly 0; a huge angle overflows
+        # the phase to nan, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = np.exp(1j * step.d * shift - 0.5 * (step.d * spread) ** 2)
+        x[step.rows] = step.vecs @ ((step.vecs_h @ x[step.rows] @ step.vecs) * factor) @ step.vecs_h
+    finite = np.all(np.isfinite(x), axis=(-2, -1))
+    if not np.all(finite):
+        label = labels[int(np.argmin(finite))]
+        raise ValueError(f"{label}: averaged readout is not finite (angle too large)")
+    sym = 0.5 * (x + x.conj().swapaxes(-2, -1))
+    sym /= np.trace(sym, axis1=-2, axis2=-1).real[:, None, None]
+    return sym

@@ -13,21 +13,19 @@ rows are computed.
 Readout infidelity is one affine map that contracts every operator of a
 stack toward the maximally mixed operator.  Coherent gate-angle errors
 replace the circuit-conjugated readout operator by its exact mean over
-Gaussian angle errors, from the characteristic function of the Gaussian.
-A stack of readouts is averaged in one batched pass over gate positions,
-counted from the end of each circuit: ``readout_steps`` builds the gate
-tables of those positions once per stack of circuits, and
-``average_readouts`` applies them under any noise model.
+Gaussian angle errors: ``gates.average_readouts`` averages a stack of
+readouts in one batched pass, and ``average_projector`` here is that
+pass on a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, GateKind, generator_eigh
+from .gates import Circuit, NoiseModel, average_readouts, readout_steps
 from .qmath import as_operator, stream
 from .quorum import Projector
 
@@ -78,40 +76,6 @@ def degrade_readout(matrices: np.ndarray, fidelity: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AngleNoise:
-    mean_rad: float
-    std_rad: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean_rad) and np.isfinite(self.std_rad)):
-            raise ValueError("noise parameters must be finite")
-        if self.std_rad < 0:
-            raise ValueError("std_rad must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive Gaussian angle error per gate instance, by gate kind.
-
-    Kinds absent from the table are noise-free.
-    """
-
-    gates: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NoiseModel":
-        """The model of a checked noise config block: gate kind name ->
-        {"mean_rad", "std_rad"}, where an absent field is 0."""
-        return cls({
-            GateKind(kind): AngleNoise(float(p.get("mean_rad", 0.0)), float(p.get("std_rad", 0.0)))
-            for kind, p in data.items()
-        })
-
-    def for_kind(self, kind: GateKind) -> AngleNoise:
-        return self.gates.get(kind, AngleNoise(0.0, 0.0))
-
-
-@dataclass(frozen=True)
 class AveragedProjector:
     """An averaged readout operator.  The average is exact, so
     ``max_standard_error`` is always 0.0; it stays for callers that
@@ -119,87 +83,6 @@ class AveragedProjector:
 
     projector: Projector
     max_standard_error: float = 0.0
-
-
-@dataclass(frozen=True)
-class ReadoutStep:
-    """The gates at one position, counted from the end, of a stack of
-    readout circuits: the stack ``rows`` that have a gate there, and per
-    row its kind (an index into ``GateKind``), its base angle, the
-    eigenvalue differences d_ij = lambda_j - lambda_i of its generator and
-    the generator's eigenvectors V and V^dag.  Arrays are read-only."""
-
-    rows: np.ndarray
-    kinds: np.ndarray
-    angles: np.ndarray
-    d: np.ndarray
-    vecs: np.ndarray
-    vecs_h: np.ndarray
-
-
-_KINDS = tuple(GateKind)
-
-
-def readout_steps(circuits) -> tuple:
-    """The circuits of a readout stack as ``ReadoutStep``s, one per gate
-    position counted from the end of each circuit: step 0 holds every
-    circuit's last gate, which acts on the readout first."""
-    circuits = tuple(circuits)
-    steps = []
-    for pos in range(max((len(c.gates) for c in circuits), default=0)):
-        rows = [i for i, c in enumerate(circuits) if len(c.gates) > pos]
-        gates = [circuits[i].gates[-1 - pos] for i in rows]
-        eighs = [generator_eigh(g.kind) for g in gates]
-        arrays = (
-            np.array(rows),
-            np.array([_KINDS.index(g.kind) for g in gates]),
-            np.array([g.angle for g in gates], dtype=float),
-            np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
-            np.stack([vecs for _, vecs in eighs]),
-            np.stack([vecs.conj().T for _, vecs in eighs]),
-        )
-        for a in arrays:
-            a.setflags(write=False)
-        steps.append(ReadoutStep(*arrays))
-    return tuple(steps)
-
-
-def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.ndarray:
-    """Exact means of U(alpha)^dag B U(alpha) over Gaussian gate angles,
-    for a stack of readouts at once: (n, 4, 4) from the ``readout_steps``
-    of the n circuits, their base operators ``bases`` and base labels.
-
-    Each gate's angle is perturbed by an independent Gaussian error of its
-    kind's mean and std.  In the eigenbasis of a gate's generator H, entry
-    (i, j) of the conjugated operator picks up
-    E[exp(i d a)] = exp(i d (angle + mean) - d^2 std^2 / 2) with
-    d = lambda_j - lambda_i.  One step is one batched pass over the rows
-    with a gate at that position, so the gates of every circuit are
-    applied last first; with all stds at zero each row is
-    evolve_projector(circuit.unitary()^dag, base).  The results are made
-    Hermitian and unit-trace; they are not otherwise checked.
-
-    Raises ValueError, naming the label of the first readout at fault,
-    when an angle is so large that the phases overflow.
-    """
-    means = np.array([noise.for_kind(k).mean_rad for k in _KINDS])
-    stds = np.array([noise.for_kind(k).std_rad for k in _KINDS])
-    x = np.array(bases, dtype=np.complex128)
-    for step in steps:
-        shift = (step.angles + means[step.kinds])[:, None, None]
-        spread = stds[step.kinds][:, None, None]
-        # a huge std damps a coherence to exactly 0; a huge angle overflows
-        # the phase to nan, which the check below reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            factor = np.exp(1j * step.d * shift - 0.5 * (step.d * spread) ** 2)
-        x[step.rows] = step.vecs @ ((step.vecs_h @ x[step.rows] @ step.vecs) * factor) @ step.vecs_h
-    finite = np.all(np.isfinite(x), axis=(-2, -1))
-    if not np.all(finite):
-        label = labels[int(np.argmin(finite))]
-        raise ValueError(f"{label}: averaged readout is not finite (angle too large)")
-    sym = 0.5 * (x + x.conj().swapaxes(-2, -1))
-    sym /= np.trace(sym, axis1=-2, axis2=-1).real[:, None, None]
-    return sym
 
 
 def average_projector(

@@ -13,21 +13,22 @@ calibration matrix.  Two concrete quorums are built here:
 * ``james_quorum`` -- the standard all-separable 15-projector set.
 
 Each MUB projector is built twice, from a closed-form Pauli
-decomposition and from its preparation circuit, and the two routes are
-cross-checked at 1e-12.  The preparation table and both quorums are
-fixed by the scheme, so each is built, and the MUB quorum guarded, once
-per process on first use and then shared: all are frozen, with
-read-only arrays.
+decomposition and as the readout its measurement circuit realizes in
+the noise-free pass of ``gates.average_readouts``, the pass noisy runs
+average with, and the two routes are cross-checked at 1e-12.  The
+preparation table, its readout tables and both quorums are fixed by the
+scheme, so each is built, and the MUB quorum guarded, once per process
+on first use and then shared: all are frozen, with read-only arrays.
 
 The structural measures here return bare numbers, which the rows of
 ``spintomo verify`` record as they are: each row is one record of
-``verify.json``.  The P matrices of one quorum or a stack of them are
-one product with a constant (16, 15) weight matrix.  The Gram-Schmidt
-lengths are the Cholesky diagonal of the P rows' Gram matrix; the kets
-of the tau witness are one array drawn from one stream; the closure rank
-of the readouts runs on the 15 real traceless D coordinates, one product
-with the real 15x15 adjoint tables of the generators and one SVD per
-commutator depth.
+``verify.json``.  The P matrix of a quorum is one product of its
+flattened (15, 16) stack with a constant (16, 15) weight matrix.  The
+Gram-Schmidt lengths are the Cholesky diagonal of the P rows' Gram
+matrix; the kets of the tau witness are one array drawn from one stream;
+the closure rank of the readouts runs on the 15 real traceless D
+coordinates, one product with the real 15x15 adjoint tables of the
+generators and one SVD per commutator depth.
 """
 
 from __future__ import annotations
@@ -39,7 +40,15 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels, qmath
-from .gates import Circuit, Gate, GateKind, circuit_apply, generator
+from .gates import (
+    Circuit,
+    Gate,
+    GateKind,
+    NoiseModel,
+    average_readouts,
+    generator,
+    readout_steps,
+)
 from .qmath import (
     DOWN,
     DOWN_Y,
@@ -162,9 +171,6 @@ class Preparation:
     def base_state(self) -> PureState:
         return BASE_STATES[self.base_label]
 
-    def prepared_state(self) -> PureState:
-        return circuit_apply(self.circuit, self.base_state)
-
     def measurement_circuit(self) -> Circuit:
         """Circuit the device applies before the base readout."""
         return self.circuit.adjoint()
@@ -230,20 +236,45 @@ def esr_budget_excess(preps: Sequence[Preparation]) -> float:
     """
     worst = 0.0
     for j, prep in enumerate(preps, start=1):
-        esr = [g for g in prep.circuit.gates if g.kind == GateKind.ESR_X_QUBIT1]
-        worst = max(worst, abs(len(esr) - (0 if j <= 3 else 1)))
-        if esr:
-            worst = max(worst, max(abs(g.angle) - np.pi / 4 for g in esr))
+        worst = max(worst, abs(prep.circuit.esr_gate_count() - (0 if j <= 3 else 1)))
+        for g in prep.circuit.gates:
+            if g.kind == GateKind.ESR_X_QUBIT1:
+                worst = max(worst, abs(g.angle) - np.pi / 4)
     return worst
 
 
-def closed_form_deviation(states: Sequence[PureState]) -> float:
-    """Largest entry gap between the projectors of the 15 prepared states
-    and the closed-form Pauli terms of the quorum projectors."""
-    projectors = np.array([s.projector() for s in states])
-    if projectors.shape != _CLOSED_FORMS.shape:
-        raise ValueError(f"expected the 15 prepared states, not {len(states)}")
-    return float(np.max(np.abs(projectors - _CLOSED_FORMS)))
+def _readout_inputs(preps: Sequence[Preparation]) -> tuple:
+    """The ``readout_steps`` of a preparation table's measurement
+    circuits, the (n, 4, 4) stack of their base readouts and their base
+    labels: the arguments of ``average_readouts`` but the noise."""
+    bases = np.stack([prep.base_state.projector() for prep in preps])
+    bases.setflags(write=False)
+    steps = readout_steps(prep.measurement_circuit() for prep in preps)
+    return steps, bases, tuple(prep.base_label for prep in preps)
+
+
+@functools.cache
+def mub_readouts() -> tuple:
+    """``_readout_inputs`` of the shared preparation table, built on first
+    use and shared, so a noisy run averages all 15 readouts in one
+    batched pass over gate positions and builds no gate table."""
+    return _readout_inputs(mub_preparations())
+
+
+def ideal_readouts(preps: Sequence[Preparation]) -> np.ndarray:
+    """The (n, 4, 4) readouts a preparation table's measurement circuits
+    realize without noise: ``average_readouts`` under an empty
+    ``NoiseModel``, the pass that noisy runs average with."""
+    return average_readouts(*_readout_inputs(preps), NoiseModel())
+
+
+def closed_form_deviation(readouts: np.ndarray) -> float:
+    """Largest entry gap between the (15, 4, 4) readouts of the
+    measurement circuits and the closed-form Pauli terms of the quorum
+    projectors."""
+    if np.shape(readouts) != _CLOSED_FORMS.shape:
+        raise ValueError(f"expected the (15, 4, 4) quorum readouts, not {np.shape(readouts)}")
+    return float(np.max(np.abs(readouts - _CLOSED_FORMS)))
 
 
 @functools.cache
@@ -251,17 +282,18 @@ def mub_quorum() -> Quorum:
     """The 15-state unbiased-bases quorum, cross-checked two ways.
 
     Route one assembles each projector from its closed-form Pauli terms;
-    route two runs the preparation circuit on the base state.  Raises
-    when the circuits break the resonant-pulse budget or the two routes
-    disagree beyond 1e-12.  Built and guarded on first use, then shared
-    (a refusal is not kept); ``mub_quorum.__wrapped__`` is the uncached
-    build.  The prepared states serve the guard and are dropped.
+    route two runs each measurement circuit on its base readout through
+    the noise-free readout pass (``ideal_readouts``).  Raises when the
+    circuits break the resonant-pulse budget or the two routes disagree
+    beyond 1e-12.  Built and guarded on first use, then shared (a
+    refusal is not kept); ``mub_quorum.__wrapped__`` is the uncached
+    build.  The circuit readouts serve the guard and are dropped.
     """
     preps = mub_preparations()
     excess = esr_budget_excess(preps)
     if excess > CROSS_CHECK_ATOL:
         raise RuntimeError(f"preparation circuits break the ESR budget by {excess:.3e}")
-    dev = closed_form_deviation([prep.prepared_state() for prep in preps])
+    dev = closed_form_deviation(ideal_readouts(preps))
     if dev > CROSS_CHECK_ATOL:
         raise RuntimeError(f"circuit and closed form disagree (max dev {dev:.3e})")
     labels = tuple(prep.label for prep in preps)
@@ -279,17 +311,6 @@ def james_quorum() -> Quorum:
     ]
     labels = tuple(f"J{j:02d}" for j in range(1, 16))
     return Quorum("james", labels, np.stack([kron_state(a, b).projector() for a, b in kets]))
-
-
-def mub_bases(states: Sequence[PureState]) -> list:
-    """The five unbiased bases as 5 lists of 4 states, from the 15 prepared
-    quorum states: states 3i+1 .. 3i+3 lead basis i, and one SVD of their
-    (5, 3, 4) amplitudes completes each with its fourth state."""
-    _, _, vh = np.linalg.svd(np.array([np.conj(s.amplitudes) for s in states]).reshape(5, 3, 4))
-    return [
-        list(states[3 * i : 3 * i + 3]) + [PureState.from_amplitudes(np.conj(vh[i, 3]))]
-        for i in range(5)
-    ]
 
 
 @dataclass(frozen=True)
@@ -312,13 +333,12 @@ _PMATRIX_WEIGHTS.setflags(write=False)
 
 
 def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
-    """P matrices of a stack of quorum matrices, shape (..., 15, 4, 4):
-    one product of the flattened (..., 15, 16) stack with a constant
-    (16, 15) weight matrix."""
+    """P matrix of one quorum's (15, 4, 4) stack: one product of the
+    flattened (15, 16) stack with a constant (16, 15) weight matrix."""
     # keep .real a strided view: callers such as covariance_predict multiply
     # these entries, and a contiguous copy takes another matmul path there,
     # moving the last bits of their outputs
-    return (mats.reshape(*mats.shape[:-2], 16) @ _PMATRIX_WEIGHTS).real
+    return (mats.reshape(15, 16) @ _PMATRIX_WEIGHTS).real
 
 
 def pmatrix(q: Quorum) -> PMatrix:

@@ -1,14 +1,17 @@
 """Fixtures that several test modules share.
 
-``random_pure`` draws test states; ``mle_seed`` and ``singlet_levels``
-reach into the shipping code the way its callers do, so that a test can
-check a closed form against the path the CLI runs.
+``random_pure`` draws test states; ``unitary`` is the gate exp(i a H)
+as a matrix, the forward oracle that the readout pass is checked
+against; ``mle_seed`` and ``singlet_levels`` reach into the shipping
+code the way its callers do, so that a test can check a closed form
+against the path the CLI runs.
 """
 
 import numpy as np
 
 from spintomo.dotmodel import hamiltonian6
-from spintomo.qmath import PureState, stream
+from spintomo.gates import GateKind
+from spintomo.qmath import SINGLET, PureState, stream, two_qubit_pauli
 from spintomo.reconstruct import (
     _SEED_EIGENVALUE_FLOOR,
     _clip_renormalize,
@@ -30,6 +33,27 @@ def random_pure(seed: int) -> PureState:
     rng = stream("random-pure", seed)
     g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return PureState.from_amplitudes(g)
+
+
+def oracle_generator(kind: GateKind) -> np.ndarray:
+    """Hermitian H with gate = exp(i * angle * H), built apart from the
+    package's generator table."""
+    z1, z2 = two_qubit_pauli(3, 0), two_qubit_pauli(0, 3)
+    return {
+        GateKind.EXCHANGE_PULSE: SINGLET.projector(),
+        GateKind.Z_ROT_QUBIT1: z1,
+        GateKind.Z_ROT_QUBIT2: z2,
+        GateKind.Z_ROT_BOTH: z1 + z2,
+        GateKind.GRADIENT_Z: (z1 - z2) / 4.0,
+        GateKind.ESR_X_QUBIT1: two_qubit_pauli(1, 0),
+    }[GateKind(kind)]
+
+
+def unitary(kind: GateKind, angle: float) -> np.ndarray:
+    """The gate exp(i angle H) as a matrix, from the spectral decomposition
+    of ``oracle_generator``: a forward oracle for the readout pass."""
+    vals, vecs = np.linalg.eigh(oracle_generator(kind))
+    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
 
 
 def mle_seed(rho_linear: np.ndarray) -> np.ndarray:

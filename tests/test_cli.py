@@ -445,8 +445,8 @@ def test_configs_reject_non_finite_numbers(tmp_path, command, text):
 def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsys):
     # the quorum, its readout circuits and their gate tables and the
     # parser are built once per process: after one run of each config, a
-    # second one prepares no state, inverts no circuit, builds no gate
-    # table and no parser, and averages no readout on its own; the P
+    # second one inverts no circuit, builds no gate table and no parser,
+    # and averages no readout on its own; the P
     # matrix and likelihood forms are built once per quorum, so the plain
     # run builds neither and each run on a degraded or noisy quorum one
     argvs = [
@@ -467,12 +467,10 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr("spintomo.quorum.circuit_apply",
-                        counting("circuit_apply", quorum.circuit_apply))
     monkeypatch.setattr(Circuit, "adjoint", counting("adjoint", Circuit.adjoint))
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         counting("parser", argparse.ArgumentParser.__init__))
-    monkeypatch.setattr(cli, "readout_steps", counting("readout_steps", cli.readout_steps))
+    monkeypatch.setattr(quorum, "readout_steps", counting("readout_steps", quorum.readout_steps))
     monkeypatch.setattr(measure, "average_projector",
                         counting("average_projector", measure.average_projector))
     monkeypatch.setattr(quorum, "pmatrix_entries",
@@ -486,19 +484,22 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     capsys.readouterr()
     assert calls == Counter(pmatrix=2, forms=2)
     calls.clear()
-    # the counters do see the work: the uncached builds make every call
+    # the counters do see the work: the uncached builds make every call;
+    # the quorum guard runs the 15 readout circuits it checks, and the
+    # shared readout tables of noisy runs are built apart from it
     fresh = mub_quorum.__wrapped__()
-    cli._noise_readouts.__wrapped__()
+    quorum.mub_readouts.__wrapped__()
     cli._build_parser.__wrapped__()
     pmatrix(fresh)
     fresh.likelihood_forms
-    assert calls == Counter(circuit_apply=15, adjoint=15, parser=6,  # 5 subcommand parsers
-                            readout_steps=1, pmatrix=1, forms=1)
+    assert calls == Counter(adjoint=30, parser=6,  # 5 subcommand parsers
+                            readout_steps=2, pmatrix=1, forms=1)
 
 
 def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
-    # both quorums are built once per process: a second verify prepares
-    # the 15 MUB states it checks, and builds no product state
+    # both quorums are built once per process: a second verify runs the 15
+    # MUB readout circuits it checks through one readout pass, and builds
+    # no product state
     assert main(["verify"]) == EXIT_OK
     calls = Counter()
 
@@ -509,12 +510,12 @@ def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr("spintomo.quorum.kron_state", counting(quorum.kron_state))
-    monkeypatch.setattr("spintomo.quorum.circuit_apply", counting(quorum.circuit_apply))
+    monkeypatch.setattr("spintomo.quorum.readout_steps", counting(quorum.readout_steps))
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == Counter(circuit_apply=15)
+    assert calls == Counter(readout_steps=1)
     quorum.james_quorum.__wrapped__()  # the uncached build makes every product state
-    assert calls == Counter(circuit_apply=15, kron_state=15)
+    assert calls == Counter(readout_steps=1, kron_state=15)
 
 
 # ---------------------------------------------------------------------- plan

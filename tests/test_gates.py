@@ -1,4 +1,9 @@
-"""Native gate set: closed forms vs matrix-exponential oracles."""
+"""Native gate set: the readout pass against forward-unitary oracles.
+
+The package runs a circuit only as the readout conjugation U^dag B U of
+``average_readouts``; with no noise that is exact, and these tests check
+it against the gate matrices exp(i angle H) of ``support.unitary``.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +12,11 @@ from spintomo.gates import (
     Circuit,
     Gate,
     GateKind,
-    circuit_apply,
-    evolve_projector,
-    gate_matrix,
+    NoiseModel,
+    average_readouts,
     generator,
     generator_eigh,
+    readout_steps,
 )
 from spintomo.qmath import (
     SINGLET,
@@ -20,53 +25,53 @@ from spintomo.qmath import (
     DOWN_UP,
     UP_UP,
     pauli_assemble,
+    random_density,
     two_qubit_pauli,
 )
 
+from support import oracle_generator, unitary
+
 ANGLES = [0.0, 0.3, np.pi / 4, np.pi / 2, 1.0, np.pi, -2.2, 7.0]
+#: unit-trace Hermitian readouts to conjugate, of ranks 1 to 4
+BASES = np.stack([random_density(40 + r, r).matrix for r in (1, 2, 3, 4)])
 
 
-def _generator(kind: GateKind) -> np.ndarray:
-    """Hermitian G with gate = exp(i * angle * G), built independently."""
-    if kind == GateKind.EXCHANGE_PULSE:
-        return SINGLET.projector()
-    if kind == GateKind.Z_ROT_QUBIT1:
-        return two_qubit_pauli(3, 0)
-    if kind == GateKind.Z_ROT_QUBIT2:
-        return two_qubit_pauli(0, 3)
-    if kind == GateKind.Z_ROT_BOTH:
-        return two_qubit_pauli(3, 0) + two_qubit_pauli(0, 3)
-    if kind == GateKind.GRADIENT_Z:
-        return (two_qubit_pauli(3, 0) - two_qubit_pauli(0, 3)) / 4.0
-    if kind == GateKind.ESR_X_QUBIT1:
-        return two_qubit_pauli(1, 0)
-    raise AssertionError(kind)
+def readout(gates, bases) -> np.ndarray:
+    """The zero-noise readout U^dag B U of the circuit of ``gates`` (leftmost
+    first) on each operator of a stack, or on one operator."""
+    bases = np.asarray(bases, dtype=np.complex128)
+    stack = bases.reshape(-1, 4, 4)
+    circuits = [Circuit(tuple(gates))] * len(stack)
+    out = average_readouts(readout_steps(circuits), stack, ["b"] * len(stack), NoiseModel())
+    return out.reshape(bases.shape)
 
 
-def _expm_i(angle: float, h: np.ndarray) -> np.ndarray:
-    """exp(i angle H) for Hermitian H from its spectral decomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+def conjugated(u, bases) -> np.ndarray:
+    """U^dag B U for each operator of a stack."""
+    return u.conj().T @ bases @ u
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_matches_matrix_exponential(kind):
+    # one gate: the readout pass equals conjugation by the oracle's exp(i a H)
     for angle in ANGLES:
-        expected = _expm_i(angle, _generator(kind))
-        np.testing.assert_allclose(gate_matrix(kind, angle), expected, atol=1e-13)
+        got = readout([Gate(kind, angle)], BASES)
+        np.testing.assert_allclose(got, conjugated(unitary(kind, angle), BASES), atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_unitarity(kind):
+    # a unitary conjugation keeps every Hilbert-Schmidt product tr(A B)
+    gram = np.einsum("iab,jba->ij", BASES, BASES)
     for angle in ANGLES:
-        u = gate_matrix(kind, angle)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-13)
+        got = readout([Gate(kind, angle)], BASES)
+        np.testing.assert_allclose(np.einsum("iab,jba->ij", got, got), gram, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_generator_table_matches_independent_oracle(kind):
     h = generator(kind)
-    np.testing.assert_array_equal(h, _generator(kind))
+    np.testing.assert_array_equal(h, oracle_generator(kind))
     assert not h.flags.writeable
     # the tabulated eigendecomposition is eigh of the same read-only constant
     lam, vecs = generator_eigh(kind)
@@ -76,34 +81,37 @@ def test_generator_table_matches_independent_oracle(kind):
 
 
 def test_exchange_special_points():
-    # pi pulse area: SWAP; 2 pi: identity up to the singlet phase e^{2 pi i} = 1
-    swap = gate_matrix(GateKind.EXCHANGE_PULSE, np.pi)
-    assert circuit_apply(Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi),)), UP_DOWN) == DOWN_UP
-    np.testing.assert_allclose(swap @ swap, np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(
-        gate_matrix(GateKind.EXCHANGE_PULSE, 2 * np.pi), np.eye(4), atol=1e-14
-    )
-    # half pulse squares to SWAP (entangling square root)
-    half = gate_matrix(GateKind.EXCHANGE_PULSE, np.pi / 2)
-    np.testing.assert_allclose(half @ half, swap, atol=1e-14)
+    # pi pulse area: SWAP, which exchanges |ud> and |du>; 2 pi: identity
+    swap = Gate(GateKind.EXCHANGE_PULSE, np.pi)
+    np.testing.assert_allclose(readout([swap], UP_DOWN.projector()), DOWN_UP.projector(),
+                               atol=1e-14)
+    np.testing.assert_allclose(readout([swap, swap], BASES), BASES, atol=1e-14)
+    np.testing.assert_allclose(readout([Gate(GateKind.EXCHANGE_PULSE, 2 * np.pi)], BASES),
+                               BASES, atol=1e-14)
+    # two half pulses make SWAP (the entangling square root)
+    half = Gate(GateKind.EXCHANGE_PULSE, np.pi / 2)
+    np.testing.assert_allclose(readout([half, half], BASES), readout([swap], BASES), atol=1e-14)
 
 
 def test_exchange_eigenstructure():
-    # singlet picks up e^{i phi}; triplet sector untouched
-    phi = 0.77
-    u = gate_matrix(GateKind.EXCHANGE_PULSE, phi)
-    np.testing.assert_allclose(
-        u @ SINGLET.amplitudes, np.exp(1j * phi) * SINGLET.amplitudes, atol=1e-14
-    )
-    np.testing.assert_allclose(u @ TRIPLET_ZERO.amplitudes, TRIPLET_ZERO.amplitudes, atol=1e-14)
-    np.testing.assert_allclose(u @ UP_UP.amplitudes, UP_UP.amplitudes, atol=1e-15)
+    # the singlet and the triplets are eigenstates: their readouts stay put
+    for base in (SINGLET, TRIPLET_ZERO, UP_UP):
+        got = readout([Gate(GateKind.EXCHANGE_PULSE, 0.77)], base.projector())
+        np.testing.assert_allclose(got, base.projector(), atol=1e-14)
 
 
 def test_esr_rotates_first_qubit_only():
-    u = gate_matrix(GateKind.ESR_X_QUBIT1, np.pi / 2)
-    # angle pi/2 in exp(i theta sigma_x) maps |u> -> i|d> on qubit 1
-    out = u @ UP_UP.amplitudes
-    np.testing.assert_allclose(out, 1j * DOWN_UP.amplitudes, atol=1e-14)
+    # angle pi/2 in exp(i theta sigma_x) flips qubit 1: |u> -> i|d>, so the
+    # readout of |du> becomes that of |uu>
+    flip = Gate(GateKind.ESR_X_QUBIT1, np.pi / 2)
+    np.testing.assert_allclose(readout([flip], DOWN_UP.projector()), UP_UP.projector(),
+                               atol=1e-14)
+    # every readout of qubit 2 alone is untouched, at any angle
+    for i in range(4):
+        local = (np.eye(4) + two_qubit_pauli(0, i)) / 4.0 if i else np.eye(4) / 4.0
+        for angle in ANGLES:
+            got = readout([Gate(GateKind.ESR_X_QUBIT1, angle)], local)
+            np.testing.assert_allclose(got, local, atol=1e-14)
 
 
 def test_gate_angle_validation_and_records():
@@ -121,12 +129,14 @@ def test_circuit_order_and_adjoint():
     b = Gate(GateKind.EXCHANGE_PULSE, np.pi / 2)
     c = Circuit((a, b))
     # leftmost acts first: U = U_b U_a
-    u = c.unitary()
-    np.testing.assert_allclose(
-        u, gate_matrix(b.kind, b.angle) @ gate_matrix(a.kind, a.angle), atol=1e-15
-    )
-    np.testing.assert_allclose(c.adjoint().unitary(), u.conj().T, atol=1e-13)
-    np.testing.assert_allclose(c.adjoint().unitary() @ u, np.eye(4), atol=1e-13)
+    u = unitary(b.kind, b.angle) @ unitary(a.kind, a.angle)
+    got = readout(c.gates, BASES)
+    np.testing.assert_allclose(got, conjugated(u, BASES), atol=1e-14)
+    assert np.max(np.abs(got - readout((b, a), BASES))) > 0.1  # the order matters
+    # the adjoint circuit undoes the circuit, and its unitary is U^dag
+    np.testing.assert_allclose(readout(c.adjoint().gates, got), BASES, atol=1e-14)
+    np.testing.assert_allclose(readout(c.adjoint().gates, BASES), conjugated(u.conj().T, BASES),
+                               atol=1e-14)
 
 
 def test_circuit_records_round_trip_and_esr_count():
@@ -149,22 +159,11 @@ def test_circuit_rejects_non_gate_entries():
         Circuit((1, 2))
 
 
-def test_evolve_projector_checks_and_action():
-    u = gate_matrix(GateKind.EXCHANGE_PULSE, np.pi)
-    p = evolve_projector(u, UP_DOWN.projector())
-    np.testing.assert_allclose(p, DOWN_UP.projector(), atol=1e-14)
-    with pytest.raises(ValueError):
-        evolve_projector(np.eye(4) * 2.0, UP_DOWN.projector())
-    half = gate_matrix(GateKind.EXCHANGE_PULSE, np.pi / 2)
-    with pytest.raises(ValueError):
-        evolve_projector(u, half)  # the pi/2 pulse unitary is not Hermitian
-
-
 def test_exchange_conjugation_closed_form():
-    # e^{i phi P_S} P_ud e^{-i phi P_S} in the Pauli basis
+    # e^{i phi P_S} P_ud e^{-i phi P_S} in the Pauli basis: the readout of
+    # the one-gate circuit of angle -phi
     for phi in (0.0, np.pi / 4, np.pi / 2, np.pi, 1.3):
-        u = gate_matrix(GateKind.EXCHANGE_PULSE, phi)
-        got = evolve_projector(u, UP_DOWN.projector())
+        got = readout([Gate(GateKind.EXCHANGE_PULSE, -phi)], UP_DOWN.projector())
         coeffs = np.zeros(16)
         coeffs[0] = 0.5  # I / 4
         coeffs[15] = -0.5  # - z z / 4
@@ -178,8 +177,7 @@ def test_exchange_conjugation_closed_form():
 def test_gradient_conjugation_closed_form():
     # e^{i v/4 (z1 - z2)} P_S e^{-i v/4 (z1 - z2)} in the Pauli basis
     for v in (0.0, np.pi / 4, np.pi / 2, np.pi, -0.9):
-        u = gate_matrix(GateKind.GRADIENT_Z, v)
-        got = evolve_projector(u, SINGLET.projector())
+        got = readout([Gate(GateKind.GRADIENT_Z, -v)], SINGLET.projector())
         coeffs = np.zeros(16)
         coeffs[0] = 0.5
         coeffs[15] = -0.5
@@ -191,6 +189,5 @@ def test_gradient_conjugation_closed_form():
 
 
 def test_gradient_half_period_turns_singlet_into_triplet0():
-    u = gate_matrix(GateKind.GRADIENT_Z, np.pi)
-    got = evolve_projector(u, SINGLET.projector())
+    got = readout([Gate(GateKind.GRADIENT_Z, np.pi)], SINGLET.projector())
     np.testing.assert_allclose(got, TRIPLET_ZERO.projector(), atol=1e-14)

@@ -89,109 +89,109 @@ PANEL = (
 
 DIGESTS = {
     "spectrum": {
-        "spectrum.csv": "c6fc9aa2e222915a34581dece1255872b141ccd89dfe6270ce677a3f167e786c",
+        "spectrum.csv": "1234c2a43b4ff1ad831b4de3d0ad8f3a60f7812c578ab1f3af3effc85e74df94",
     },
     "quorum_mub": {
-        "circuits.json": "94a0d67e50f1ebbb13b32c5a1c2be88d9d021fb9b66f5bf5ca73f5f64e9c3fc4",
-        "pmatrix.csv": "78c7c3f951c001e3f5fb2626603d4959344f58149b89c644c80942f2c899ea14",
-        "quorum.json": "98f9dafc4e03fe3ab3b0214f56e49889579a62ac4f5b62ea03e5da31de6b55ec",
+        "circuits.json": "f829f785343bbf18c584a7684bbb3774dfc59a680566c72477e6003e16ed41a3",
+        "pmatrix.csv": "d33fc58e077a9a09ba00eccf46af9d164cd0ee919e972c142dbd35c82c204c41",
+        "quorum.json": "78622d4a2e024ae2d01991ab6057022f68767dfaf91ece536344b80d7d83a2d6",
     },
     "quorum_james": {
-        "pmatrix.csv": "909151991f0d2ad18fbdb5f5551c99b626ca36ec9b5ca64f0e580d82593701dd",
-        "quorum.json": "105e36d491388878aa1e682c9cdcc8bd76fc6c002cb35fe5e90b1f2e0683b31d",
+        "pmatrix.csv": "dac609b0ed179f5b1f0c0502c9a3aad93c5752fd6513c43a53c6f66c9c39e561",
+        "quorum.json": "a2f061b0d99a2da78aff937df74c9f0de8f5e37d20bc95d02b6cfeceb59c6fd2",
     },
     "plan": {
-        "plan.csv": "2b76b8deeb320af8ed57f2cbb053a1222717af72c3fb9b3ec0f75471d42ed8e3",
+        "plan.csv": "10153e9bbdfe7d57c0bbe7245854c463827b42d1ea793c1cbd12a74240c14a27",
     },
     "verify": {
-        "verify.json": "8bdb4e6e864258eb1127834550b70423aff08e691f8d41ab597089b1c3da2155",
+        "verify.json": "fca1c1739a801e3cf9d3715285d6115a760ff2f6ea5af17ab3e51995cc5fc857",
     },
     "tomo_plain": {
-        "covariance_predicted.csv": "c74d084965e188f7dd55b3f7bd319a1709e6fe0ab6ecbc7b8c4b621759484a89",
-        "records.csv": "40b5dfb4eb9e55972d523a9ecf2233169fffd5fc6fa1e497010c177c3d7ec81c",
-        "result.json": "9db4ca9f1de815d8b11d0656ac367c1685aedb2ea3734d76cdb6a667c5dc79ff",
+        "covariance_predicted.csv": "f7c4f156d37f509d9077c110acc891f3bb59ae64a736f4804ce1de050a25f2d4",
+        "records.csv": "97c8d67d4a378607e5581fe58ce4d14098378bc33429d4cadeda30b88207deb9",
+        "result.json": "e0771702eb8bec2205f5e4b6da333722346b89f9707ec69a0b4ec2e20dd0b0b6",
     },
     "tomo_exact": {
-        "covariance_predicted.csv": "5086c05a43d9fc57c513249888220ae87f3b70c1ee71dc226d121a451bbc3d12",
-        "result.json": "0bdefea906a69ddc4ab61e3ed9b8569552636b6f75f48489cd0c3931a3bf5d3f",
+        "covariance_predicted.csv": "fe0facbe5bb2fee4d176597131f20af157279db90cda6c90c7bebf657d1ce055",
+        "result.json": "4e49ea2b4de33b65640026db6acad8c1119f9733d2df01cfe4198e44c899d1b0",
     },
     "tomo_reps": {
-        "covariance_empirical.csv": "c1fcca3395bab09c7354978cede55de0f99195ab3574ffc9478bfceef6f2f4cf",
-        "covariance_predicted.csv": "c74d084965e188f7dd55b3f7bd319a1709e6fe0ab6ecbc7b8c4b621759484a89",
-        "records.csv": "40b5dfb4eb9e55972d523a9ecf2233169fffd5fc6fa1e497010c177c3d7ec81c",
-        "result.json": "5062063e3f11dd4885cf6adcecc71ea65eb7fa36aae6b41c9d9d87ad11ef7d43",
+        "covariance_empirical.csv": "ab0b42f6bff262aaf799d4ded59c2aa2b0ce9be5e8c5b42855c6ef94087331af",
+        "covariance_predicted.csv": "f7c4f156d37f509d9077c110acc891f3bb59ae64a736f4804ce1de050a25f2d4",
+        "records.csv": "97c8d67d4a378607e5581fe58ce4d14098378bc33429d4cadeda30b88207deb9",
+        "result.json": "a8d4005a492faba6b9f4bcbfc455b84785fcb9f4ad2743716d57fe84b1612073",
     },
     "tomo_exact_reps": {
-        "covariance_empirical.csv": "c1fcca3395bab09c7354978cede55de0f99195ab3574ffc9478bfceef6f2f4cf",
-        "covariance_predicted.csv": "5086c05a43d9fc57c513249888220ae87f3b70c1ee71dc226d121a451bbc3d12",
-        "result.json": "dff3b2a0b646b3db34fc3db771a2251fc7318c4fcec63a470e14ab017d243e0f",
+        "covariance_empirical.csv": "ab0b42f6bff262aaf799d4ded59c2aa2b0ce9be5e8c5b42855c6ef94087331af",
+        "covariance_predicted.csv": "fe0facbe5bb2fee4d176597131f20af157279db90cda6c90c7bebf657d1ce055",
+        "result.json": "38db2cf42633f835acd8fa7f25f416bdab57125fc37d077b20ed25f12c814996",
     },
     "tomo_shots_list": {
-        "covariance_empirical.csv": "fb8e8249f4b673223aaf8a07a79eadbd0711f17ceebe2a70eefb843bba24babf",
-        "covariance_predicted.csv": "70b06f2c52b33ffb9c5182970acec1bc7b9d39cd265d04370dc49f82cefc1d3d",
-        "records.csv": "c5743b65b2645ff7ba91928437250d0b68b29325d48edc3084addb886223150e",
-        "result.json": "a2486c0587072afa245ac63b744120c0924ced72995921f94c41519ee1e27dcb",
+        "covariance_empirical.csv": "b9fa7a62a8afb8f7b0289ec2fda391e91aa1f973b007f74093b289f2afe56595",
+        "covariance_predicted.csv": "25ebf48961dfab94bd68df04f3e853a20663657d446b1e3cb769edbd75a6a01e",
+        "records.csv": "13d3b9fcb12f8691d9b456a586f86b9029e0148d4c7610107d8754a7127b8f64",
+        "result.json": "2f231606e63fba4e0fb67027a5352433c0a626d23993947849fd4b6fb63c40fd",
     },
     "tomo_readout": {
-        "covariance_empirical.csv": "8684a5dbf58a87228aa1a5404c27a5192b06986258a3d6ee4752711d3bdff9d9",
-        "covariance_predicted.csv": "77cb8900163c6c9e67cf9d9cc47437ab68eaa0f3e1244b817160c6d6a25ff58a",
-        "records.csv": "2da06eb9f6b915920ecc2c529ce519986cd1d8f4ef97abef776d56a4c919abb8",
-        "result.json": "d805af54cbc854817ff82cfbbcf120b30a608901942dd75bf27ce9fa4935b9f7",
+        "covariance_empirical.csv": "ed799f4216414c795159d03a967a67f359fff85dd13218368b7040c992db64b2",
+        "covariance_predicted.csv": "ee1a1535b761e8a675c2c242ea1ddbd7bdf5d6a1e02e10b8cc52ad370c5d69cc",
+        "records.csv": "4804782b7e74447eaf7069988fd8f729f62ac07ae45a442083a43c0bf018e88a",
+        "result.json": "5ea98ec5bf2f572e7f3809453d2310f3a6ca13fbd6107aec29447f2c32c3ddf0",
     },
     "tomo_noise": {
-        "covariance_empirical.csv": "bc0c8fd89e3d928d2be58f986cdeee2b0c3807afbc111442cc138478d7b85779",
-        "covariance_predicted.csv": "8be63816d1bfdafd7a6bedc39ce9bdf7b021318ac8340c6787244e3b970ae7bb",
-        "records.csv": "2cee843be8da1efa4fb0535d11e21822bac6867de538ebb49edbbdfbf83d03af",
-        "result.json": "20cec6c6528a9e537f185324d5268f59f437892b0b50c5136fa33a47dce84653",
+        "covariance_empirical.csv": "6460a7edaaa5a307f135165cc220334a62befb65ec8f69785f480e8005bf81f0",
+        "covariance_predicted.csv": "57c69ce9aa55678cc3424fe1198b7d00bdc67c3f0f6c70ccb7710bafb9922378",
+        "records.csv": "b44a4de27ff01e59cc3cabfc253256e8343e8cd3c8e2018b07a8dd7bee61c3a5",
+        "result.json": "78aa2810dd833772f21e306b2ee38b060bd35a03754466d2baa50f29947b023f",
     },
     "tomo_noise_readout": {
-        "covariance_empirical.csv": "e503efec3dd70b233b1e11e5edabc7a056fc587ca56dc918d58a1b14ef5f19a8",
-        "covariance_predicted.csv": "2bcc7391431fe209f027510775c6593df5129be239c1fdfab3f91776b296a0e4",
-        "records.csv": "c979171d84a124d55f4ef92cdb3827dd57321791bf2240f56e952e920f925419",
-        "result.json": "cbf931c087b31506139a87d45b90ae3dd7b514a80e1c51f8f400283a489c6f2b",
+        "covariance_empirical.csv": "c8a0c0864e75c6afdbc31f61c885fc447ffb9f4cb164dbc44a4e9eb9eedf2bb2",
+        "covariance_predicted.csv": "8e2175d10150be325edecada12c1e3b369f71973161428c81b944bedc54c9fef",
+        "records.csv": "b0350ae8fefd0b80832d70be99a45c474de75aec603008445fec99a406522393",
+        "result.json": "61cb5876aa4ba3ac891d41066f6c4bf50e329febd841ffcb17ab671ddcc7c15c",
     },
     "tomo_noise_all_kinds": {
-        "covariance_empirical.csv": "7c545be26f64ab3c3ed7a1a63d2e5c9e971f00fba6580cacb6366c4c18e737a3",
-        "covariance_predicted.csv": "73d35a2f19a48a9bd080e7152e42db376e572557100a807a8bbc3b28c8647587",
-        "records.csv": "77ba4635244cb8f3bdaea027cf02e04067c3f5da2434f984ae6be21f773ec728",
-        "result.json": "94ff95fa71f50d70059405e1601983539105756ecee9199ff249f171b5ed5e56",
+        "covariance_empirical.csv": "5d95b507bf40adad806d0d29a262a58e71dfa0d12eba82c1ec3b0f9b34b841bc",
+        "covariance_predicted.csv": "54b6e2920258f2bd37d6f6f8d1b03b3479080d13853ffcb98933511d5f7f60b6",
+        "records.csv": "9c4e1d1de28ccb2eb9da25307a7c2ad17990156ee4cfc918d51cded89bb79cb8",
+        "result.json": "a6f8fb3e78cd8082136a96720cf265280fae5eb5f5d67c5f5a285a277cb18b6e",
     },
     "tomo_up_up": {
-        "covariance_empirical.csv": "8a4d4fd193e1bc601deca621785b6e65ba64b847aa227517b0a0ae655331beea",
-        "covariance_predicted.csv": "febec4fad0b5fd7e20c1b4b07cbb5dda4c847f1a59a72473c3654459c26e4fd1",
-        "records.csv": "e1a1e9eb89a17c44ca9350aba598eb389289d3810c97bea412848463ec0e5709",
-        "result.json": "c230293bab7c6d4d6ea5f1c3227a431ed078d38ab975beaaa5cc3e78e7513538",
+        "covariance_empirical.csv": "567d578e0c4dd3374804fab434384ecdec1c835ec223ba0b312cac04545673b8",
+        "covariance_predicted.csv": "a1d7b1840636bffd362fe1be4ba18031fe73d4ae1007532491296cd65985c9ae",
+        "records.csv": "d08f9e100b624b592c5dbb1c69256c90a48121eb17e6fba501daf7a6a8b4ca1e",
+        "result.json": "2e018f42e3b89eac4073635c58a40ce6dd8de54db1940f41745c31f075aaa866",
     },
     "tomo_triplet_zero": {
-        "covariance_empirical.csv": "067974fa414d4906ac9618a312268503b17e7bd8473a0f49ad649dc6b68552bb",
-        "covariance_predicted.csv": "b95597fb2cc20e8326e5f3f1c9122fb61c96f9b7364b9477643a586eb6135b06",
-        "records.csv": "dc0785a871175d406e3714a60edfda68c5d576702a3141bfa1b4490ada14ba41",
-        "result.json": "a81a9d009668bf3236681bb3b8e8ab2fac73e8a715e7e066e999757da094d43e",
+        "covariance_empirical.csv": "f2ca359cc1b5cb2f21e7578d6f5538228ff941971886456b83cfe918eabe079e",
+        "covariance_predicted.csv": "b27ce5ece8a0485adff7b641354b02b7c40bb0e1b6f6fda1f2e57083d1d87924",
+        "records.csv": "e85dcfc67e2a40351aa40998f27ab2658575d9cb3f6aeeaba604dae2ffc837df",
+        "result.json": "e85af5dcd2e6fb8fec0fcfc1fb51846116c076c0e5a93bdf48c991adea8e4e20",
     },
     "tomo_rank1": {
-        "covariance_predicted.csv": "2e20248be9ed46ce1a85c7ae63dac3631affe4dab310d09aee5ec1564ae0955e",
-        "records.csv": "7ae310d22f4907a2d8e5eb2f05a6e2030ff37b3585acb69fcddf0bdf64fd4637",
-        "result.json": "5360a861d469fb911da011221c0140aa092255cd241d3b5a318219b2de7ba082",
+        "covariance_predicted.csv": "5c613ca0399477a6318b93b19f69bb9b0866c0b040f67af8936ed48d5732487a",
+        "records.csv": "b3445109976efd15dfda30a179123b71eb67fa7361f8be9b9abf3af3f949707f",
+        "result.json": "8957e3a657268ad00314561c0fe689aab96a038b4d0fb6ad67e9b3dc8d6c5c6e",
     },
     "tomo_rank2": {
-        "covariance_predicted.csv": "de24af2902eb58a10fc482854248da7a6f5cd5b5a8810053a46a61420df9a506",
-        "records.csv": "f713ddb668bf0b5fe8960c9816423ac1370f0605aa8c63a103703fa50a172e7d",
-        "result.json": "6596225e64ae990f5e45fa31f2903faedef9970979f239c2a89764f829398340",
+        "covariance_predicted.csv": "2072ca1db62e4e9a5cbe01d6196a703a5c143ea29874a454de75f28842413d8b",
+        "records.csv": "a6adc4622b1b5b85c6fffe59c8ad53719b97d516382b402e72a535330e222f6e",
+        "result.json": "8b5625bf60cfd3bef0d199cdd8118b1bb673a021b363e0920ccd3540f67b71e2",
     },
     "tomo_rank3": {
-        "covariance_predicted.csv": "ad7ee9db3c93d5707fd27971bc678031166746702e14c1308f88c409f43a00a3",
-        "result.json": "454dd58315033c40572e52bf98dcf1779400247c4d01a4d6ae11845901ac4cfc",
+        "covariance_predicted.csv": "123d4b79473de82cb5077a1f4f8d4a1547b2d36e1bb08cac40abe7cb063e392b",
+        "result.json": "fb14d74d42c980ee42accae4fdecbf4eb01595e4e4dbed8268d64543cbb3c4c6",
     },
     "tomo_rank4": {
-        "covariance_empirical.csv": "3654decee8549f607bb6c90b3940635f6d41e693d34a3cd9ca1ba40902bc89b1",
-        "covariance_predicted.csv": "58cc23a2f4d3a8f6dec6de168604388c790629d96786caa64e7ddec8063a8669",
-        "records.csv": "25847d6f538aefffc0111e8ae105fe35c6f18bdcac74203ae5b5b735996f21e7",
-        "result.json": "ac15d9e0d0b97b050cc8b171a543ded0c7be196b480a1fe53362edf70a7f6a60",
+        "covariance_empirical.csv": "03549ed665d0419a1b76deb1af745451be00a9d1b6d3e5793ba11b563e911482",
+        "covariance_predicted.csv": "6a574b0e5895647c7ecdb0ce8bd52d783692477460d9dff0e3c0e57a001377b3",
+        "records.csv": "fb4144434a8bc4cc04569397a2f5cc3fe193cf5cbf7c4501dd9b0048253f7d99",
+        "result.json": "882b1e9833c5f5cabd95d0ef946d75ff2d1e69fd2972e75ffa74572111419463",
     },
     "tomo_huge_shots": {
-        "covariance_predicted.csv": "b01c8a6f010704da5a00a2b3b6387fa15670292cca55595be973f6c64dfdaa2e",
-        "records.csv": "683f4c66ab7e59f5eb0b91b46c9e12d71c6a02013c5f32704fa67438caeebee2",
-        "result.json": "86ce5bdc41acaebc8035a67faa75dd6e1059d54bbe944df8f29b9e78699df704",
+        "covariance_predicted.csv": "8272b37d916575dc1c86a8fbaea00b1ff6cac2f6b8cc3e03735d511c0543d38f",
+        "records.csv": "6fbdb108d1f355551bc91904dc8dac242a13e086b935bdfe213f4c09b2721b07",
+        "result.json": "578daa032608db96d904fad2af94fecec0ce4899a0b523b08aa8e8e0cd320a73",
     },
 }
 
@@ -223,7 +223,7 @@ from pathlib import Path
 from spintomo import cli, quorum
 from test_golden_outputs import PANEL, run_case
 cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quorum.adjoint_table,
-          cli._noise_readouts, cli._build_parser)
+          quorum.mub_readouts, cli._build_parser)
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,5 @@
-"""Every name that src/ defines is used by src/.
+"""Every name that src/ defines is used by src/, and every name the
+package exports exists.
 
 A name that only the tests call is library code that no command runs:
 the tests would check it instead of the code that produces the outputs.
@@ -11,6 +12,8 @@ Python itself and are not scanned.
 
 import ast
 import pathlib
+
+import spintomo
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spintomo"
 
@@ -69,3 +72,9 @@ def test_every_src_name_has_a_caller_in_src():
     assert sorted(unused - ALLOWED.keys()) == []
     # an allowed name that gains a caller in src/ leaves the list
     assert sorted(ALLOWED.keys() - unused) == []
+
+
+def test_every_exported_name_exists():
+    # ``from spintomo import *`` fails on a name that __all__ keeps after
+    # its definition or import is gone
+    assert [name for name in spintomo.__all__ if not hasattr(spintomo, name)] == []

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix
-from spintomo.measure import (
+from spintomo.gates import (
     AngleNoise,
-    AveragedProjector,
+    Circuit,
+    Gate,
+    GateKind,
     NoiseModel,
-    average_projector,
     average_readouts,
+    readout_steps,
+)
+from spintomo.measure import (
+    AveragedProjector,
+    average_projector,
     born_probabilities,
     calibration_matrix,
     degrade_readout,
     plan_shots,
-    readout_steps,
     simulate_counts,
 )
 from spintomo.qmath import (
@@ -27,6 +31,8 @@ from spintomo.qmath import (
     stream,
 )
 from spintomo.quorum import Projector, mub_preparations, mub_quorum, pmatrix
+
+from support import unitary
 
 
 def test_simulate_counts_shots_broadcast_and_validation():
@@ -128,10 +134,10 @@ def test_degrade_readout_limits():
 def test_degrade_readout_affine_in_operator():
     # degradation acts entrywise-affine: commutes with unitary conjugation
     f = 0.8
-    u = Circuit((Gate(GateKind.ESR_X_QUBIT1, np.pi / 4),)).unitary()
+    u = unitary(GateKind.ESR_X_QUBIT1, np.pi / 4)
     p = UP_DOWN.projector()
-    lhs = degrade_readout(evolve_projector(u, p), f)
-    rhs = evolve_projector(u, degrade_readout(p, f))
+    lhs = degrade_readout(u @ p @ u.conj().T, f)
+    rhs = u @ degrade_readout(p, f) @ u.conj().T
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -156,7 +162,10 @@ def test_average_projector_zero_noise_is_exact():
         base = Projector(prep.base_state.projector(), prep.base_label)
         meas = prep.measurement_circuit()
         avg = average_projector(meas, base, noise, seed=1)
-        expected = evolve_projector(meas.unitary().conj().T, base.matrix)
+        u = np.eye(4)
+        for g in meas.gates:
+            u = unitary(g.kind, g.angle) @ u
+        expected = u.conj().T @ base.matrix @ u
         np.testing.assert_allclose(avg.projector.matrix, expected, atol=1e-12)
         assert avg.max_standard_error == 0.0
 
@@ -190,7 +199,7 @@ def _monte_carlo_average(circuit, base, noise, samples, rng):
         for g in circuit.gates:
             an = noise.for_kind(g.kind)
             angle = g.angle + an.mean_rad + an.std_rad * rng.standard_normal()
-            u = gate_matrix(g.kind, angle) @ u
+            u = unitary(g.kind, angle) @ u
         effs[s] = u.conj().T @ base @ u
     se = np.sqrt(effs.real.var(axis=0, ddof=1) + effs.imag.var(axis=0, ddof=1))
     return effs.mean(axis=0), se / np.sqrt(samples)
@@ -215,7 +224,7 @@ def test_average_projector_matches_monte_carlo_oracle():
                                     np.random.default_rng(17))
     assert np.all(np.abs(exact - mean) <= 5.0 * se + 1e-12)
     # the noise is strong enough to move the readout off its ideal form
-    ideal = evolve_projector(circuit.unitary().conj().T, base.matrix)
+    ideal = average_projector(circuit, base, NoiseModel()).projector.matrix
     assert np.max(np.abs(exact - ideal)) > 20.0 * np.max(se)
 
 

@@ -5,7 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spintomo.gates import Circuit, Gate, GateKind, evolve_projector, gate_matrix, generator
+from spintomo.gates import (
+    Circuit,
+    Gate,
+    GateKind,
+    NoiseModel,
+    average_readouts,
+    generator,
+    readout_steps,
+)
 from spintomo.measure import degrade_readout
 from spintomo.qmath import (
     DOWN,
@@ -36,8 +44,8 @@ from spintomo.quorum import (
     constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
+    ideal_readouts,
     james_quorum,
-    mub_bases,
     mub_preparations,
     mub_quorum,
     orthogonality_witness,
@@ -46,7 +54,7 @@ from spintomo.quorum import (
     quorum_records,
 )
 
-from support import random_pure
+from support import random_pure, unitary
 
 LABELS = tuple(f"X{j:02d}" for j in range(1, 16))
 #: the product kets of the separable quorum, in its order
@@ -59,8 +67,15 @@ JAMES_KETS = [
 
 
 def prepared_states() -> list:
-    """The 15 states the MUB preparation circuits prepare."""
-    return [p.prepared_state() for p in mub_preparations()]
+    """The 15 states the MUB preparation circuits prepare, by the forward
+    oracle: each circuit's gate matrices applied to its base state."""
+    states = []
+    for prep in mub_preparations():
+        u = np.eye(4)
+        for g in prep.circuit.gates:
+            u = unitary(g.kind, g.angle) @ u
+        states.append(PureState.from_amplitudes(u @ prep.base_state.amplitudes))
+    return states
 
 
 def projector_coefficients(state: PureState) -> np.ndarray:
@@ -143,10 +158,11 @@ def test_mub_quorum_cross_check_and_labels():
     for j, (m, s) in enumerate(zip(q.matrices, states, strict=True), start=1):
         np.testing.assert_allclose(m, s.projector(), atol=1e-13)
         assert q.basis_index[j - 1] == (j - 1) // 3  # five bases, zero-indexed
-    assert closed_form_deviation(states) < 1e-13
-    for count in (14, 16):  # the comparison takes exactly the 15 states
-        with pytest.raises(ValueError, match="15 prepared states"):
-            closed_form_deviation((states * 2)[:count])
+    readouts = ideal_readouts(mub_preparations())
+    assert closed_form_deviation(readouts) < 1e-13
+    for count in (14, 16):  # the comparison takes exactly the 15 readouts
+        with pytest.raises(ValueError, match=r"\(15, 4, 4\) quorum readouts"):
+            closed_form_deviation(np.concatenate([readouts, readouts])[:count])
     james = james_quorum()
     assert james.labels == tuple(f"J{j:02d}" for j in range(1, 16))
     assert james.basis_index == (None,) * 15
@@ -170,29 +186,37 @@ def test_mub_preparations_structure():
 
 
 def test_measurement_circuit_inverts_preparation():
-    for prep in mub_preparations():
-        u = prep.circuit.unitary()
-        v = prep.measurement_circuit().unitary()
-        np.testing.assert_allclose(v @ u, np.eye(4), atol=1e-13)
+    # the readout of each measurement circuit is the projector of the state
+    # its preparation circuit prepares, and running the preparation circuit
+    # on that readout returns the base readout
+    preps = mub_preparations()
+    readouts = ideal_readouts(preps)
+    np.testing.assert_allclose(readouts, [s.projector() for s in prepared_states()], atol=1e-13)
+    steps = readout_steps(p.circuit for p in preps)
+    back = average_readouts(steps, readouts, [p.label for p in preps], NoiseModel())
+    np.testing.assert_allclose(back, [p.base_state.projector() for p in preps], atol=1e-13)
 
 
 def test_first_three_states():
-    states = prepared_states()
-    assert states[0] == UP_UP
-    assert states[1] == UP_DOWN
-    assert states[2] == DOWN_UP  # pi exchange pulse swaps |ud>
+    readouts = ideal_readouts(mub_preparations())
+    np.testing.assert_allclose(readouts[0], UP_UP.projector(), atol=1e-15)
+    np.testing.assert_allclose(readouts[1], UP_DOWN.projector(), atol=1e-15)
+    # the pi exchange pulse swaps |ud>
+    np.testing.assert_allclose(readouts[2], DOWN_UP.projector(), atol=1e-14)
 
 
 def test_mub_condition_all_bases():
-    states = prepared_states()
-    bases = mub_bases(states)
-    assert len(bases) == 5
-    assert [s for basis in bases for s in basis[:3]] == states  # the fourth completes each
+    # readouts 3i+1 .. 3i+3 lead basis i and I minus their sum completes it:
+    # 20 rank-one projectors, orthogonal within a basis, overlap 1/4 across
+    led = ideal_readouts(mub_preparations()).reshape(5, 3, 4, 4)
+    bases = np.concatenate([led, (np.eye(4) - led.sum(axis=1))[:, None]], axis=1)
     for bi in range(5):
         for si in range(4):
+            p = bases[bi, si]
+            np.testing.assert_allclose(p @ p, p, atol=1e-12)
             for bj in range(5):
                 for sj in range(4):
-                    ov = abs(np.vdot(bases[bi][si].amplitudes, bases[bj][sj].amplitudes)) ** 2
+                    ov = np.trace(p @ bases[bj, sj]).real
                     target = (1.0 if si == sj else 0.0) if bi == bj else 0.25
                     assert abs(ov - target) < 1e-12
 
@@ -207,18 +231,6 @@ def test_pmatrix_entries_against_manual_traces():
             assert abs(entries[j, k] - manual) < 1e-14
     # a strided .real view, as its callers' outputs were recorded with
     assert not entries.flags.c_contiguous
-
-
-def test_pmatrix_entries_of_a_stack_match_each_quorum_bit_for_bit():
-    rng = stream("det-bound")
-    kets = rng.standard_normal((100, 15, 4)) + 1j * rng.standard_normal((100, 15, 4))
-    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
-    randoms = np.einsum("tja,tjb->tjab", kets, kets.conj())
-    mats = np.concatenate([[mub_quorum().matrices, james_quorum().matrices], randoms])
-    entries = pmatrix_entries(mats)
-    assert entries.shape == (102, 15, 15)
-    np.testing.assert_array_equal(entries[0], pmatrix_entries(mub_quorum().matrices))
-    np.testing.assert_array_equal(entries[1], pmatrix_entries(james_quorum().matrices))
 
 
 def test_determinants_frozen_values():
@@ -422,8 +434,8 @@ def test_accessible_subspace_matches_random_circuits(esr, rank):
     for _ in range(60):
         u = np.eye(4, dtype=np.complex128)
         for j in rng.integers(len(kinds), size=8):
-            u = gate_matrix(kinds[j], rng.uniform(-np.pi, np.pi)) @ u
-        evolved += [evolve_projector(u, x) for x in readouts]
+            u = unitary(kinds[j], rng.uniform(-np.pi, np.pi)) @ u
+        evolved += [u @ x @ u.conj().T for x in readouts]
     oracle = np.linalg.matrix_rank(np.reshape(evolved, (-1, 16)), tol=1e-8)
     assert oracle == accessible_subspace_dimension(esr_allowed=esr) == rank
 
