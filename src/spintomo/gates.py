@@ -13,7 +13,9 @@ Every gate is generated by one control knob:
 Circuits list gates in execution order: the leftmost gate acts first.
 No unitary is ever formed: a circuit acts on a readout operator B as
 U^dag B U, gate by gate in the eigenbasis of each gate's generator.
-``readout_steps`` builds the gate tables of a stack of circuits once,
+The eigenvalue differences and eigenvectors of the six generators are
+built once per process, as one (6, 4, 4) stack each; ``readout_steps``
+gathers the gate tables of a stack of circuits from them by kind,
 position by position counted from the end of each circuit, and
 ``average_readouts`` applies them to a stack of readouts, averaged over
 Gaussian angle errors (``NoiseModel``).  With no noise that pass is the
@@ -135,9 +137,6 @@ class NoiseModel:
             for kind, p in data.items()
         })
 
-    def for_kind(self, kind: GateKind) -> AngleNoise:
-        return self.gates.get(kind, AngleNoise(0.0, 0.0))
-
 
 @dataclass(frozen=True)
 class ReadoutStep:
@@ -158,24 +157,36 @@ class ReadoutStep:
 _KINDS = tuple(GateKind)
 
 
+@functools.cache
+def _kind_tables() -> tuple:
+    """The eigenvalue differences d_ij = lambda_j - lambda_i, eigenvectors
+    V and V^dag of the six generators, in ``GateKind`` order: three
+    read-only (6, 4, 4) stacks that ``readout_steps`` gathers from, built
+    on first use (not at import) and kept."""
+    eighs = [generator_eigh(kind) for kind in _KINDS]
+    tables = (
+        np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
+        np.stack([vecs for _, vecs in eighs]),
+        np.stack([vecs.conj().T for _, vecs in eighs]),
+    )
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def readout_steps(circuits) -> tuple:
     """The circuits of a readout stack as ``ReadoutStep``s, one per gate
     position counted from the end of each circuit: step 0 holds every
     circuit's last gate, which acts on the readout first."""
     circuits = tuple(circuits)
+    d, vecs, vecs_h = _kind_tables()
     steps = []
     for pos in range(max((len(c.gates) for c in circuits), default=0)):
         rows = [i for i, c in enumerate(circuits) if len(c.gates) > pos]
         gates = [circuits[i].gates[-1 - pos] for i in rows]
-        eighs = [generator_eigh(g.kind) for g in gates]
-        arrays = (
-            np.array(rows),
-            np.array([_KINDS.index(g.kind) for g in gates]),
-            np.array([g.angle for g in gates], dtype=float),
-            np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
-            np.stack([vecs for _, vecs in eighs]),
-            np.stack([vecs.conj().T for _, vecs in eighs]),
-        )
+        kinds = np.array([_KINDS.index(g.kind) for g in gates])
+        arrays = (np.array(rows), kinds, np.array([g.angle for g in gates], dtype=float),
+                  d[kinds], vecs[kinds], vecs_h[kinds])
         for a in arrays:
             a.setflags(write=False)
         steps.append(ReadoutStep(*arrays))
@@ -185,11 +196,13 @@ def readout_steps(circuits) -> tuple:
 def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.ndarray:
     """Exact means of U(alpha)^dag B U(alpha) over Gaussian gate angles,
     for a stack of readouts at once: (n, 4, 4) from the ``readout_steps``
-    of the n circuits, their base operators ``bases`` and base labels.
+    of the n circuits, their base operators ``bases`` and their labels,
+    which serve only the error message.
 
     Each gate's angle is perturbed by an independent Gaussian error of its
-    kind's mean and std.  In the eigenbasis of a gate's generator H, entry
-    (i, j) of the conjugated operator picks up
+    kind's mean and std, none for a kind absent from the model.  In the
+    eigenbasis of a gate's generator H, entry (i, j) of the conjugated
+    operator picks up
     E[exp(i d a)] = exp(i d (angle + mean) - d^2 std^2 / 2) with
     d = lambda_j - lambda_i.  One step is one batched pass over the rows
     with a gate at that position, so the gates of every circuit are
@@ -200,17 +213,19 @@ def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.
     Raises ValueError, naming the label of the first readout at fault,
     when an angle is so large that the phases overflow.
     """
-    means = np.array([noise.for_kind(k).mean_rad for k in _KINDS])
-    stds = np.array([noise.for_kind(k).std_rad for k in _KINDS])
+    means, stds = np.zeros((2, len(_KINDS)))
+    for kind, n in noise.gates.items():
+        means[_KINDS.index(kind)], stds[_KINDS.index(kind)] = n.mean_rad, n.std_rad
     x = np.array(bases, dtype=np.complex128)
-    for step in steps:
-        shift = (step.angles + means[step.kinds])[:, None, None]
-        spread = stds[step.kinds][:, None, None]
-        # a huge std damps a coherence to exactly 0; a huge angle overflows
-        # the phase to nan, which the check below reports
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a huge std damps a coherence to exactly 0; a huge angle overflows
+    # the phase to nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in steps:
+            shift = (step.angles + means[step.kinds])[:, None, None]
+            spread = stds[step.kinds][:, None, None]
             factor = np.exp(1j * step.d * shift - 0.5 * (step.d * spread) ** 2)
-        x[step.rows] = step.vecs @ ((step.vecs_h @ x[step.rows] @ step.vecs) * factor) @ step.vecs_h
+            x[step.rows] = (step.vecs @ ((step.vecs_h @ x[step.rows] @ step.vecs) * factor)
+                            @ step.vecs_h)
     finite = np.all(np.isfinite(x), axis=(-2, -1))
     if not np.all(finite):
         label = labels[int(np.argmin(finite))]

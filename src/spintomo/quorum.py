@@ -26,9 +26,11 @@ The structural measures here return bare numbers, which the rows of
 flattened (15, 16) stack with a constant (16, 15) weight matrix.  The
 Gram-Schmidt lengths are the Cholesky diagonal of the P rows' Gram
 matrix; the kets of the tau witness are one array drawn from one stream;
-the closure rank of the readouts runs on the 15 real traceless D
-coordinates, one product with the real 15x15 adjoint tables of the
-generators and one SVD per commutator depth.
+the closure ranks of the readouts, without and with the resonant pulse,
+are one chain on the 15 real traceless D coordinates: one product with
+the real 15x15 adjoint tables of the generators and one SVD per
+commutator depth, the closure with the pulse growing from the closed
+span without it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .qmath import (
     UP_UP,
     UP_X,
     UP_Y,
-    PureState,
     kron_state,
     pauli_expand,
     two_qubit_pauli,
@@ -155,6 +156,9 @@ BASE_STATES = {
     "up_down": UP_DOWN,
     "singlet": SINGLET,
 }
+#: the projectors of the base states, in that order: the three base readouts
+_BASE_READOUTS = np.stack([s.projector() for s in BASE_STATES.values()])
+_BASE_READOUTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -166,10 +170,6 @@ class Preparation:
     label: str
     base_label: str
     circuit: Circuit
-
-    @property
-    def base_state(self) -> PureState:
-        return BASE_STATES[self.base_label]
 
     def measurement_circuit(self) -> Circuit:
         """Circuit the device applies before the base readout."""
@@ -245,12 +245,13 @@ def esr_budget_excess(preps: Sequence[Preparation]) -> float:
 
 def _readout_inputs(preps: Sequence[Preparation]) -> tuple:
     """The ``readout_steps`` of a preparation table's measurement
-    circuits, the (n, 4, 4) stack of their base readouts and their base
-    labels: the arguments of ``average_readouts`` but the noise."""
-    bases = np.stack([prep.base_state.projector() for prep in preps])
+    circuits, the (n, 4, 4) stack of their base readouts and the
+    preparations' labels: the arguments of ``average_readouts`` but the
+    noise, so an angle that overflows is reported with its projector."""
+    bases = _BASE_READOUTS[[tuple(BASE_STATES).index(prep.base_label) for prep in preps]]
     bases.setflags(write=False)
     steps = readout_steps(prep.measurement_circuit() for prep in preps)
-    return steps, bases, tuple(prep.base_label for prep in preps)
+    return steps, bases, tuple(prep.label for prep in preps)
 
 
 @functools.cache
@@ -375,34 +376,38 @@ def adjoint_table(kind: GateKind) -> np.ndarray:
     return table
 
 
-def accessible_subspace_dimension(esr_allowed: bool) -> int:
-    """Dimension of the operator space reachable by evolved readouts.
+def accessible_subspace_dimension() -> tuple:
+    """Dimensions of the operator space reachable by evolved readouts,
+    without and with the resonant pulse.
 
     Conjugation by exp(i a H) moves an operator X along i[H, X] and its
     repeated commutators, so the readouts that circuits of any depth
     reach span the smallest space that holds the traceless parts of the
     three readout projectors and is closed under X -> i[H, X] for every
-    control generator H: exchange and the z rotations, plus the
-    resonant x rotation when ``esr_allowed``.  The span lives in the 15
-    real traceless D coordinates, where each commutator map is one
+    control generator H: exchange and the z rotations, plus, for the
+    second rank, the resonant x rotation.  The span lives in the 15 real
+    traceless D coordinates, where each commutator map is one
     ``adjoint_table``.  Each pass stacks the orthonormal span with its
     images, one real product with the stacked tables, and keeps, from
     one SVD of that real (n, 15) stack, the directions of singular value
-    above 1e-10, until the rank stops growing.
+    above 1e-10, until the rank stops growing.  One chain serves both
+    ranks: the closure with the resonant pulse grows from the closed
+    span without it.
     """
-    kinds = [GateKind.EXCHANGE_PULSE, GateKind.Z_ROT_QUBIT1, GateKind.Z_ROT_QUBIT2]
-    if esr_allowed:
-        kinds.append(GateKind.ESR_X_QUBIT1)
-    tables = np.stack([adjoint_table(k) for k in kinds])
-    span = pauli_expand(np.stack([s.projector() for s in BASE_STATES.values()]))[:, 1:]
-    rank = 0
-    while True:
-        stack = np.concatenate([span, (span @ tables).reshape(-1, 15)])
-        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        span = vh[sv > 1e-10]
-        if len(span) == rank:
-            return rank
-        rank = len(span)
+    controls = (GateKind.EXCHANGE_PULSE, GateKind.Z_ROT_QUBIT1, GateKind.Z_ROT_QUBIT2)
+    span = pauli_expand(_BASE_READOUTS)[:, 1:]
+    rank, ranks = 0, []
+    for kinds in (controls, controls + (GateKind.ESR_X_QUBIT1,)):
+        tables = np.stack([adjoint_table(k) for k in kinds])
+        while True:
+            stack = np.concatenate([span, (span @ tables).reshape(-1, 15)])
+            _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+            span = vh[sv > 1e-10]
+            if len(span) == rank:
+                break
+            rank = len(span)
+        ranks.append(rank)
+    return tuple(ranks)
 
 
 def orthogonality_witness(kets: np.ndarray) -> tuple:

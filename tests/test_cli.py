@@ -385,6 +385,15 @@ def test_tomography_extreme_noise_keeps_exit_contract(tmp_path, noise, allowed):
     assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) in allowed
 
 
+def test_an_overflowing_noise_angle_names_its_projector(tmp_path, capsys):
+    # P04 holds the table's first resonant pulse, so its phase overflows first
+    payload = {"state": {"kind": "named", "name": "singlet"}, "shots": 100,
+               "noise": {"esr_x_qubit1": {"mean_rad": 1e308}}}
+    cfg = _write_cfg(tmp_path, "t.json", payload)
+    assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "P04: averaged readout is not finite" in capsys.readouterr().err
+
+
 def test_tomography_rejects_bad_reps(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path, "t.json",
                      {"state": {"kind": "named", "name": "singlet"}, "shots": 100})
@@ -497,9 +506,10 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
 
 
 def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
-    # both quorums are built once per process: a second verify runs the 15
-    # MUB readout circuits it checks through one readout pass, and builds
-    # no product state
+    # both quorums are built once per process: a second verify builds no
+    # product state, and makes two readout passes, one for the 15 MUB
+    # readout circuits it checks and one for the eight one-gate circuits of
+    # the evolution rows, and one closure chain for both subspace ranks
     assert main(["verify"]) == EXIT_OK
     calls = Counter()
 
@@ -510,12 +520,17 @@ def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr("spintomo.quorum.kron_state", counting(quorum.kron_state))
-    monkeypatch.setattr("spintomo.quorum.readout_steps", counting(quorum.readout_steps))
+    for module in (cli, quorum):
+        for name in ("readout_steps", "average_readouts"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    monkeypatch.setattr(cli, "accessible_subspace_dimension",
+                        counting(cli.accessible_subspace_dimension))
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == Counter(readout_steps=1)
+    passes = Counter(readout_steps=2, average_readouts=2, accessible_subspace_dimension=1)
+    assert calls == passes
     quorum.james_quorum.__wrapped__()  # the uncached build makes every product state
-    assert calls == Counter(readout_steps=1, kron_state=15)
+    assert calls == passes + Counter(kron_state=15)
 
 
 # ---------------------------------------------------------------------- plan
@@ -585,23 +600,51 @@ def test_verification_detects_perturbed_quorum(monkeypatch):
     assert results["det_james"]["passed"]
 
 
-def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
-    good = mub_quorum()
+def _table_with_p07_halved() -> tuple:
+    """The MUB preparation table with P07's last angle halved."""
     preps = list(mub_preparations())
     *head, last = preps[6].circuit.gates  # P07 ends in a z rotation by -pi/4
     preps[6] = Preparation(preps[6].label, preps[6].base_label,
                            Circuit((*head, Gate(last.kind, last.angle / 2))))
-    monkeypatch.setattr("spintomo.cli.mub_preparations", lambda: tuple(preps))
+    return tuple(preps)
+
+
+def test_verify_cross_check_catches_a_wrong_preparation_angle(monkeypatch):
+    good = mub_quorum()
+    preps = _table_with_p07_halved()
+    monkeypatch.setattr("spintomo.cli.mub_preparations", lambda: preps)
     results = {r["check_id"]: r for r in run_verification()}
     assert not results["quorum_cross_check"]["passed"]
     assert results["quorum_cross_check"]["measured"] > 0.1
     assert results["esr_budget"]["passed"] and results["det_mub"]["passed"]
     # the quorum guard reads the same measure and refuses the table when it
     # builds; the shared quorum was built before, so build it uncached
-    monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: tuple(preps))
+    monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: preps)
     with pytest.raises(RuntimeError, match="closed form disagree"):
         mub_quorum.__wrapped__()
     assert mub_quorum() is good  # the refusal did not replace the shared quorum
+
+
+def test_verify_reports_a_refused_quorum(tmp_path, monkeypatch, capsys):
+    # the quorum guard refuses the table when verify builds the quorum; the
+    # rows that read the quorum fail with the guard's message, the others
+    # still run, and the report is written
+    preps = _table_with_p07_halved()
+    monkeypatch.setattr("spintomo.cli.mub_preparations", lambda: preps)
+    monkeypatch.setattr("spintomo.quorum.mub_preparations", lambda: preps)
+    monkeypatch.setattr("spintomo.cli.mub_quorum", mub_quorum.__wrapped__)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
+    capsys.readouterr()
+    checks = {c["check_id"]: c for c in _strict_json(out / "verify.json")["checks"]}
+    assert len(checks) == 13
+    assert checks["quorum_cross_check"]["measured"] > 0.1
+    for cid in ("det_mub", "gram_schmidt_lengths", "det_upper_bound"):
+        assert checks[cid]["measured"] is None and not checks[cid]["passed"]
+        assert "closed form disagree" in checks[cid]["detail"]
+    for cid in ("det_james", "esr_budget", "tau_partial_sums", "tau_ratio", "subspace_no_esr",
+                "subspace_with_esr", "evolution_exchange", "evolution_gradient"):
+        assert checks[cid]["passed"], cid
 
 
 def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,8 @@ The package runs a circuit only as the readout conjugation U^dag B U of
 it against the gate matrices exp(i angle H) of ``support.unitary``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from spintomo.qmath import (
     random_density,
     two_qubit_pauli,
 )
+from spintomo.quorum import mub_preparations
 
 from support import oracle_generator, unitary
 
@@ -78,6 +81,33 @@ def test_generator_table_matches_independent_oracle(kind):
     for got, fresh in zip((lam, vecs), np.linalg.eigh(h)):
         np.testing.assert_array_equal(got, fresh)
         assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("circuits", [
+    [Circuit((Gate(kind, 0.3 * (i + 1)),)) for i, kind in enumerate(GateKind)],
+    [prep.measurement_circuit() for prep in mub_preparations()],
+], ids=["one_gate_of_each_kind", "mub_readouts"])
+def test_readout_steps_gather_each_gates_own_tables(circuits):
+    # the tables gathered by kind equal, bit for bit, the ones a gate by
+    # gate build from generator_eigh makes, and every array is read-only
+    steps = readout_steps(circuits)
+    assert len(steps) == max(len(c.gates) for c in circuits)
+    for pos, step in enumerate(steps):
+        rows = [i for i, c in enumerate(circuits) if len(c.gates) > pos]
+        gates = [circuits[i].gates[-1 - pos] for i in rows]
+        eighs = [generator_eigh(g.kind) for g in gates]
+        expected = (
+            rows,
+            [list(GateKind).index(g.kind) for g in gates],
+            [g.angle for g in gates],
+            np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
+            np.stack([vecs for _, vecs in eighs]),
+            np.stack([vecs.conj().T for _, vecs in eighs]),
+        )
+        arrays = [getattr(step, f.name) for f in dataclasses.fields(step)]
+        for got, want in zip(arrays, expected, strict=True):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def test_exchange_special_points():

@@ -220,10 +220,10 @@ def test_outputs_are_byte_identical(case, tmp_path, capsys):
 _COLD_RUN = """
 import json, sys, tempfile
 from pathlib import Path
-from spintomo import cli, quorum
+from spintomo import cli, gates, quorum
 from test_golden_outputs import PANEL, run_case
 cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quorum.adjoint_table,
-          quorum.mub_readouts, cli._build_parser)
+          quorum.mub_readouts, gates._kind_tables, gates.generator_eigh, cli._build_parser)
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:

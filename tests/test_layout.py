@@ -1,5 +1,5 @@
-"""Every name that src/ defines is used by src/, and every name the
-package exports exists.
+"""Every name that src/ defines is used by src/, every name the package
+exports exists, and every name the benchmark's tracer wraps exists.
 
 A name that only the tests call is library code that no command runs:
 the tests would check it instead of the code that produces the outputs.
@@ -11,16 +11,26 @@ Python itself and are not scanned.
 """
 
 import ast
+import importlib
 import pathlib
 
 import spintomo
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spintomo"
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 #: names that only code outside src/ calls, each with its caller
 ALLOWED = {
     "measure.average_projector": "perfbench's noisy_tomo check averages a projector with it",
     "qmath._PhiloxKey.generate_state": "numpy's Philox calls it for its key",
+}
+
+#: (module, attribute) pairs of the tracer's spans that name nothing: their
+#: metrics read 0 until the package names its own stages
+DEAD_SPANS = {
+    ("cli", "sample_frequencies"),
+    ("cli", "average_projector"),
+    ("_kernels", "average_conjugated"),
 }
 
 
@@ -78,3 +88,16 @@ def test_every_exported_name_exists():
     # ``from spintomo import *`` fails on a name that __all__ keeps after
     # its definition or import is gone
     assert [name for name in spintomo.__all__ if not hasattr(spintomo, name)] == []
+
+
+def test_every_traced_name_exists():
+    # the tracer skips a missing attribute, so a renamed function would
+    # silently zero its metric; the file is read, not imported
+    spans = next(ast.literal_eval(node.value) for node in ast.parse(TRACING.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    missing = {(module, attr) for module, attr, _ in spans
+               if not hasattr(importlib.import_module(f"spintomo.{module}"), attr)}
+    assert sorted(missing - DEAD_SPANS) == []
+    # a dead span that names something again leaves the list
+    assert sorted(DEAD_SPANS - missing) == []

@@ -30,7 +30,7 @@ from spintomo.qmath import (
     random_density,
     stream,
 )
-from spintomo.quorum import Projector, mub_preparations, mub_quorum, pmatrix
+from spintomo.quorum import BASE_STATES, Projector, mub_preparations, mub_quorum, pmatrix
 
 from support import unitary
 
@@ -151,7 +151,12 @@ def test_noise_model_json_round_trip():
     }
     with pytest.raises(ValueError):
         AngleNoise(0.0, -0.1)
-    assert nm.for_kind(GateKind.GRADIENT_Z) == AngleNoise(0.0, 0.0)
+    # a kind absent from the table is noise-free: a gradient gate averages
+    # to its exact conjugation under this model
+    circuit = Circuit((Gate(GateKind.GRADIENT_Z, 0.7),))
+    base = Projector(SINGLET.projector(), "P_S")
+    np.testing.assert_array_equal(average_projector(circuit, base, nm).projector.matrix,
+                                  average_projector(circuit, base, NoiseModel()).projector.matrix)
 
 
 def test_average_projector_zero_noise_is_exact():
@@ -159,7 +164,7 @@ def test_average_projector_zero_noise_is_exact():
     # the adjoint circuit
     noise = NoiseModel({})
     for prep in mub_preparations()[3:6]:
-        base = Projector(prep.base_state.projector(), prep.base_label)
+        base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
         meas = prep.measurement_circuit()
         avg = average_projector(meas, base, noise, seed=1)
         u = np.eye(4)
@@ -197,7 +202,7 @@ def _monte_carlo_average(circuit, base, noise, samples, rng):
     for s in range(samples):
         u = np.eye(4, dtype=complex)
         for g in circuit.gates:
-            an = noise.for_kind(g.kind)
+            an = noise.gates.get(g.kind, AngleNoise(0.0, 0.0))
             angle = g.angle + an.mean_rad + an.std_rad * rng.standard_normal()
             u = unitary(g.kind, angle) @ u
         effs[s] = u.conj().T @ base @ u
@@ -218,7 +223,7 @@ def test_average_projector_matches_monte_carlo_oracle():
     prep = mub_preparations()[6]
     circuit = prep.measurement_circuit()
     assert {g.kind for g in circuit.gates} == set(noise.gates)
-    base = Projector(prep.base_state.projector(), prep.base_label)
+    base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
     exact = average_projector(circuit, base, noise).projector.matrix
     mean, se = _monte_carlo_average(circuit, base.matrix, noise, 4000,
                                     np.random.default_rng(17))
@@ -248,7 +253,7 @@ def test_averaged_projector_is_valid_operator():
         }
     )
     prep = mub_preparations()[9]
-    base = Projector(prep.base_state.projector(), prep.base_label)
+    base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
     avg = average_projector(prep.measurement_circuit(), base, noise, seed=2)
     m = avg.projector.matrix
     np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
@@ -270,7 +275,7 @@ def test_stacked_average_rows_are_each_circuits_own_average():
     preps = mub_preparations()
     circuits = [prep.measurement_circuit() for prep in preps]
     assert sorted({len(c.gates) for c in circuits}) == [0, 1, 2, 3, 4, 5]
-    bases = np.stack([prep.base_state.projector() for prep in preps])
+    bases = np.stack([BASE_STATES[prep.base_label].projector() for prep in preps])
     labels = [prep.base_label for prep in preps]
     stacked = average_readouts(readout_steps(circuits), bases, labels, noise)
     for row, circuit, base, label in zip(stacked, circuits, bases, labels):
