@@ -10,7 +10,8 @@ inversion or maximum likelihood, with predicted error covariances.
 
 Layout
 ------
-qmath        Pauli/tau operator bases, states, fidelities, RNG streams
+qmath        Pauli/tau operator bases, the named states as read-only
+             projectors, density-matrix checks, fidelities, RNG streams
 gates        native gate set, circuits, and the one pass that runs
              circuits on readouts (exact, or averaged over Gaussian
              gate-angle noise)
@@ -39,7 +40,6 @@ from .measure import (
 )
 from .qmath import (
     DensityMatrix,
-    PureState,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -65,7 +65,7 @@ from .reconstruct import (
 __all__ = [
     "__version__",
     "qmath", "gates", "quorum", "dotmodel", "measure", "reconstruct",
-    "DensityMatrix", "PureState", "pauli_assemble", "pauli_expand",
+    "DensityMatrix", "pauli_assemble", "pauli_expand",
     "random_density", "state_fidelity", "tau_expand", "trace_distance",
     "Circuit", "Gate", "GateKind", "NoiseModel",
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",

@@ -49,7 +49,7 @@ from .qmath import (
     TRIPLET_ZERO,
     UP_DOWN,
     UP_UP,
-    DensityMatrix,
+    check_density_matrix,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -314,7 +314,7 @@ _NAMED_STATES = {
 }
 
 
-def _truth_from_config(state_cfg: dict) -> DensityMatrix:
+def _truth_from_config(state_cfg: dict) -> np.ndarray:
     _check_fields(state_cfg, required={"kind": str},
                   optional={"name": str, "seed": int, "rank": int}, where="state config")
     kind = state_cfg["kind"]
@@ -324,13 +324,13 @@ def _truth_from_config(state_cfg: dict) -> DensityMatrix:
     if kind == "named":
         name = state_cfg.get("name")
         if name == "maximally_mixed":
-            return DensityMatrix(np.eye(4) / 4.0)
+            return check_density_matrix(np.eye(4) / 4.0)
         if name not in _NAMED_STATES:
             known = sorted(_NAMED_STATES) + ["maximally_mixed"]
             raise ConfigError(f"unknown state name {name!r}; known: {known}")
-        return DensityMatrix(_NAMED_STATES[name].projector())
+        return check_density_matrix(_NAMED_STATES[name])
     try:
-        return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4))
+        return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4)).matrix
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -409,7 +409,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
 
     # both estimators, always: fast linear inversion and the physical MLE
     result = mle_from_frequencies(freqs, shots_arr, eff_q)
-    rho_mle = result.rho_mle.matrix
+    rho_mle = result.rho_mle
     rho_lin = result.rho_linear
     linear_psd = result.linear_psd
     pm = result.pm
@@ -418,7 +418,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     payload["exact"] = bool(exact)
     payload["rho_real"] = rho_mle.real.tolist()
     payload["rho_imag"] = rho_mle.imag.tolist()
-    payload["pauli_coeffs"] = result.rho_mle.pauli_coeffs.tolist()
+    payload["pauli_coeffs"] = pauli_expand(rho_mle).tolist()
     payload["loglik"] = result.loglik
     payload["psd_flag"] = True
     payload["converged"] = result.converged
@@ -436,10 +436,9 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     }
 
     diag = {
-        "mle_trace_distance_to_truth": trace_distance(rho_mle, truth.matrix),
-        # the DensityMatrix objects, validated when built, are not checked again
-        "mle_fidelity_to_truth": state_fidelity(result.rho_mle, truth),
-        "linear_max_entry_error": float(np.max(np.abs(rho_lin - truth.matrix))),
+        "mle_trace_distance_to_truth": trace_distance(rho_mle, truth),
+        "mle_fidelity_to_truth": state_fidelity(rho_mle, truth),
+        "linear_max_entry_error": float(np.max(np.abs(rho_lin - truth))),
         "linear_fidelity_to_truth": (
             state_fidelity(rho_lin, truth) if linear_psd else None
         ),
@@ -455,7 +454,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     if reps > 0:
         emp = np.cov(linear_coefficients(counts / shots_arr, pm), rowvar=False, ddof=1)
         files["covariance_empirical.csv"] = _csv(meta, k_header, emp.tolist())
-        pred = np.diag(covariance_predict(truth.matrix, pm, shots_arr))
+        pred = np.diag(covariance_predict(truth, pm, shots_arr))
         # a coefficient with zero predicted variance (to rounding: a
         # deterministic outcome can leave -1e-18) has no relative deviation
         varied = pred > 1e-12 * np.max(pred)
@@ -603,7 +602,7 @@ def run_verification() -> list:
         cases = ((GateKind.EXCHANGE_PULSE, UP_DOWN, {12: 0.5, 3: -0.5}, {6: 0.5, 9: -0.5}),
                  (GateKind.GRADIENT_Z, SINGLET, {5: -0.5, 10: -0.5}, {6: -0.5, 9: 0.5}))
         circuits = [Circuit((Gate(kind, -angle),)) for kind, *_ in cases for angle in angles]
-        bases = np.stack([base.projector() for _, base, *_ in cases for _ in angles])
+        bases = np.stack([base for _, base, *_ in cases for _ in angles])
         labels = [kind.value for kind, *_ in cases for _ in angles]
         evolved = average_readouts(readout_steps(circuits), bases, labels, NoiseModel())
         worst = []

@@ -43,7 +43,7 @@ class GateKind(str, Enum):
 
 
 _GENERATORS = {
-    GateKind.EXCHANGE_PULSE: SINGLET.projector(),
+    GateKind.EXCHANGE_PULSE: SINGLET,
     GateKind.Z_ROT_QUBIT1: two_qubit_pauli(3, 0),
     GateKind.Z_ROT_QUBIT2: two_qubit_pauli(0, 3),
     GateKind.Z_ROT_BOTH: two_qubit_pauli(3, 0) + two_qubit_pauli(0, 3),

@@ -6,6 +6,9 @@ products D_k = sigma_{1i} sigma_{2j} / 2 with k = 4*i + j, and an
 alternative basis (tau) adapted to states whose overlap with |uu> is
 exactly 1/4.  Both are orthonormal under the Frobenius scalar product
 tr(A^dag B).
+
+States are complex (4, 4) arrays, checked by ``check_density_matrix``
+where they enter; the named states are read-only projectors.
 """
 
 from __future__ import annotations
@@ -120,57 +123,16 @@ def tau_expand(m: np.ndarray) -> np.ndarray:
     return _expand(m, TAU_BASIS)
 
 
-def _frozen_copy(arr: np.ndarray, dtype=np.complex128) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
+def ket_projector(amplitudes) -> np.ndarray:
+    """Read-only projector |a><a| of a nonzero 4-amplitude ket, normalised."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    # normalised twice, as the pinned outputs were recorded: a single pass
+    # leaves the last bits of the singlet and T0 projectors different
+    for _ in range(2):
+        amps = amps / np.linalg.norm(amps)
+    out = np.outer(amps, np.conj(amps))
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized two-qubit state vector with a canonical global phase.
-
-    The first amplitude of modulus > 1e-12 is rotated to the positive
-    real axis, so states equal up to a global phase compare equal.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.shape != (4,):
-            raise ValueError("expected 4 amplitudes")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} differs from 1 beyond {NORM_ATOL}")
-        amps = amps / norm
-        for a in amps:
-            if abs(a) > 1e-12:
-                amps = amps * (np.conj(a) / abs(a))
-                break
-        object.__setattr__(self, "amplitudes", _frozen_copy(amps))
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "PureState":
-        """Build from any nonzero amplitude vector, normalizing it."""
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise ValueError("zero state vector")
-        return cls(amps / norm)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
-    def __eq__(self, other):
-        if not isinstance(other, PureState):
-            return NotImplemented
-        return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= 1e-12)
-
-
-def kron_state(first, second) -> PureState:
-    """Product state of two single-qubit amplitude pairs."""
-    return PureState.from_amplitudes(np.kron(np.asarray(first), np.asarray(second)))
 
 
 UP = np.array([1.0, 0.0])
@@ -179,12 +141,13 @@ UP_X = np.array([1.0, 1.0]) / np.sqrt(2.0)
 UP_Y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
 DOWN_Y = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 
-UP_UP = kron_state(UP, UP)
-UP_DOWN = kron_state(UP, DOWN)
-DOWN_UP = kron_state(DOWN, UP)
-DOWN_DOWN = kron_state(DOWN, DOWN)
-SINGLET = PureState.from_amplitudes([0.0, 1.0, -1.0, 0.0])
-TRIPLET_ZERO = PureState.from_amplitudes([0.0, 1.0, 1.0, 0.0])
+#: projectors of the named two-qubit states
+UP_UP = ket_projector(np.kron(UP, UP))
+UP_DOWN = ket_projector(np.kron(UP, DOWN))
+DOWN_UP = ket_projector(np.kron(DOWN, UP))
+DOWN_DOWN = ket_projector(np.kron(DOWN, DOWN))
+SINGLET = ket_projector([0.0, 1.0, -1.0, 0.0])
+TRIPLET_ZERO = ket_projector([0.0, 1.0, 1.0, 0.0])
 
 
 def check_density_matrix(m: np.ndarray) -> np.ndarray:
@@ -210,17 +173,14 @@ def check_density_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated 4x4 density matrix (Hermitian, unit trace, PSD)."""
+    """Validated, read-only 4x4 density matrix, as ``random_density`` returns it."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = check_density_matrix(self.matrix)
-        object.__setattr__(self, "matrix", _frozen_copy(m))
-
-    @property
-    def pauli_coeffs(self) -> np.ndarray:
-        return pauli_expand(self.matrix)
+        m = check_density_matrix(self.matrix).copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -229,38 +189,21 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _checked_operator(obj) -> np.ndarray:
-    """Matrix of a state argument; a DensityMatrix was checked when built."""
-    if isinstance(obj, DensityMatrix):
-        return obj.matrix
-    return check_density_matrix(as_operator(obj))
-
-
 def state_fidelity(rho, sigma) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    Each argument is a DensityMatrix, a PureState or a bare array, which
-    is checked as a density matrix first."""
-    rho = _checked_operator(rho)
-    sigma = _checked_operator(sigma)
+    Each argument is checked as a density matrix first."""
+    rho = check_density_matrix(rho)
+    sigma = check_density_matrix(sigma)
     r = _psd_sqrt(rho)
     vals = np.linalg.eigvalsh(r @ sigma @ r)
     f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
     return min(max(f, 0.0), 1.0)
 
 
-def as_operator(obj) -> np.ndarray:
-    """Matrix of a DensityMatrix, a PureState (its projector) or a bare array."""
-    if isinstance(obj, DensityMatrix):
-        return obj.matrix
-    if isinstance(obj, PureState):
-        return obj.projector()
-    return np.asarray(obj, dtype=np.complex128)
-
-
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference of two Hermitian operators."""
-    diff = as_operator(rho) - as_operator(sigma)
+    diff = np.subtract(rho, sigma, dtype=np.complex128)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 

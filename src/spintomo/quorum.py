@@ -61,7 +61,7 @@ from .qmath import (
     UP_UP,
     UP_X,
     UP_Y,
-    kron_state,
+    ket_projector,
     pauli_expand,
     two_qubit_pauli,
 )
@@ -157,7 +157,7 @@ BASE_STATES = {
     "singlet": SINGLET,
 }
 #: the projectors of the base states, in that order: the three base readouts
-_BASE_READOUTS = np.stack([s.projector() for s in BASE_STATES.values()])
+_BASE_READOUTS = np.stack(list(BASE_STATES.values()))
 _BASE_READOUTS.setflags(write=False)
 
 
@@ -311,7 +311,7 @@ def james_quorum() -> Quorum:
         (UP, UP_X), (DOWN, UP_X), (DOWN, UP_Y), (UP, UP_Y), (DOWN_Y, UP_Y),
     ]
     labels = tuple(f"J{j:02d}" for j in range(1, 16))
-    return Quorum("james", labels, np.stack([kron_state(a, b).projector() for a, b in kets]))
+    return Quorum("james", labels, np.stack([ket_projector(np.kron(a, b)) for a, b in kets]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ likelihood route reparametrizes rho = T^dag T / tr(T^dag T), which is
 PSD by construction, and ascends the binomial log-likelihood; it is
 seeded from the PSD-projected linear estimate, so on clean data it
 starts essentially converged.  One eigendecomposition of the linear
-estimate gives both that seed and the reported PSD projection.
+estimate gives both that seed and the reported PSD projection.  States
+in and out are (4, 4) arrays; the MLE is PSD by construction, read-only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .qmath import PSD_SLACK, DensityMatrix, pauli_assemble, pauli_expand
+from .qmath import PSD_SLACK, pauli_assemble, pauli_expand
 from .quorum import PMatrix, Quorum, pmatrix
 
 _SEED_EIGENVALUE_FLOOR = 1e-9
@@ -45,14 +46,16 @@ def linear_from_frequencies(m: np.ndarray, pm: PMatrix) -> np.ndarray:
 
 
 def covariance_predict(rho, pm: PMatrix, shots) -> np.ndarray:
-    """Covariance of the linearly reconstructed coefficients.
+    """Covariance of the linearly reconstructed coefficients of the state rho.
 
     Independent binomial frequencies have variance p(1-p)/N, so
-    C = Pinv diag(p_j (1 - p_j) / N_j) Pinv^T.
+    C = Pinv diag(p_j (1 - p_j) / N_j) Pinv^T.  This is exactly F^-1 for
+    the Fisher information F = P^T diag(N_j / (p_j (1 - p_j))) P of the 15
+    binomials in the Pauli coordinates: the Cramer-Rao bound, which linear
+    inversion attains wherever 0 < p_j < 1.
     """
     shots = np.broadcast_to(np.asarray(shots, dtype=np.float64), (15,))
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    probs = 0.25 + pm.entries @ pauli_expand(mat)[1:]
+    probs = 0.25 + pm.entries @ pauli_expand(rho)[1:]
     b = np.diag(probs * (1.0 - probs) / shots)
     return pm.inverse @ b @ pm.inverse.T
 
@@ -92,7 +95,7 @@ class ReconstructionResult:
 
     rho_linear: np.ndarray
     psd_projection: np.ndarray
-    rho_mle: DensityMatrix
+    rho_mle: np.ndarray
     covariance_predicted: np.ndarray
     loglik: float
     linear_loglik: float
@@ -130,12 +133,12 @@ def mle_from_frequencies(
     rho = t_mat.conj().T @ t_mat
     rho = rho / np.trace(rho).real
     rho = 0.5 * (rho + rho.conj().T)
-    result_rho = DensityMatrix(rho)
-    cov = covariance_predict(result_rho, pm, shots)
+    rho.setflags(write=False)
+    cov = covariance_predict(rho, pm, shots)
     return ReconstructionResult(
         rho_linear=rho_linear,
         psd_projection=_clip_renormalize(vals, vecs, 0.0),
-        rho_mle=result_rho,
+        rho_mle=rho,
         covariance_predicted=cov,
         loglik=float(lik_scaled * shots.sum()),
         linear_loglik=_kernels.loglik(np.einsum("jab,ba->j", projs, rho_linear).real, m, shots),

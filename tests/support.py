@@ -11,7 +11,7 @@ import numpy as np
 
 from spintomo.dotmodel import hamiltonian6
 from spintomo.gates import GateKind
-from spintomo.qmath import SINGLET, PureState, stream, two_qubit_pauli
+from spintomo.qmath import SINGLET, stream, two_qubit_pauli
 from spintomo.reconstruct import (
     _SEED_EIGENVALUE_FLOOR,
     _clip_renormalize,
@@ -28,11 +28,11 @@ SINGLET_SECTOR[4, 1] = SINGLET_SECTOR[5, 2] = 1.0
 TRIPLET_ZERO_6 = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
 
 
-def random_pure(seed: int) -> PureState:
-    """Haar-random two-qubit pure state."""
+def random_pure(seed: int) -> np.ndarray:
+    """Haar-random two-qubit ket, normalised."""
     rng = stream("random-pure", seed)
     g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState.from_amplitudes(g)
+    return g / np.linalg.norm(g)
 
 
 def oracle_generator(kind: GateKind) -> np.ndarray:
@@ -40,7 +40,7 @@ def oracle_generator(kind: GateKind) -> np.ndarray:
     package's generator table."""
     z1, z2 = two_qubit_pauli(3, 0), two_qubit_pauli(0, 3)
     return {
-        GateKind.EXCHANGE_PULSE: SINGLET.projector(),
+        GateKind.EXCHANGE_PULSE: SINGLET,
         GateKind.Z_ROT_QUBIT1: z1,
         GateKind.Z_ROT_QUBIT2: z2,
         GateKind.Z_ROT_BOTH: z1 + z2,

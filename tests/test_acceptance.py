@@ -17,7 +17,8 @@ from spintomo.cli import run_verification
 from spintomo.dotmodel import DotParams, hamiltonian6
 from spintomo.measure import born_probabilities, degrade_readout, plan_shots, simulate_counts
 from spintomo.qmath import (
-    DensityMatrix,
+    check_density_matrix,
+    ket_projector,
     pauli_expand,
     random_density,
     state_fidelity,
@@ -99,14 +100,14 @@ def test_criterion_07_round_trip_and_rms_slope():
     pm = pmatrix(q)
     worst = 0.0
     for seed in range(100):
-        rho = random_density(seed)
+        rho = random_density(seed).matrix
         m = born_probabilities(rho, q.matrices)
         worst = max(
             worst,
-            float(np.max(np.abs(linear_from_frequencies(m, pm) - rho.matrix))),
+            float(np.max(np.abs(linear_from_frequencies(m, pm) - rho))),
         )
-    rho = random_density(42)
-    true_c = pauli_expand(rho.matrix)[1:]
+    rho = random_density(42).matrix
+    true_c = pauli_expand(rho)[1:]
     shot_grid = (10**3, 10**4, 10**5)
     rms = []
     for n in shot_grid:
@@ -129,7 +130,7 @@ def test_criterion_08_covariance_prediction():
     t0 = time.perf_counter()
     q = mub_quorum()
     pm = pmatrix(q)
-    rho = random_density(5)
+    rho = random_density(5).matrix
     n, reps = 1000, 10000
     freqs = simulate_counts(rho, q.matrices, n, seed=3, reps=reps) / n
     coeffs = (freqs - 0.25) @ pm.inverse.T
@@ -153,8 +154,8 @@ def test_criterion_09_degradation_and_planning():
     q = mub_quorum()
     erase_dev = float(np.max(np.abs(degrade_readout(q.matrices, 0.5) - np.eye(4) / 4.0)))
 
-    rho = random_density(7)
-    truth = pauli_expand(rho.matrix)[4]
+    rho = random_density(7).matrix
+    truth = pauli_expand(rho)[4]
     f = 0.8
     dq = Quorum("mub-degraded", q.labels, degrade_readout(q.matrices, f), q.basis_index)
     n, reps = 1000, 1000
@@ -216,15 +217,15 @@ def test_criterion_11_mle_physicality_and_fidelity():
     worst_trace = 0.0
     for successes in (0, 50):
         res = mle_from_frequencies(np.full(15, successes / 50), 50, q)
-        mat = res.rho_mle.matrix  # DensityMatrix construction validates
+        mat = check_density_matrix(res.rho_mle)  # Hermitian, unit trace, PSD
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(mat)[0]))
         worst_trace = max(worst_trace, abs(float(np.trace(mat).real) - 1.0))
 
     worst_fid = 1.0
     for truth in (
-        DensityMatrix(random_pure(0).projector()),
-        DensityMatrix(random_pure(3).projector()),
-        random_density(12),
+        ket_projector(random_pure(0)),
+        ket_projector(random_pure(3)),
+        random_density(12).matrix,
     ):
         m = born_probabilities(truth, q.matrices)
         res = mle_from_frequencies(m, 10**6, q)

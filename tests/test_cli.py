@@ -519,7 +519,7 @@ def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr("spintomo.quorum.kron_state", counting(quorum.kron_state))
+    monkeypatch.setattr(quorum, "ket_projector", counting(quorum.ket_projector))
     for module in (cli, quorum):
         for name in ("readout_steps", "average_readouts"):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
@@ -530,7 +530,7 @@ def test_a_warm_verify_run_rebuilds_no_quorum(monkeypatch, capsys):
     passes = Counter(readout_steps=2, average_readouts=2, accessible_subspace_dimension=1)
     assert calls == passes
     quorum.james_quorum.__wrapped__()  # the uncached build makes every product state
-    assert calls == passes + Counter(kron_state=15)
+    assert calls == passes + Counter(ket_projector=15)
 
 
 # ---------------------------------------------------------------------- plan

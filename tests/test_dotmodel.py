@@ -133,6 +133,9 @@ def test_spectrum_sweep_tracking_continuity():
     grid = np.linspace(0.0, 1.2, 241)
     levels = spectrum_sweep(p, grid)
     assert levels.shape == (241, 6)
+    for empty in ([], [grid]):  # no grid, and a grid that is not 1-d
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            spectrum_sweep(p, empty)
     # Weyl: adjacent-level jumps bounded by the Hamiltonian difference norm
     for row in range(1, 241):
         h_prev = hamiltonian6(p.replace_epsilon(grid[row - 1]))

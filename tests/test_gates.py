@@ -113,7 +113,7 @@ def test_readout_steps_gather_each_gates_own_tables(circuits):
 def test_exchange_special_points():
     # pi pulse area: SWAP, which exchanges |ud> and |du>; 2 pi: identity
     swap = Gate(GateKind.EXCHANGE_PULSE, np.pi)
-    np.testing.assert_allclose(readout([swap], UP_DOWN.projector()), DOWN_UP.projector(),
+    np.testing.assert_allclose(readout([swap], UP_DOWN), DOWN_UP,
                                atol=1e-14)
     np.testing.assert_allclose(readout([swap, swap], BASES), BASES, atol=1e-14)
     np.testing.assert_allclose(readout([Gate(GateKind.EXCHANGE_PULSE, 2 * np.pi)], BASES),
@@ -126,15 +126,15 @@ def test_exchange_special_points():
 def test_exchange_eigenstructure():
     # the singlet and the triplets are eigenstates: their readouts stay put
     for base in (SINGLET, TRIPLET_ZERO, UP_UP):
-        got = readout([Gate(GateKind.EXCHANGE_PULSE, 0.77)], base.projector())
-        np.testing.assert_allclose(got, base.projector(), atol=1e-14)
+        got = readout([Gate(GateKind.EXCHANGE_PULSE, 0.77)], base)
+        np.testing.assert_allclose(got, base, atol=1e-14)
 
 
 def test_esr_rotates_first_qubit_only():
     # angle pi/2 in exp(i theta sigma_x) flips qubit 1: |u> -> i|d>, so the
     # readout of |du> becomes that of |uu>
     flip = Gate(GateKind.ESR_X_QUBIT1, np.pi / 2)
-    np.testing.assert_allclose(readout([flip], DOWN_UP.projector()), UP_UP.projector(),
+    np.testing.assert_allclose(readout([flip], DOWN_UP), UP_UP,
                                atol=1e-14)
     # every readout of qubit 2 alone is untouched, at any angle
     for i in range(4):
@@ -193,7 +193,7 @@ def test_exchange_conjugation_closed_form():
     # e^{i phi P_S} P_ud e^{-i phi P_S} in the Pauli basis: the readout of
     # the one-gate circuit of angle -phi
     for phi in (0.0, np.pi / 4, np.pi / 2, np.pi, 1.3):
-        got = readout([Gate(GateKind.EXCHANGE_PULSE, -phi)], UP_DOWN.projector())
+        got = readout([Gate(GateKind.EXCHANGE_PULSE, -phi)], UP_DOWN)
         coeffs = np.zeros(16)
         coeffs[0] = 0.5  # I / 4
         coeffs[15] = -0.5  # - z z / 4
@@ -207,7 +207,7 @@ def test_exchange_conjugation_closed_form():
 def test_gradient_conjugation_closed_form():
     # e^{i v/4 (z1 - z2)} P_S e^{-i v/4 (z1 - z2)} in the Pauli basis
     for v in (0.0, np.pi / 4, np.pi / 2, np.pi, -0.9):
-        got = readout([Gate(GateKind.GRADIENT_Z, -v)], SINGLET.projector())
+        got = readout([Gate(GateKind.GRADIENT_Z, -v)], SINGLET)
         coeffs = np.zeros(16)
         coeffs[0] = 0.5
         coeffs[15] = -0.5
@@ -219,5 +219,5 @@ def test_gradient_conjugation_closed_form():
 
 
 def test_gradient_half_period_turns_singlet_into_triplet0():
-    got = readout([Gate(GateKind.GRADIENT_Z, np.pi)], SINGLET.projector())
-    np.testing.assert_allclose(got, TRIPLET_ZERO.projector(), atol=1e-14)
+    got = readout([Gate(GateKind.GRADIENT_Z, np.pi)], SINGLET)
+    np.testing.assert_allclose(got, TRIPLET_ZERO, atol=1e-14)

@@ -221,6 +221,8 @@ _COLD_RUN = """
 import json, sys, tempfile
 from pathlib import Path
 from spintomo import cli, gates, quorum
+# numpy.random is loaded by the first stream, not by import
+assert "numpy.random" not in sys.modules, "import loaded numpy.random"
 from test_golden_outputs import PANEL, run_case
 cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quorum.adjoint_table,
           quorum.mub_readouts, gates._kind_tables, gates.generator_eigh, cli._build_parser)

@@ -5,7 +5,7 @@ import pytest
 
 from spintomo import _kernels
 from spintomo.measure import born_probabilities, simulate_counts
-from spintomo.qmath import SINGLET, DensityMatrix
+from spintomo.qmath import SINGLET, ket_projector
 from spintomo.quorum import mub_quorum, pmatrix
 from spintomo.reconstruct import linear_from_frequencies
 
@@ -15,7 +15,7 @@ from support import mle_seed, random_pure
 def test_numpy_mle_converges_on_exact_input():
     q = mub_quorum()
     psi = random_pure(6)
-    m = born_probabilities(psi, q.matrices)
+    m = born_probabilities(ket_projector(psi), q.matrices)
     pm = pmatrix(q)
     t0 = mle_seed(linear_from_frequencies(m, pm))
     nw = np.full(15, 1.0 / 15.0)
@@ -23,7 +23,7 @@ def test_numpy_mle_converges_on_exact_input():
     assert conv
     rho = t_mat.conj().T @ t_mat
     rho /= np.trace(rho).real
-    overlap = (psi.amplitudes.conj() @ rho @ psi.amplitudes).real
+    overlap = (psi.conj() @ rho @ psi).real
     assert overlap > 1.0 - 1e-6
 
 
@@ -33,7 +33,7 @@ def test_mle_ascend_reaches_rank_deficient_optimum(seed):
     # a gradient ascent used to stop at the 10000-step cap
     q = mub_quorum()
     projs = q.matrices
-    truth = DensityMatrix(SINGLET.projector())
+    truth = SINGLET
     m = simulate_counts(truth, q.matrices, 10000, seed)[0] / 10000
     nw = np.full(15, 1.0 / 15.0)
     t0 = mle_seed(linear_from_frequencies(m, pmatrix(q)))

@@ -25,7 +25,6 @@ from spintomo.qmath import (
     SINGLET,
     UP_DOWN,
     UP_UP,
-    DensityMatrix,
     pauli_expand,
     random_density,
     stream,
@@ -37,7 +36,7 @@ from support import unitary
 
 def test_simulate_counts_shots_broadcast_and_validation():
     q = mub_quorum().matrices
-    rho = random_density(1)
+    rho = random_density(1).matrix
     counts = simulate_counts(rho, q, 500, seed=0)
     assert counts.shape == (1, 15) and counts.dtype == np.int64
     assert np.all((0 <= counts) & (counts <= 500))
@@ -54,7 +53,7 @@ def test_simulate_counts_shots_broadcast_and_validation():
 
 def test_born_probabilities_known_values():
     q = mub_quorum()
-    probs = born_probabilities(DensityMatrix(np.eye(4) / 4.0), q.matrices)
+    probs = born_probabilities(np.eye(4) / 4.0, q.matrices)
     np.testing.assert_allclose(probs, 0.25, atol=1e-14)
     probs = born_probabilities(UP_UP, q.matrices)
     np.testing.assert_allclose(probs[0], 1.0, atol=1e-14)  # P1 = |uu><uu|
@@ -69,7 +68,7 @@ def test_born_probabilities_reject_unphysical():
 
 
 def test_simulate_counts_deterministic():
-    rho = random_density(1)
+    rho = random_density(1).matrix
     q = mub_quorum().matrices
     a = simulate_counts(rho, q, 1000, seed=42, reps=2)
     np.testing.assert_array_equal(a, simulate_counts(rho, q, 1000, seed=42, reps=2))
@@ -79,7 +78,7 @@ def test_simulate_counts_deterministic():
 
 def test_simulate_counts_statistics():
     # frequencies concentrate around Born probabilities (Hoeffding envelope)
-    rho = random_density(5)
+    rho = random_density(5).matrix
     probs = born_probabilities(rho, mub_quorum().matrices)
     n = 4000
     freqs = simulate_counts(rho, mub_quorum().matrices, n, seed=11, reps=50) / n
@@ -90,7 +89,7 @@ def test_simulate_counts_statistics():
 
 @pytest.mark.parametrize(
     "rho, shots",
-    [(random_density(4, rank=3), tuple(range(40, 640, 40))), (UP_UP.projector(), 25)],
+    [(random_density(4, rank=3).matrix, tuple(range(40, 640, 40))), (UP_UP, 25)],
     ids=["shots_list", "up_up"],
 )
 def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
@@ -114,7 +113,7 @@ def test_rows_are_successive_draws_of_one_stream_per_projector(rho, shots):
 
 
 def test_degrade_readout_limits():
-    p = SINGLET.projector()
+    p = SINGLET
     erased = degrade_readout(p, 0.5)
     np.testing.assert_allclose(erased, np.eye(4) / 4.0, atol=0.0)  # exact
     ident = degrade_readout(p, 1.0)
@@ -135,7 +134,7 @@ def test_degrade_readout_affine_in_operator():
     # degradation acts entrywise-affine: commutes with unitary conjugation
     f = 0.8
     u = unitary(GateKind.ESR_X_QUBIT1, np.pi / 4)
-    p = UP_DOWN.projector()
+    p = UP_DOWN
     lhs = degrade_readout(u @ p @ u.conj().T, f)
     rhs = u @ degrade_readout(p, f) @ u.conj().T
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
@@ -151,10 +150,12 @@ def test_noise_model_json_round_trip():
     }
     with pytest.raises(ValueError):
         AngleNoise(0.0, -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        AngleNoise(np.nan, 0.1)
     # a kind absent from the table is noise-free: a gradient gate averages
     # to its exact conjugation under this model
     circuit = Circuit((Gate(GateKind.GRADIENT_Z, 0.7),))
-    base = Projector(SINGLET.projector(), "P_S")
+    base = Projector(SINGLET, "P_S")
     np.testing.assert_array_equal(average_projector(circuit, base, nm).projector.matrix,
                                   average_projector(circuit, base, NoiseModel()).projector.matrix)
 
@@ -164,7 +165,7 @@ def test_average_projector_zero_noise_is_exact():
     # the adjoint circuit
     noise = NoiseModel({})
     for prep in mub_preparations()[3:6]:
-        base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
+        base = Projector(BASE_STATES[prep.base_label], prep.base_label)
         meas = prep.measurement_circuit()
         avg = average_projector(meas, base, noise, seed=1)
         u = np.eye(4)
@@ -181,7 +182,7 @@ def test_average_projector_gaussian_characteristic_oracle():
     mu, std = np.pi / 3, 0.4
     shrink = np.exp(-(std**2) / 2.0)
     circuit = Circuit((Gate(GateKind.GRADIENT_Z, mu),))
-    base = Projector(SINGLET.projector(), "P_S")
+    base = Projector(SINGLET, "P_S")
     noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, std)})
     avg = average_projector(circuit, base, noise, seed=3)
     coeffs = pauli_expand(avg.projector.matrix)
@@ -223,7 +224,7 @@ def test_average_projector_matches_monte_carlo_oracle():
     prep = mub_preparations()[6]
     circuit = prep.measurement_circuit()
     assert {g.kind for g in circuit.gates} == set(noise.gates)
-    base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
+    base = Projector(BASE_STATES[prep.base_label], prep.base_label)
     exact = average_projector(circuit, base, noise).projector.matrix
     mean, se = _monte_carlo_average(circuit, base.matrix, noise, 4000,
                                     np.random.default_rng(17))
@@ -237,7 +238,7 @@ def test_average_projector_deterministic_in_seed():
     # nothing is sampled: the average does not depend on the seed at all
     noise = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.1)})
     circuit = Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi / 2),))
-    base = Projector(UP_DOWN.projector(), "P_ud")
+    base = Projector(UP_DOWN, "P_ud")
     a = average_projector(circuit, base, noise, seed=5).projector.matrix
     b = average_projector(circuit, base, noise, seed=5).projector.matrix
     np.testing.assert_array_equal(a, b)
@@ -253,7 +254,7 @@ def test_averaged_projector_is_valid_operator():
         }
     )
     prep = mub_preparations()[9]
-    base = Projector(BASE_STATES[prep.base_label].projector(), prep.base_label)
+    base = Projector(BASE_STATES[prep.base_label], prep.base_label)
     avg = average_projector(prep.measurement_circuit(), base, noise, seed=2)
     m = avg.projector.matrix
     np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
@@ -275,7 +276,7 @@ def test_stacked_average_rows_are_each_circuits_own_average():
     preps = mub_preparations()
     circuits = [prep.measurement_circuit() for prep in preps]
     assert sorted({len(c.gates) for c in circuits}) == [0, 1, 2, 3, 4, 5]
-    bases = np.stack([BASE_STATES[prep.base_label].projector() for prep in preps])
+    bases = np.stack([BASE_STATES[prep.base_label] for prep in preps])
     labels = [prep.base_label for prep in preps]
     stacked = average_readouts(readout_steps(circuits), bases, labels, noise)
     for row, circuit, base, label in zip(stacked, circuits, bases, labels):
@@ -313,8 +314,8 @@ def test_plan_shots_guarantee_holds():
     q = mub_quorum()
     pm = pmatrix(q)
     for seed in range(8):
-        rho = random_density(seed)
-        true_coeffs = pauli_expand(rho.matrix)[1:]
+        rho = random_density(seed).matrix
+        true_coeffs = pauli_expand(rho)[1:]
 
         def misses(n):
             freqs = simulate_counts(rho, q.matrices, n, seed=21, reps=400) / n

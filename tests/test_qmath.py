@@ -14,9 +14,8 @@ from spintomo.qmath import (
     UP_DOWN,
     UP_UP,
     DensityMatrix,
-    PureState,
     check_density_matrix,
-    kron_state,
+    ket_projector,
     pauli_assemble,
     pauli_expand,
     random_density,
@@ -77,6 +76,8 @@ def test_expand_assemble_round_trip():
         fro2 = float(np.sum(np.abs(rho) ** 2))
         np.testing.assert_allclose(np.sum(coeffs**2), fro2, atol=1e-13)
         np.testing.assert_allclose(np.sum(m**2), fro2, atol=1e-13)
+    with pytest.raises(ValueError, match="16 coefficients"):
+        pauli_assemble(coeffs[1:])  # the identity coefficient left out
 
 
 def test_expand_rejects_non_hermitian():
@@ -108,32 +109,16 @@ def test_density_trace_is_first_pauli_coefficient():
     assert abs(pauli_expand(rho)[0] - 0.5) < 1e-14
 
 
-def test_pure_state_canonical_phase_and_eq():
-    a = PureState.from_amplitudes([0.0, 1.0, -1.0, 0.0])
-    b = PureState.from_amplitudes(np.exp(1j * 0.7) * np.array([0.0, 1.0, -1.0, 0.0]))
-    assert a == b
-    np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-15)
-    assert a != UP_UP
-
-
-def test_pure_state_norm_validation():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        PureState.from_amplitudes([0.0, 0.0, 0.0, 0.0])
-
-
 def test_projector_and_overlap():
-    p = SINGLET.projector()
-    np.testing.assert_allclose(p @ p, p, atol=1e-15)
-    np.testing.assert_allclose(np.trace(p), 1.0, atol=1e-15)
-    assert abs(np.vdot(SINGLET.amplitudes, TRIPLET_ZERO.amplitudes)) < 1e-15
-    assert abs(abs(np.vdot(UP_DOWN.amplitudes, SINGLET.amplitudes)) ** 2 - 0.5) < 1e-15
-
-
-def test_kron_state():
-    s = kron_state([1.0, 0.0], [0.0, 1.0])
-    assert s == UP_DOWN
+    np.testing.assert_allclose(SINGLET @ SINGLET, SINGLET, atol=1e-15)
+    np.testing.assert_allclose(np.trace(SINGLET), 1.0, atol=1e-15)
+    assert abs(np.trace(SINGLET @ TRIPLET_ZERO)) < 1e-15
+    assert abs(np.trace(UP_DOWN @ SINGLET) - 0.5) < 1e-15
+    # the named states are shared: read-only, and a ket's global phase and
+    # norm do not reach its projector
+    assert not SINGLET.flags.writeable
+    np.testing.assert_allclose(ket_projector(3j * np.array([0.0, 1.0, -1.0, 0.0])), SINGLET,
+                               atol=1e-15)
 
 
 def test_check_density_matrix_rejections():
@@ -145,6 +130,8 @@ def test_check_density_matrix_rejections():
     bad[0, 1] = 0.3
     with pytest.raises(ValueError):
         check_density_matrix(bad)  # not Hermitian
+    with pytest.raises(ValueError, match="4x4"):
+        check_density_matrix(np.eye(3) / 3.0)  # not two qubits
 
 
 def test_density_matrix_frozen():
@@ -155,26 +142,27 @@ def test_density_matrix_frozen():
 
 def test_fidelity_oracles():
     # orthogonal pure states: 0; identical: 1; pure vs maximally mixed: 1/2
-    assert state_fidelity(UP_UP.projector(), DOWN_DOWN.projector()) < 1e-12
-    assert abs(state_fidelity(SINGLET.projector(), SINGLET.projector()) - 1.0) < 1e-12
-    f = state_fidelity(SINGLET.projector(), np.eye(4) / 4.0)
+    assert state_fidelity(UP_UP, DOWN_DOWN) < 1e-12
+    assert abs(state_fidelity(SINGLET, SINGLET) - 1.0) < 1e-12
+    f = state_fidelity(SINGLET, np.eye(4) / 4.0)
     np.testing.assert_allclose(f, 0.5, atol=1e-12)
     # pure-pure fidelity equals |overlap|
     for seed in range(5):
         a, b = random_pure(2 * seed), random_pure(2 * seed + 1)
-        f = state_fidelity(a.projector(), b.projector())
-        np.testing.assert_allclose(f, abs(np.vdot(a.amplitudes, b.amplitudes)), atol=1e-9)
+        f = state_fidelity(ket_projector(a), ket_projector(b))
+        np.testing.assert_allclose(f, abs(np.vdot(a, b)), atol=1e-9)
+    # every argument is checked, the package's own states too
+    with pytest.raises(ValueError, match="trace"):
+        state_fidelity(SINGLET, np.eye(4))
 
 
 def test_trace_distance_oracles():
-    assert trace_distance(UP_UP.projector(), UP_UP.projector()) < 1e-15
-    np.testing.assert_allclose(
-        trace_distance(UP_UP.projector(), DOWN_DOWN.projector()), 1.0, atol=1e-14
-    )
+    assert trace_distance(UP_UP, UP_UP) < 1e-15
+    np.testing.assert_allclose(trace_distance(UP_UP, DOWN_DOWN), 1.0, atol=1e-14)
     # Fuchs-van de Graaf: 1 - F <= T <= sqrt(1 - F^2)
     for seed in range(5):
-        a = random_density(seed + 50)
-        b = random_density(seed + 90)
+        a = random_density(seed + 50).matrix
+        b = random_density(seed + 90).matrix
         t = trace_distance(a, b)
         f = state_fidelity(a, b)
         assert 1.0 - f <= t + 1e-10
@@ -221,5 +209,4 @@ def test_random_density_ranks():
 
 def test_random_pure_uniform_phase_convention():
     for seed in range(5):
-        s = random_pure(seed)
-        np.testing.assert_allclose(np.linalg.norm(s.amplitudes), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(random_pure(seed)), 1.0, atol=1e-12)

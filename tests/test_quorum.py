@@ -26,8 +26,7 @@ from spintomo.qmath import (
     UP_X,
     UP_Y,
     SINGLET,
-    PureState,
-    kron_state,
+    ket_projector,
     pauli_assemble,
     pauli_expand,
     stream,
@@ -65,28 +64,34 @@ JAMES_KETS = [
     (UP_X, DOWN_Y), (UP_X, UP_X), (DOWN_Y, UP_X),
     (UP, UP_X), (DOWN, UP_X), (DOWN, UP_Y), (UP, UP_Y), (DOWN_Y, UP_Y),
 ]
+#: kets of the three base states, whose projectors ``BASE_STATES`` holds
+BASE_KETS = {
+    "up_up": np.kron(UP, UP),
+    "up_down": np.kron(UP, DOWN),
+    "singlet": np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0),
+}
 
 
 def prepared_states() -> list:
-    """The 15 states the MUB preparation circuits prepare, by the forward
-    oracle: each circuit's gate matrices applied to its base state."""
+    """The 15 kets the MUB preparation circuits prepare, by the forward
+    oracle: each circuit's gate matrices applied to its base ket."""
     states = []
     for prep in mub_preparations():
         u = np.eye(4)
         for g in prep.circuit.gates:
             u = unitary(g.kind, g.angle) @ u
-        states.append(PureState.from_amplitudes(u @ BASE_STATES[prep.base_label].amplitudes))
+        states.append(u @ BASE_KETS[prep.base_label])
     return states
 
 
-def projector_coefficients(state: PureState) -> np.ndarray:
+def projector_coefficients(ket: np.ndarray) -> np.ndarray:
     """Pauli coefficients of |phi><phi| from the amplitudes directly.
 
     Closed forms in the amplitudes (a, b, c, d); independent of
     pauli_expand, which is the point: the two routes are compared below
     and must agree to 1e-13.
     """
-    a, b, c, d = state.amplitudes
+    a, b, c, d = ket
     ab, cd = np.conj(a) * b, np.conj(c) * d
     ac, bd = np.conj(a) * c, np.conj(b) * d
     ad, bc = np.conj(a) * d, np.conj(b) * c
@@ -117,7 +122,7 @@ def test_projector_validation():
     with pytest.raises(ValueError):
         Projector(np.eye(2) / 2.0, "not-4x4")
     Projector(np.eye(4) / 4.0, "mixed-ok")
-    p = Projector(UP_UP.projector(), "uu")
+    p = Projector(UP_UP, "uu")
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 2.0  # write-locked
     # the quorum checks its whole stack once: one bad entry is enough
@@ -137,7 +142,7 @@ def test_projector_validation():
 
 
 def test_quorum_needs_15():
-    stack = np.stack([UP_UP.projector()] * 16)
+    stack = np.stack([UP_UP] * 16)
     for n in (3, 14, 16):
         labels = tuple(f"x{j}" for j in range(n))
         with pytest.raises(ValueError):
@@ -157,7 +162,7 @@ def test_mub_quorum_cross_check_and_labels():
     assert q.labels == tuple(f"P{j:02d}" for j in range(1, 16))
     states = prepared_states()
     for j, (m, s) in enumerate(zip(q.matrices, states, strict=True), start=1):
-        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
+        np.testing.assert_allclose(m, ket_projector(s), atol=1e-13)
         assert q.basis_index[j - 1] == (j - 1) // 3  # five bases, zero-indexed
     readouts = ideal_readouts(mub_preparations())
     assert closed_form_deviation(readouts) < 1e-13
@@ -168,7 +173,7 @@ def test_mub_quorum_cross_check_and_labels():
     assert james.labels == tuple(f"J{j:02d}" for j in range(1, 16))
     assert james.basis_index == (None,) * 15
     for m, (a, b) in zip(james.matrices, JAMES_KETS, strict=True):
-        np.testing.assert_allclose(m, kron_state(a, b).projector(), atol=1e-13)
+        np.testing.assert_allclose(m, ket_projector(np.kron(a, b)), atol=1e-13)
 
 
 def test_mub_preparations_structure():
@@ -192,19 +197,19 @@ def test_measurement_circuit_inverts_preparation():
     # on that readout returns the base readout
     preps = mub_preparations()
     readouts = ideal_readouts(preps)
-    np.testing.assert_allclose(readouts, [s.projector() for s in prepared_states()], atol=1e-13)
+    np.testing.assert_allclose(readouts, [ket_projector(s) for s in prepared_states()], atol=1e-13)
     steps = readout_steps(p.circuit for p in preps)
     back = average_readouts(steps, readouts, [p.label for p in preps], NoiseModel())
-    bases = [BASE_STATES[p.base_label].projector() for p in preps]
+    bases = [BASE_STATES[p.base_label] for p in preps]
     np.testing.assert_allclose(back, bases, atol=1e-13)
 
 
 def test_first_three_states():
     readouts = ideal_readouts(mub_preparations())
-    np.testing.assert_allclose(readouts[0], UP_UP.projector(), atol=1e-15)
-    np.testing.assert_allclose(readouts[1], UP_DOWN.projector(), atol=1e-15)
+    np.testing.assert_allclose(readouts[0], UP_UP, atol=1e-15)
+    np.testing.assert_allclose(readouts[1], UP_DOWN, atol=1e-15)
     # the pi exchange pulse swaps |ud>
-    np.testing.assert_allclose(readouts[2], DOWN_UP.projector(), atol=1e-14)
+    np.testing.assert_allclose(readouts[2], DOWN_UP, atol=1e-14)
 
 
 def test_mub_condition_all_bases():
@@ -259,16 +264,15 @@ def test_quorum_constants_are_built_once_and_read_only():
 
 def test_degenerate_quorum_raises():
     with pytest.raises(QuorumDegenerateError):
-        pmatrix(Quorum("degenerate", LABELS, np.stack([UP_UP.projector()] * 15)))
+        pmatrix(Quorum("degenerate", LABELS, np.stack([UP_UP] * 15)))
 
 
 def test_james_quorum_is_separable_products():
     for m, (a, b) in zip(james_quorum().matrices, JAMES_KETS, strict=True):
-        s = kron_state(a, b)
+        s = np.kron(a, b)
         # product state <=> reduced state pure <=> concurrence-like det = 0
-        amp = s.amplitudes.reshape(2, 2)
-        assert abs(np.linalg.det(amp)) < 1e-12
-        np.testing.assert_allclose(m, s.projector(), atol=1e-13)
+        assert abs(np.linalg.det(s.reshape(2, 2))) < 1e-12
+        np.testing.assert_allclose(m, ket_projector(s), atol=1e-13)
 
 
 def test_projector_coefficients_match_general_expansion():
@@ -277,7 +281,7 @@ def test_projector_coefficients_match_general_expansion():
     states += prepared_states()
     for s in states:
         got = projector_coefficients(s)
-        expected = pauli_expand(s.projector())
+        expected = pauli_expand(ket_projector(s))
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
@@ -296,7 +300,7 @@ def test_det_upper_bound_strict_everywhere():
     # Hadamard's inequality bounds |det P| by (3/4)^(15/2)
     dets = [abs(pmatrix(mub_quorum()).det), abs(pmatrix(james_quorum()).det)]
     for trial in range(30):
-        stack = np.stack([random_pure(5000 + 31 * trial + i).projector() for i in range(15)])
+        stack = np.stack([ket_projector(random_pure(5000 + 31 * trial + i)) for i in range(15)])
         rows = pmatrix_entries(Quorum("rand", LABELS, stack).matrices)
         assert np.max(np.abs(np.sum(rows**2, axis=1) - 0.75)) <= 1e-15
         dets.append(abs(np.linalg.det(rows)))
@@ -351,7 +355,7 @@ def test_orthogonality_witness_preconditions():
     with pytest.raises(ValueError, match=r"norm by 7\.509e-03"):
         orthogonality_witness(np.concatenate([kets, [long]]))
     with pytest.raises(ValueError, match=r"overlap 1/4 by 2\.500e-01"):
-        orthogonality_witness(np.concatenate([kets, [UP_DOWN.amplitudes]]))  # overlap 0
+        orthogonality_witness(np.concatenate([kets, [BASE_KETS["up_down"]]]))  # overlap 0
     with pytest.raises(ValueError, match="nan"):
         orthogonality_witness(np.concatenate([kets, [np.full(4, np.nan)]]))
     for shape in [(8,), (8, 3), (2, 8, 4)]:
@@ -443,7 +447,7 @@ def test_accessible_subspace_matches_random_circuits(esr, rank):
     # the span of their traceless parts
     kinds = [k for k in GateKind if esr or k != GateKind.ESR_X_QUBIT1]
     rng = np.random.default_rng(20130411)
-    readouts = [s.projector() - np.eye(4) / 4.0 for s in (UP_UP, UP_DOWN, SINGLET)]
+    readouts = [s - np.eye(4) / 4.0 for s in (UP_UP, UP_DOWN, SINGLET)]
     evolved = []
     for _ in range(60):
         u = np.eye(4, dtype=np.complex128)
