@@ -16,7 +16,8 @@ gates        native gate set, circuits, and the one pass that runs
              circuits on readouts (exact, or averaged over Gaussian
              gate-angle noise)
 quorum       quorum construction (the 15 operators as one validated
-             (15, 4, 4) stack), P matrix, structural witnesses
+             (15, 4, 4) stack), P matrix, the structural measures of
+             ``verify`` (the tau identities among them)
 dotmodel     six-level two-electron charge/spin model, tracked level sweeps
 measure      shot counts (one sampler for a run and a study) and readout
              degradation, both on operator stacks
@@ -26,7 +27,7 @@ _kernels     the binomial likelihood and its ascent loop
 cli          command line front end (``spintomo ...``)
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 from . import dotmodel, gates, measure, qmath, quorum, reconstruct
 from .dotmodel import DotParams, spectrum_sweep
@@ -44,7 +45,6 @@ from .qmath import (
     pauli_expand,
     random_density,
     state_fidelity,
-    tau_expand,
     trace_distance,
 )
 from .quorum import (
@@ -66,7 +66,7 @@ __all__ = [
     "__version__",
     "qmath", "gates", "quorum", "dotmodel", "measure", "reconstruct",
     "DensityMatrix", "pauli_assemble", "pauli_expand",
-    "random_density", "state_fidelity", "tau_expand", "trace_distance",
+    "random_density", "state_fidelity", "trace_distance",
     "Circuit", "Gate", "GateKind", "NoiseModel",
     "Projector", "Quorum", "james_quorum", "mub_preparations", "mub_quorum",
     "pmatrix",

@@ -61,7 +61,6 @@ from .quorum import (
     QuorumDegenerateError,
     accessible_subspace_dimension,
     closed_form_deviation,
-    constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
     ideal_readouts,
@@ -69,9 +68,9 @@ from .quorum import (
     mub_preparations,
     mub_quorum,
     mub_readouts,
-    orthogonality_witness,
     pmatrix,
     quorum_records,
+    tau_identity_gaps,
 )
 from .reconstruct import covariance_predict, linear_coefficients, mle_from_frequencies
 
@@ -420,7 +419,6 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     payload["rho_imag"] = rho_mle.imag.tolist()
     payload["pauli_coeffs"] = pauli_expand(rho_mle).tolist()
     payload["loglik"] = result.loglik
-    payload["psd_flag"] = True
     payload["converged"] = result.converged
     payload["iterations"] = result.iterations
 
@@ -560,10 +558,11 @@ def run_verification() -> list:
 
     guarded(mub_condition, ("mub_condition", 1e-12, "all 400 basis-pair overlaps"))
 
-    guarded(lambda: orthogonality_witness(constrained_random_kets(200)),
-            ("tau_partial_sums", 1e-10,
-             "m1 = 0 and equal 3/8 partial sums, 200 constrained states"),
-            ("tau_ratio", 1e-10, "unit ratio of the two tau-subspace partial sums"))
+    guarded(tau_identity_gaps,
+            ("tau_partial_sums", 1e-12,
+             "m1 = (4a - N)/(2 sqrt 3), sums 2a(N - a) and (2/3)(N - a)^2, every ket"),
+            ("tau_ratio", 1e-12,
+             "partial sums differ by (2/3)(N - a)(4a - N): equal where m1 = 0"))
 
     def gram_schmidt():
         lengths = gram_schmidt_lengths(mub_quorum())

@@ -4,7 +4,8 @@ Matrices live in the product basis (uu, ud, du, dd).  Two orthonormal
 Hermitian operator bases are provided: the normalized two-qubit Pauli
 products D_k = sigma_{1i} sigma_{2j} / 2 with k = 4*i + j, and an
 alternative basis (tau) adapted to states whose overlap with |uu> is
-exactly 1/4.  Both are orthonormal under the Frobenius scalar product
+exactly 1/4, on which ``spintomo verify`` checks the paper's tau
+identities.  Both are orthonormal under the Frobenius scalar product
 tr(A^dag B).
 
 States are complex (4, 4) arrays, checked by ``check_density_matrix``
@@ -22,7 +23,6 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_SLACK = 1e-10
-NORM_ATOL = 1e-12
 
 #: single-qubit Pauli matrices, index order (1, x, y, z)
 SIGMA = np.array(
@@ -94,20 +94,15 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= atol)
 
 
-def _expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coefficients of a matrix (16) or a stack (..., 4, 4) in an orthonormal
-    basis; ValueError unless Hermitian within HERMITIAN_ATOL, else there are none."""
+def pauli_expand(m: np.ndarray) -> np.ndarray:
+    """D coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once;
+    ValueError unless Hermitian within HERMITIAN_ATOL, else there are none."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 matrix or a stack of them")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.einsum("kij,...ji->...k", basis, m).real.copy()
-
-
-def pauli_expand(m: np.ndarray) -> np.ndarray:
-    """D coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once."""
-    return _expand(m, PAULI_BASIS)
+    return np.einsum("kij,...ji->...k", PAULI_BASIS, m).real.copy()
 
 
 def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
@@ -116,11 +111,6 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape != (16,):
         raise ValueError("expected 16 coefficients")
     return np.einsum("k,kij->ij", coeffs, PAULI_BASIS)
-
-
-def tau_expand(m: np.ndarray) -> np.ndarray:
-    """Tau coefficients of a Hermitian matrix (16 reals) or of a stack (..., 4, 4) at once."""
-    return _expand(m, TAU_BASIS)
 
 
 def ket_projector(amplitudes) -> np.ndarray:

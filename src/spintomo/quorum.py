@@ -25,7 +25,7 @@ The structural measures here return bare numbers, which the rows of
 ``verify.json``.  The P matrix of a quorum is one product of its
 flattened (15, 16) stack with a constant (16, 15) weight matrix.  The
 Gram-Schmidt lengths are the Cholesky diagonal of the P rows' Gram
-matrix; the kets of the tau witness are one array drawn from one stream;
+matrix; the tau identities are checked as tensors, for every ket at once;
 the closure ranks of the readouts, without and with the resonant pulse,
 are one chain on the 15 real traceless D coordinates: one product with
 the real 15x15 adjoint tables of the generators and one SVD per
@@ -410,51 +410,33 @@ def accessible_subspace_dimension() -> tuple:
     return tuple(ranks)
 
 
-def orthogonality_witness(kets: np.ndarray) -> tuple:
-    """Tau-sum diagnostics for the (n, 4) kets of a family led by |uu>.
+def tau_identity_gaps() -> tuple:
+    """Gaps of the paper's tau identities, which hold for every ket phi.
 
-    For states with |<uu|phi>|^2 = 1/4 the tau expansion of the
-    projector has m_1 = 0 and splits its remaining weight equally:
-    sum(m_2..m_7 squared) = sum(m_8..m_15 squared) = 3/8.  Equality of
-    the two partial sums is what rules out any quorum saturating the
-    determinant bound while keeping |uu> as a member.  The n projectors
-    are one outer product, expanded by one tau_expand call.
-
-    Returns the two numbers the verify rows record: the largest |m_1| or
-    deviation of a partial sum from 3/8, and the largest deviation of the
-    ratio of the two partial sums from 1 (both 0.0 for an empty family).
-    Raises ValueError unless every ket has unit norm (within 1e-12) and
-    squared overlap 1/4 with |uu> (within 1e-10).
+    With a = |<uu|phi>|^2, N = <phi|phi> and m_k = <phi|tau_k|phi>:
+    m_1 = (4a - N)/(2 sqrt 3), m_2^2 + ... + m_7^2 = 2a(N - a) and
+    m_8^2 + ... + m_15^2 = (2/3)(N - a)^2, so the two sums differ by
+    (2/3)(N - a)(4a - N), which vanishes exactly when m_1 does.  A unit
+    ket with overlap 1/4 thus has both sums 3/8, which rules out any
+    quorum holding |uu> that saturates the determinant bound.  m_1 is
+    one 4x4 matrix; a sum of squares is a quartic form, compared as its
+    tensor t[i, j, l, m] of phi*_i phi_j phi*_l phi_m, symmetrised over
+    i <-> l and j <-> m so that it is unique.  Returns the largest gap
+    of m_1 and the two sums, and the gap of their difference.
     """
-    kets = np.asarray(kets, dtype=np.complex128)
-    if kets.ndim != 2 or kets.shape[1] != 4:
-        raise ValueError(f"witness expects an (n, 4) array of kets, not {kets.shape}")
-    if len(kets) == 0:
-        return 0.0, 0.0
-    norm_dev = np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0))
-    overlap_dev = np.max(np.abs(np.abs(kets[:, 0]) ** 2 - 0.25))  # <uu|phi> = phi[0]
-    if not (norm_dev <= qmath.NORM_ATOL and overlap_dev <= 1e-10):  # NaN fails
-        raise ValueError(f"kets miss unit norm by {norm_dev:.3e}, overlap 1/4 by {overlap_dev:.3e}")
-    m = qmath.tau_expand(np.einsum("na,nb->nab", kets, kets.conj()))
-    low = np.sum(m[:, 2:8] ** 2, axis=1)
-    high = np.sum(m[:, 8:16] ** 2, axis=1)
-    sums = np.abs(np.concatenate([m[:, 1], low - 0.375, high - 0.375]))
-    return float(np.max(sums)), float(np.max(np.abs(low / high - 1.0)))
+    tau, up, rest = qmath.TAU_BASIS, UP_UP, np.eye(4) - UP_UP
 
+    def gap(form, closed_form):
+        t = form - closed_form
+        t = t + t.transpose(2, 1, 0, 3)
+        return float(np.max(np.abs(t + t.transpose(0, 3, 2, 1)))) / 4.0
 
-def constrained_random_kets(n: int) -> np.ndarray:
-    """n random unit kets, shape (n, 4), each with squared overlap
-    exactly 1/4 against |uu>: the inputs of orthogonality_witness.
-
-    Amplitude 1/2 on |uu> with a uniform phase; the remaining weight
-    sqrt(3)/2 goes to a Gaussian-random unit vector in the orthogonal
-    complement.  All n come from one stream, the same on every call.
-    """
-    rng = qmath.stream("constrained-states")
-    phase = np.exp(2j * np.pi * rng.uniform(size=n))
-    rest = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
-    return np.column_stack([0.5 * phase, np.sqrt(3.0) / 2.0 * rest])
+    low = np.einsum("kij,klm->ijlm", tau[2:8], tau[2:8])
+    high = np.einsum("kij,klm->ijlm", tau[8:16], tau[8:16])
+    m1 = float(np.max(np.abs(tau[1] - (4.0 * up - np.eye(4)) / (2.0 * np.sqrt(3.0)))))
+    sums = max(m1, gap(low, 2.0 * np.multiply.outer(up, rest)),
+               gap(high, 2.0 / 3.0 * np.multiply.outer(rest, rest)))
+    return sums, gap(low - high, 2.0 / 3.0 * np.multiply.outer(rest, 4.0 * up - np.eye(4)))
 
 
 def gram_schmidt_lengths(q: Quorum) -> np.ndarray:

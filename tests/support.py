@@ -1,6 +1,8 @@
 """Fixtures that several test modules share.
 
-``random_pure`` draws test states; ``unitary`` is the gate exp(i a H)
+``random_pure`` draws test states, and ``quarter_overlap_kets`` the
+family of the paper's tau argument, whose ``tau_coefficients`` are read
+off the tau basis directly; ``unitary`` is the gate exp(i a H)
 as a matrix, the forward oracle that the readout pass is checked
 against; ``mle_seed`` and ``singlet_levels`` reach into the shipping
 code the way its callers do, so that a test can check a closed form
@@ -11,7 +13,7 @@ import numpy as np
 
 from spintomo.dotmodel import hamiltonian6
 from spintomo.gates import GateKind
-from spintomo.qmath import SINGLET, stream, two_qubit_pauli
+from spintomo.qmath import SINGLET, TAU_BASIS, stream, two_qubit_pauli
 from spintomo.reconstruct import (
     _SEED_EIGENVALUE_FLOOR,
     _clip_renormalize,
@@ -33,6 +35,23 @@ def random_pure(seed: int) -> np.ndarray:
     rng = stream("random-pure", seed)
     g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return g / np.linalg.norm(g)
+
+
+def quarter_overlap_kets(n: int) -> np.ndarray:
+    """n unit kets, shape (n, 4), each with squared overlap exactly 1/4
+    with |uu>: amplitude 1/2 on |uu> with a random phase, and a
+    Gaussian-random remainder of norm sqrt(3)/2."""
+    rng = stream("quarter-overlap", n)
+    kets = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    kets[:, 0] *= 0.5 / np.abs(kets[:, 0])
+    kets[:, 1:] *= np.sqrt(0.75) / np.linalg.norm(kets[:, 1:], axis=1, keepdims=True)
+    return kets
+
+
+def tau_coefficients(kets: np.ndarray) -> np.ndarray:
+    """m_k = <phi|tau_k|phi> of each of (n, 4) kets, shape (n, 16): the tau
+    expansion of each ket's projector, read off the basis."""
+    return np.einsum("ni,kij,nj->nk", kets.conj(), TAU_BASIS, kets).real
 
 
 def oracle_generator(kind: GateKind) -> np.ndarray:

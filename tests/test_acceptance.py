@@ -25,10 +25,8 @@ from spintomo.qmath import (
 )
 from spintomo.quorum import (
     Quorum,
-    constrained_random_kets,
     james_quorum,
     mub_quorum,
-    orthogonality_witness,
     pmatrix,
 )
 from spintomo.reconstruct import (
@@ -38,7 +36,13 @@ from spintomo.reconstruct import (
     mle_from_frequencies,
 )
 
-from support import exchange_splitting, random_pure, singlet_levels
+from support import (
+    exchange_splitting,
+    quarter_overlap_kets,
+    random_pure,
+    singlet_levels,
+    tau_coefficients,
+)
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -77,12 +81,16 @@ def test_criterion_03_unbiased_basis_overlaps(verification):
 
 
 def test_criterion_04_tau_witness_and_strict_det_bound(verification):
-    sums_dev, _ = orthogonality_witness(constrained_random_kets(1000))  # bounds |m1| as well
     # the det_upper_bound row certifies |det P| <= (3/4)^(15/2) by Hadamard's
-    # inequality, and the tau rows rule out equality
+    # inequality, and the tau rows' identities rule out equality; the family
+    # of the paper's argument, expanded on the tau basis ket by ket, shows
+    # the claim the identities state: m1 = 0 and both partial sums 3/8
+    m = tau_coefficients(quarter_overlap_kets(1000))
+    sums = np.stack([np.sum(m[:, 2:8] ** 2, axis=1), np.sum(m[:, 8:16] ** 2, axis=1)])
+    sums_dev = max(np.max(np.abs(m[:, 1])), np.max(np.abs(sums - 0.375)))
     ok, detail = _rows(verification, "tau_partial_sums", "tau_ratio", "det_upper_bound")
     _report(4, ok and sums_dev <= 1e-10,
-            f"{detail}; |m1| and tau partial sums vs 3/8 over 1000 constrained states: "
+            f"{detail}; |m1| and tau partial sums vs 3/8 over 1000 family kets: "
             f"max dev {sums_dev:.2e} (tol 1e-10)")
 
 

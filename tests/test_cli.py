@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import _kernels, cli, measure, quorum
+from spintomo import _kernels, cli, measure, qmath, quorum
 from spintomo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -212,7 +212,7 @@ def test_tomography_exact_mode(tmp_path):
     assert main(["tomography", "--config", cfg, "--out", str(out), "--exact"]) == EXIT_OK
     payload = json.loads((out / "result.json").read_text())
     assert payload["exact"] is True
-    assert payload["psd_flag"] is True
+    assert "psd_flag" not in payload  # the MLE is physical by construction: only linear has one
     assert payload["converged"] is True
     assert payload["diagnostics"]["linear_max_entry_error"] < 1e-10
     assert payload["diagnostics"]["mle_fidelity_to_truth"] > 1.0 - 1e-6
@@ -648,10 +648,10 @@ def test_verify_reports_a_refused_quorum(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_report_of_a_raising_check_is_strict_json(tmp_path, monkeypatch, capsys):
-    def broken(kets):
+    def broken():
         raise RuntimeError("witness unavailable")
 
-    monkeypatch.setattr("spintomo.cli.orthogonality_witness", broken)
+    monkeypatch.setattr("spintomo.cli.tau_identity_gaps", broken)
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == EXIT_NUMERICAL
     checks = {c["check_id"]: c for c in _strict_json(out / "verify.json")["checks"]}
@@ -679,9 +679,9 @@ def test_verify_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_opens_one_rng_stream(monkeypatch, capsys):
-    # the tau witness's constrained kets are one draw from one stream; the
-    # determinant bound is certified, not sampled
+def test_verify_opens_no_rng_stream(monkeypatch, capsys):
+    # the tau rows are identities checked for every ket at once and the
+    # determinant bound is certified: nothing is sampled
     calls = Counter()
 
     def counting(fn):
@@ -693,7 +693,18 @@ def test_verify_opens_one_rng_stream(monkeypatch, capsys):
     monkeypatch.setattr("spintomo.qmath.stream", counting(spintomo.qmath.stream))
     assert main(["verify"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == Counter({("constrained-states",): 1})
+    assert calls == Counter()
+
+
+def test_a_scaled_tau_element_fails_both_tau_rows(monkeypatch):
+    # tau_2 scaled by 1.01 moves the first partial sum and so the difference
+    tau = qmath.TAU_BASIS.copy()
+    tau[2] *= 1.01
+    monkeypatch.setattr(qmath, "TAU_BASIS", tau)
+    checks = {c["check_id"]: c for c in run_verification()}
+    for cid in ("tau_partial_sums", "tau_ratio"):
+        assert not checks[cid]["passed"] and checks[cid]["measured"] > 1e-3, cid
+    assert checks["det_mub"]["passed"]
 
 
 def test_pyproject_version_is_the_package_version():

@@ -115,10 +115,6 @@ def run_case(case, tmp: Path) -> dict:
     return {p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}
 
 
-def _golden(case_id: str) -> dict:
-    return {p.name: p.read_bytes().decode() for p in sorted((GOLDEN / case_id).iterdir())}
-
-
 _ABSENT = object()
 
 
@@ -161,7 +157,7 @@ def _first_difference(name: str, old: str, new: str) -> str:
 def mismatches(case_id: str, outputs: dict) -> list:
     """One message per output file that differs from its golden file,
     the version masked; empty when the case matches."""
-    golden = _golden(case_id)
+    golden = {p.name: p.read_bytes().decode() for p in sorted((GOLDEN / case_id).iterdir())}
     found = []
     if golden.keys() != outputs.keys():
         found.append(f"{case_id}: wrote {sorted(outputs)}, golden {sorted(golden)}")
@@ -193,7 +189,10 @@ cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quoru
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:
-    print(json.dumps(run_case(case, Path(tmp))))
+    outputs = run_case(case, Path(tmp))
+# verify draws nothing, so it loads no numpy.random either
+assert case[0] != "verify" or "numpy.random" not in sys.modules, "verify loaded numpy.random"
+print(json.dumps(outputs))
 """
 
 

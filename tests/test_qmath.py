@@ -21,13 +21,10 @@ from spintomo.qmath import (
     random_density,
     state_fidelity,
     stream,
-    tau_expand,
     trace_distance,
     two_qubit_pauli,
 )
-from spintomo.quorum import constrained_random_kets
-
-from support import random_pure
+from support import quarter_overlap_kets, random_pure
 
 
 def test_sigma_algebra():
@@ -69,7 +66,7 @@ def test_expand_assemble_round_trip():
         rho = random_density(seed).matrix
         coeffs = pauli_expand(rho)
         np.testing.assert_allclose(pauli_assemble(coeffs), rho, atol=1e-14)
-        m = tau_expand(rho)
+        m = np.einsum("kij,ji->k", TAU_BASIS, rho).real
         rebuilt = np.einsum("k,kij->ij", m, TAU_BASIS)
         np.testing.assert_allclose(rebuilt, rho, atol=1e-14)
         # Parseval: both expansions preserve the Frobenius norm
@@ -85,22 +82,20 @@ def test_expand_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         pauli_expand(bad)
-    with pytest.raises(ValueError):
-        tau_expand(bad)
 
 
-@pytest.mark.parametrize("expand", [tau_expand, pauli_expand], ids=lambda f: f.__name__)
-def test_expansion_of_a_stack_is_the_expansion_of_each_matrix(expand):
-    kets = constrained_random_kets(1000)
+def test_expansion_of_a_stack_is_the_expansion_of_each_matrix():
+    kets = quarter_overlap_kets(1000)
     stack = np.einsum("na,nb->nab", kets, kets.conj())
-    each = np.array([expand(m) for m in stack])
-    np.testing.assert_array_equal(expand(stack), each)  # bit for bit
-    np.testing.assert_array_equal(expand(stack.reshape(10, 100, 4, 4)), each.reshape(10, 100, 16))
+    each = np.array([pauli_expand(m) for m in stack])
+    np.testing.assert_array_equal(pauli_expand(stack), each)  # bit for bit
+    np.testing.assert_array_equal(pauli_expand(stack.reshape(10, 100, 4, 4)),
+                                  each.reshape(10, 100, 16))
     with pytest.raises(ValueError, match="not Hermitian"):
-        expand(np.concatenate([stack, [np.triu(np.ones((4, 4)))]]))
+        pauli_expand(np.concatenate([stack, [np.triu(np.ones((4, 4)))]]))
     with pytest.raises(ValueError, match="4x4"):
-        expand(np.ones((4, 3)))
-    assert expand(np.zeros((0, 4, 4))).shape == (0, 16)  # an empty stack is Hermitian
+        pauli_expand(np.ones((4, 3)))
+    assert pauli_expand(np.zeros((0, 4, 4))).shape == (0, 16)  # an empty stack is Hermitian
 
 
 def test_density_trace_is_first_pauli_coefficient():

@@ -30,7 +30,6 @@ from spintomo.qmath import (
     pauli_assemble,
     pauli_expand,
     stream,
-    tau_expand,
 )
 from spintomo.quorum import (
     BASE_STATES,
@@ -41,20 +40,19 @@ from spintomo.quorum import (
     accessible_subspace_dimension,
     adjoint_table,
     closed_form_deviation,
-    constrained_random_kets,
     esr_budget_excess,
     gram_schmidt_lengths,
     ideal_readouts,
     james_quorum,
     mub_preparations,
     mub_quorum,
-    orthogonality_witness,
     pmatrix,
     pmatrix_entries,
     quorum_records,
+    tau_identity_gaps,
 )
 
-from support import random_pure, unitary
+from support import quarter_overlap_kets, random_pure, tau_coefficients, unitary
 
 LABELS = tuple(f"X{j:02d}" for j in range(1, 16))
 #: the product kets of the separable quorum, in its order
@@ -307,60 +305,22 @@ def test_det_upper_bound_strict_everywhere():
     assert max(dets) < 0.75 ** 7.5
 
 
-def test_constrained_random_kets_overlap():
-    kets = constrained_random_kets(1000)
-    assert kets.shape == (1000, 4)
-    assert np.max(np.abs(np.abs(kets[:, 0]) ** 2 - 0.25)) < 1e-13
-    assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) < 1e-13
-    # one stream, so every call draws the same family
-    np.testing.assert_array_equal(constrained_random_kets(1000), kets)
-
-
 def test_orthogonality_witness_sums():
-    sums_dev, ratio_dev = orthogonality_witness(constrained_random_kets(64))
-    assert sums_dev < 1e-12  # |m1| and both partial sums against 3/8, every state
-    assert ratio_dev < 1e-10
-    assert orthogonality_witness(np.zeros((0, 4))) == (0.0, 0.0)  # |uu> alone
-
-
-def _quadratic_features(kets):
-    """Every tau coefficient m_a of each ket's projector, then every m_a m_b, a <= b."""
-    m = tau_expand(np.einsum("na,nb->nab", kets, kets.conj()))
-    a, b = np.triu_indices(16)
-    return np.column_stack([m, m[:, a] * m[:, b]])
-
-
-def test_tau_witness_kets_determine_every_quadratic_function():
-    # On kets with |<uu|phi>|^2 = 1/4 the functions of degree <= 2 in the tau
-    # coefficients span 84 dimensions, and the 200 witness kets of verify
-    # evaluate all 84 well apart from zero: a quadratic function constant on
-    # them, such as the tau rows' partial sums, is constant on the family.
-    witness = _quadratic_features(constrained_random_kets(200))
-    sv = np.linalg.svd(witness, compute_uv=False)
-    assert sv[83] / sv[0] > 1e-2
-    assert sv[84] / sv[0] < 1e-12
-    # 1000 kets of the same family from another stream add no dimension
-    rng = stream("tau-rank", 0)
-    rest = rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3))
-    rest *= np.sqrt(0.75) / np.linalg.norm(rest, axis=1, keepdims=True)
-    fresh = np.column_stack([0.5 * np.exp(2j * np.pi * rng.uniform(size=1000)), rest])
-    sv = np.linalg.svd(np.vstack([witness, _quadratic_features(fresh)]), compute_uv=False)
-    assert sv[84] / sv[0] < 1e-12
-
-
-def test_orthogonality_witness_preconditions():
-    kets = constrained_random_kets(8)
-    long = kets[0].copy()
-    long[1:] *= 1.01  # overlap still 1/4, norm sqrt(1.015075)
-    with pytest.raises(ValueError, match=r"norm by 7\.509e-03"):
-        orthogonality_witness(np.concatenate([kets, [long]]))
-    with pytest.raises(ValueError, match=r"overlap 1/4 by 2\.500e-01"):
-        orthogonality_witness(np.concatenate([kets, [BASE_KETS["up_down"]]]))  # overlap 0
-    with pytest.raises(ValueError, match="nan"):
-        orthogonality_witness(np.concatenate([kets, [np.full(4, np.nan)]]))
-    for shape in [(8,), (8, 3), (2, 8, 4)]:
-        with pytest.raises(ValueError, match=r"an \(n, 4\) array"):
-            orthogonality_witness(np.resize(kets, shape))
+    # the paper's claim, read off the tau basis ket by ket: on the family
+    # |<uu|phi>|^2 = 1/4, m1 = 0 and both partial sums are 3/8
+    m = tau_coefficients(quarter_overlap_kets(1000))
+    assert np.max(np.abs(m[:, 1])) < 1e-15
+    np.testing.assert_allclose(np.sum(m[:, 2:8] ** 2, axis=1), 0.375, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.sum(m[:, 8:16] ** 2, axis=1), 0.375, rtol=0, atol=1e-15)
+    # on any ket, the closed forms that tau_identity_gaps checks as tensors
+    rng = stream("tau-identities", 0)
+    kets = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
+    m = tau_coefficients(kets)
+    a, n = np.abs(kets[:, 0]) ** 2, np.sum(np.abs(kets) ** 2, axis=1)
+    np.testing.assert_allclose(m[:, 1], (4 * a - n) / (2 * np.sqrt(3)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.sum(m[:, 2:8] ** 2, axis=1), 2 * a * (n - a), rtol=1e-13)
+    np.testing.assert_allclose(np.sum(m[:, 8:16] ** 2, axis=1), 2 / 3 * (n - a) ** 2, rtol=1e-13)
+    assert max(tau_identity_gaps()) < 1e-15
 
 
 def sequential_gram_schmidt(q: Quorum) -> np.ndarray:
