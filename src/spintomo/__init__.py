@@ -12,12 +12,12 @@ Layout
 ------
 qmath        Pauli/tau operator bases, the named states as read-only
              projectors, density-matrix checks, fidelities, RNG streams
-gates        native gate set, circuits, and the one pass that runs
-             circuits on readouts (exact, or averaged over Gaussian
-             gate-angle noise)
+gates        native gate set, circuits, the noise model (per-kind mean
+             and std arrays) and the one pass that runs circuits on
+             readouts (exact, or averaged over Gaussian gate-angle noise)
 quorum       quorum construction (the 15 operators as one validated
-             (15, 4, 4) stack), P matrix, the structural measures of
-             ``verify`` (the tau identities among them)
+             (15, 4, 4) stack, which builds and keeps its P matrix), the
+             structural measures of ``verify`` (the tau identities among them)
 dotmodel     six-level two-electron charge/spin model, tracked level sweeps
 measure      shot counts (one sampler for a run and a study) and readout
              degradation, both on operator stacks

@@ -15,7 +15,7 @@ import numpy as np
 _Q_FLOOR = 1e-12
 _MAX_DAMPINGS = 60
 # an accepted step with relative objective gain below _FTOL ends the
-# ascent: the iterate is a maximum to working precision
+# ascent: a local stopping rule, not a certificate of the maximum
 _FTOL = 1e-14
 # the ascent ends below this gradient norm, or after MAX_ITER steps
 GTOL = 1e-8
@@ -85,15 +85,17 @@ def mle_ascend(forms, m, nw, t0):
     each step is a damped Newton step in its tangent space: the damping
     is the least that makes the negated Hessian positive definite,
     raised fourfold until the step ascends and lowered fourfold after
-    each accepted step.  Rank-deficient optima, where plain gradient
-    ascent crawls, are reached in a few steps.
+    each accepted step.  Near a rank-deficient optimum, where plain
+    gradient ascent crawls, a step still makes progress.
 
-    Returns (T, scaled loglik, iterations, converged, reason), where T is
-    t0 itself when no step was taken and reason says why the ascent
-    stopped: "gradient" (the gradient norm fell below GTOL), "stall" (a
+    Returns (T, scaled loglik, iterations, reason), where T is t0 itself
+    when no step was taken and reason says which rule stopped the
+    ascent: "gradient" (the gradient norm fell below GTOL), "stall" (a
     step gained less than a relative 1e-14), "no_ascent" (no damped step
-    ascends) or "max_iter" (MAX_ITER steps, the one exit that is not
-    converged).
+    ascends) or "max_iter" (MAX_ITER steps).  The first three are local
+    stopping rules, which a caller reports as converged; none of them
+    certifies that T is the maximum: the ascent can stall or find a
+    small gradient far from it.
     """
     x = _to_coordinates(np.asarray(t0, dtype=np.complex128))
     x = x / np.linalg.norm(x)
@@ -105,7 +107,7 @@ def mle_ascend(forms, m, nw, t0):
 
     def stop(iterations, reason):
         t_mat = np.array(t0, dtype=np.complex128) if iterations == 0 else _to_matrix(x)
-        return t_mat, lik, iterations, reason != "max_iter", reason
+        return t_mat, lik, iterations, reason
 
     ax, q, lik = evaluate(x)
     damping = 0.0
@@ -132,7 +134,7 @@ def mle_ascend(forms, m, nw, t0):
                 break
             damping = max(4.0 * damping, 1e-12 * scale)
         else:
-            # no step of any damping ascends: a maximum to working precision
+            # no step of any damping ascends from this iterate
             return stop(it, "no_ascent")
         gain = lik_new - lik
         x, ax, q, lik = x_new, ax_new, q_new, lik_new

@@ -69,7 +69,6 @@ from .quorum import (
     mub_quorum,
     mub_readouts,
     pmatrix,
-    quorum_records,
     tau_identity_gaps,
 )
 from .reconstruct import covariance_predict, linear_coefficients, mle_from_frequencies
@@ -271,7 +270,10 @@ def cmd_quorum(cfg: dict) -> dict:
     payload["name"] = q.name
     payload["determinant"] = pm.det
     payload["abs_determinant"] = abs(pm.det)
-    payload["projectors"] = quorum_records(q)
+    payload["projectors"] = [
+        {"label": label, "basis_index": basis, "pauli_coefficients": coeffs.tolist()}
+        for label, basis, coeffs in zip(q.labels, q.basis_index, pauli_expand(q.matrices))
+    ]
     files = {
         "quorum.json": _json(payload),
         "pmatrix.csv": _csv(
@@ -282,16 +284,16 @@ def cmd_quorum(cfg: dict) -> dict:
     }
 
     if q.name == "mub":
-        circuits = []
-        for prep in mub_preparations():
-            circuits.append(
-                {
-                    "label": prep.label,
-                    "base_state": prep.base_label,
-                    "esr_gate_count": prep.circuit.esr_gate_count(),
-                    "gates": prep.circuit.to_records(),
-                }
-            )
+        circuits = [
+            {
+                "label": prep.label,
+                "base_state": prep.base_label,
+                "esr_gate_count": prep.circuit.esr_gate_count(),
+                "gates": [{"kind": g.kind.value, "angle_radians": float(g.angle)}
+                          for g in prep.circuit.gates],
+            }
+            for prep in mub_preparations()
+        ]
         files["circuits.json"] = _json(dict(meta, circuits=circuits))
 
     print(f"quorum {q.name}: |det P| = {_fmt(abs(pm.det))}")
@@ -303,13 +305,15 @@ def cmd_quorum(cfg: dict) -> dict:
 #: the fields each state kind reads beside its kind; any other is a config error
 _STATE_FIELDS = {"named": {"name": str}, "random": {"seed": int, "rank": int}}
 
+#: in the order a config error lists them
 _NAMED_STATES = {
+    "down_down": DOWN_DOWN,
+    "down_up": DOWN_UP,
     "singlet": SINGLET,
     "triplet_zero": TRIPLET_ZERO,
-    "up_up": UP_UP,
     "up_down": UP_DOWN,
-    "down_up": DOWN_UP,
-    "down_down": DOWN_DOWN,
+    "up_up": UP_UP,
+    "maximally_mixed": np.eye(4) / 4.0,
 }
 
 
@@ -322,11 +326,8 @@ def _truth_from_config(state_cfg: dict) -> np.ndarray:
     _check_fields(state_cfg, {"kind": str}, _STATE_FIELDS[kind], f"{kind} state config")
     if kind == "named":
         name = state_cfg.get("name")
-        if name == "maximally_mixed":
-            return check_density_matrix(np.eye(4) / 4.0)
         if name not in _NAMED_STATES:
-            known = sorted(_NAMED_STATES) + ["maximally_mixed"]
-            raise ConfigError(f"unknown state name {name!r}; known: {known}")
+            raise ConfigError(f"unknown state name {name!r}; known: {list(_NAMED_STATES)}")
         return check_density_matrix(_NAMED_STATES[name])
     try:
         return random_density(state_cfg.get("seed", 0), state_cfg.get("rank", 4)).matrix
@@ -410,8 +411,6 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     result = mle_from_frequencies(freqs, shots_arr, eff_q)
     rho_mle = result.rho_mle
     rho_lin = result.rho_linear
-    linear_psd = result.linear_psd
-    pm = result.pm
 
     payload = dict(meta)
     payload["exact"] = bool(exact)
@@ -422,15 +421,14 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     payload["converged"] = result.converged
     payload["iterations"] = result.iterations
 
-    lin_projected = result.psd_projection
     payload["linear"] = {
         "rho_real": rho_lin.real.tolist(),
         "rho_imag": rho_lin.imag.tolist(),
         "pauli_coeffs": pauli_expand(0.5 * (rho_lin + rho_lin.conj().T)).tolist(),
         "loglik": result.linear_loglik,
-        "psd_flag": bool(linear_psd),
-        "psd_projection_real": lin_projected.real.tolist(),
-        "psd_projection_imag": lin_projected.imag.tolist(),
+        "psd_flag": result.linear_psd,
+        "psd_projection_real": result.psd_projection.real.tolist(),
+        "psd_projection_imag": result.psd_projection.imag.tolist(),
     }
 
     diag = {
@@ -438,7 +436,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
         "mle_fidelity_to_truth": state_fidelity(rho_mle, truth),
         "linear_max_entry_error": float(np.max(np.abs(rho_lin - truth))),
         "linear_fidelity_to_truth": (
-            state_fidelity(rho_lin, truth) if linear_psd else None
+            state_fidelity(rho_lin, truth) if result.linear_psd else None
         ),
     }
     payload["diagnostics"] = diag
@@ -450,6 +448,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     files["covariance_predicted.csv"] = _csv(meta, k_header, result.covariance_predicted.tolist())
 
     if reps > 0:
+        pm = pmatrix(eff_q)
         emp = np.cov(linear_coefficients(counts / shots_arr, pm), rowvar=False, ddof=1)
         files["covariance_empirical.csv"] = _csv(meta, k_header, emp.tolist())
         pred = np.diag(covariance_predict(truth, pm, shots_arr))
@@ -466,7 +465,7 @@ def cmd_tomography(cfg: dict, seed: int, reps: int, exact: bool) -> dict:
     files["result.json"] = _json(payload)
     print(
         f"mle fidelity_to_truth={diag['mle_fidelity_to_truth']:.6f} "
-        f"linear_psd={linear_psd} converged={result.converged}"
+        f"linear_psd={result.linear_psd} converged={result.converged}"
     )
     return files
 

@@ -45,9 +45,6 @@ class DotParams:
         if self.U <= 0:
             raise ValueError("charging energy U must be positive")
 
-    def replace_epsilon(self, epsilon: float) -> "DotParams":
-        return DotParams(epsilon, self.U, self.t, self.h1, self.h2)
-
 
 def zeeman_block(p: DotParams) -> np.ndarray:
     """h1.sigma_1 + h2.sigma_2 on the (1,1) product basis."""
@@ -81,12 +78,14 @@ def spectrum_sweep(p: DotParams, eps_values: np.ndarray) -> np.ndarray:
     plain ascending order would swap branches.
     """
     eps_values = np.asarray(eps_values, dtype=np.float64)
-    if eps_values.ndim != 1 or eps_values.size < 1:
-        raise ValueError("eps_values must be a non-empty 1-d array")
+    if eps_values.ndim != 1 or eps_values.size < 1 or not np.all(np.isfinite(eps_values)):
+        raise ValueError("eps_values must be a non-empty 1-d array of finite numbers")
     out = np.empty((eps_values.size, 6))
+    h = hamiltonian6(p)
     prev_vecs = None
     for row, eps in enumerate(eps_values):
-        vals, vecs = np.linalg.eigh(hamiltonian6(p.replace_epsilon(eps)))
+        h[4, 4], h[5, 5] = p.U + eps, p.U - eps
+        vals, vecs = np.linalg.eigh(h)
         if prev_vecs is not None:
             overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
             cols = _PERMUTATIONS[np.argmax(overlap[range(6), _PERMUTATIONS].sum(axis=1))]

@@ -26,7 +26,7 @@ guard, ``spintomo verify`` and every noisy tomography run share it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
@@ -59,16 +59,6 @@ def generator(kind: GateKind) -> np.ndarray:
     return _GENERATORS[GateKind(kind)]
 
 
-@functools.cache
-def generator_eigh(kind: GateKind) -> tuple:
-    """np.linalg.eigh of generator(kind): eigenvalues and eigenvectors,
-    read-only, computed on first use (not at import) and kept."""
-    pair = np.linalg.eigh(generator(kind))
-    for a in pair:
-        a.setflags(write=False)
-    return pair
-
-
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -79,9 +69,6 @@ class Gate:
             object.__setattr__(self, "kind", GateKind(self.kind))
         if not np.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
-
-    def to_record(self) -> dict:
-        return {"kind": self.kind.value, "angle_radians": float(self.angle)}
 
 
 @dataclass(frozen=True)
@@ -103,39 +90,37 @@ class Circuit:
     def esr_gate_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == GateKind.ESR_X_QUBIT1)
 
-    def to_records(self) -> list:
-        return [g.to_record() for g in self.gates]
+
+_KINDS = tuple(GateKind)
 
 
-@dataclass(frozen=True)
-class AngleNoise:
-    mean_rad: float
-    std_rad: float
+@dataclass(frozen=True, eq=False)
+class NoiseModel:
+    """Additive Gaussian angle error per gate instance: each gate kind's
+    mean and std in radians, as read-only (6,) arrays in ``GateKind``
+    order, checked once here.  ``NoiseModel()`` is noise-free."""
+
+    means: np.ndarray = (0.0,) * len(_KINDS)
+    stds: np.ndarray = (0.0,) * len(_KINDS)
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean_rad) and np.isfinite(self.std_rad)):
-            raise ValueError("noise parameters must be finite")
-        if self.std_rad < 0:
+        table = np.array([self.means, self.stds], dtype=float)
+        if table.shape != (2, len(_KINDS)) or not np.all(np.isfinite(table)):
+            raise ValueError("noise parameters must be finite, one mean and std per gate kind")
+        if np.any(table[1] < 0):
             raise ValueError("std_rad must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive Gaussian angle error per gate instance, by gate kind.
-
-    Kinds absent from the table are noise-free.
-    """
-
-    gates: dict = field(default_factory=dict)
+        table.setflags(write=False)
+        object.__setattr__(self, "means", table[0])
+        object.__setattr__(self, "stds", table[1])
 
     @classmethod
     def from_json(cls, data: dict) -> "NoiseModel":
         """The model of a checked noise config block: gate kind name ->
-        {"mean_rad", "std_rad"}, where an absent field is 0."""
-        return cls({
-            GateKind(kind): AngleNoise(float(p.get("mean_rad", 0.0)), float(p.get("std_rad", 0.0)))
-            for kind, p in data.items()
-        })
+        {"mean_rad", "std_rad"}, where an absent kind or field is 0."""
+        table = np.zeros((2, len(_KINDS)))
+        for kind, p in data.items():
+            table[:, _KINDS.index(GateKind(kind))] = p.get("mean_rad", 0.0), p.get("std_rad", 0.0)
+        return cls(*table)
 
 
 @dataclass(frozen=True)
@@ -154,16 +139,13 @@ class ReadoutStep:
     vecs_h: np.ndarray
 
 
-_KINDS = tuple(GateKind)
-
-
 @functools.cache
 def _kind_tables() -> tuple:
     """The eigenvalue differences d_ij = lambda_j - lambda_i, eigenvectors
     V and V^dag of the six generators, in ``GateKind`` order: three
     read-only (6, 4, 4) stacks that ``readout_steps`` gathers from, built
     on first use (not at import) and kept."""
-    eighs = [generator_eigh(kind) for kind in _KINDS]
+    eighs = [np.linalg.eigh(_GENERATORS[kind]) for kind in _KINDS]
     tables = (
         np.stack([lam[None, :] - lam[:, None] for lam, _ in eighs]),
         np.stack([vecs for _, vecs in eighs]),
@@ -200,7 +182,7 @@ def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.
     which serve only the error message.
 
     Each gate's angle is perturbed by an independent Gaussian error of its
-    kind's mean and std, none for a kind absent from the model.  In the
+    kind's mean and std in the model, none for a noise-free kind.  In the
     eigenbasis of a gate's generator H, entry (i, j) of the conjugated
     operator picks up
     E[exp(i d a)] = exp(i d (angle + mean) - d^2 std^2 / 2) with
@@ -213,16 +195,13 @@ def average_readouts(steps, bases: np.ndarray, labels, noise: NoiseModel) -> np.
     Raises ValueError, naming the label of the first readout at fault,
     when an angle is so large that the phases overflow.
     """
-    means, stds = np.zeros((2, len(_KINDS)))
-    for kind, n in noise.gates.items():
-        means[_KINDS.index(kind)], stds[_KINDS.index(kind)] = n.mean_rad, n.std_rad
     x = np.array(bases, dtype=np.complex128)
     # a huge std damps a coherence to exactly 0; a huge angle overflows
     # the phase to nan, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         for step in steps:
-            shift = (step.angles + means[step.kinds])[:, None, None]
-            spread = stds[step.kinds][:, None, None]
+            shift = (step.angles + noise.means[step.kinds])[:, None, None]
+            spread = noise.stds[step.kinds][:, None, None]
             factor = np.exp(1j * step.d * shift - 0.5 * (step.d * spread) ** 2)
             x[step.rows] = (step.vecs @ ((step.vecs_h @ x[step.rows] @ step.vecs) * factor)
                             @ step.vecs_h)

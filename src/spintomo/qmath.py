@@ -88,10 +88,10 @@ TAU_BASIS = _build_tau_basis()
 TAU_BASIS.setflags(write=False)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    """Whether a matrix, or every matrix of a stack (..., n, n), is Hermitian."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether a matrix, or each of a stack (..., n, n), is Hermitian within HERMITIAN_ATOL."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= atol)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= HERMITIAN_ATOL)
 
 
 def pauli_expand(m: np.ndarray) -> np.ndarray:

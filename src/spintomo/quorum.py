@@ -128,7 +128,17 @@ class Quorum:
 
     @functools.cached_property
     def _pmatrix(self) -> "PMatrix":
-        return _build_pmatrix(self)
+        # keep .real a strided view: callers such as covariance_predict
+        # multiply these entries, and a contiguous copy takes another matmul
+        # path there, moving the last bits of their outputs
+        entries = (self.matrices.reshape(15, 16) @ _PMATRIX_WEIGHTS).real
+        det = float(np.linalg.det(entries))
+        if abs(det) < DET_FLOOR:
+            raise QuorumDegenerateError(f"quorum {self.name!r}: |det| = {abs(det):.3e}")
+        inverse = np.linalg.inv(entries)
+        entries.setflags(write=False)
+        inverse.setflags(write=False)
+        return PMatrix(entries, det, inverse)
 
 
 # closed-form Pauli terms of the 15 quorum projectors:
@@ -333,15 +343,6 @@ _PMATRIX_WEIGHTS = np.ascontiguousarray(PAULI_BASIS[1:].transpose(0, 2, 1).resha
 _PMATRIX_WEIGHTS.setflags(write=False)
 
 
-def pmatrix_entries(mats: np.ndarray) -> np.ndarray:
-    """P matrix of one quorum's (15, 4, 4) stack: one product of the
-    flattened (15, 16) stack with a constant (16, 15) weight matrix."""
-    # keep .real a strided view: callers such as covariance_predict multiply
-    # these entries, and a contiguous copy takes another matmul path there,
-    # moving the last bits of their outputs
-    return (mats.reshape(15, 16) @ _PMATRIX_WEIGHTS).real
-
-
 def pmatrix(q: Quorum) -> PMatrix:
     """The overlap matrix of a quorum, its LU determinant and inverse,
     built on the quorum's first call and kept on it.
@@ -350,17 +351,6 @@ def pmatrix(q: Quorum) -> PMatrix:
     divides by this determinant.
     """
     return q._pmatrix
-
-
-def _build_pmatrix(q: Quorum) -> PMatrix:
-    entries = pmatrix_entries(q.matrices)
-    det = float(np.linalg.det(entries))
-    if abs(det) < DET_FLOOR:
-        raise QuorumDegenerateError(f"quorum {q.name!r}: |det| = {abs(det):.3e}")
-    inverse = np.linalg.inv(entries)
-    entries.setflags(write=False)
-    inverse.setflags(write=False)
-    return PMatrix(entries, det, inverse)
 
 
 @functools.cache
@@ -462,11 +452,3 @@ def gram_schmidt_lengths(q: Quorum) -> np.ndarray:
             f"rows {i} and {j} belong to different triples but overlap ({cross[i, j]:.3e})"
         )
     return np.diag(np.linalg.cholesky(gram)).reshape(5, 3)
-
-
-def quorum_records(q: Quorum) -> list:
-    """JSON-ready operator records: label, basis index, 16 Pauli coefficients."""
-    return [
-        {"label": label, "basis_index": basis, "pauli_coefficients": coeffs.tolist()}
-        for label, basis, coeffs in zip(q.labels, q.basis_index, pauli_expand(q.matrices))
-    ]

@@ -1,16 +1,16 @@
 """State reconstruction from quorum frequencies.
 
-``mle_from_frequencies`` returns both estimators with the quorum's P
-matrix, which the quorum builds once and keeps.  Linear inversion,
-P^-1 (m - 1/4), is exact on exact probabilities and runs on whole
-stacks of repetitions, but its output can have (slightly) negative
-eigenvalues at finite shot counts.  The
-likelihood route reparametrizes rho = T^dag T / tr(T^dag T), which is
-PSD by construction, and ascends the binomial log-likelihood; it is
-seeded from the PSD-projected linear estimate, so on clean data it
-starts essentially converged.  One eigendecomposition of the linear
-estimate gives both that seed and the reported PSD projection.  States
-in and out are (4, 4) arrays; the MLE is PSD by construction, read-only.
+``mle_from_frequencies`` returns both estimators; both read the P matrix
+that the quorum builds once and keeps (``pmatrix``).  Linear inversion,
+P^-1 (m - 1/4), is exact on exact probabilities and runs on whole stacks
+of repetitions, but its output can have (slightly) negative eigenvalues
+at finite shot counts.  The likelihood route reparametrizes
+rho = T^dag T / tr(T^dag T), which is PSD by construction, and ascends
+the binomial log-likelihood; it is seeded from the PSD-projected linear
+estimate, so on clean data it starts essentially converged.  One
+eigendecomposition of the linear estimate gives both that seed and the
+reported PSD projection.  States in and out are (4, 4) arrays; the MLE
+is PSD by construction, read-only.
 """
 
 from __future__ import annotations
@@ -85,12 +85,12 @@ def _lower_square_root(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Both estimators of one run, with the P matrix they were built from.
+    """Both estimators of one run.
 
     ``psd_projection`` is the linear estimate with its eigenvalues
     clipped at 0 and renormalised to unit trace: a physical state, but
     not in general the nearest one in Frobenius norm.  ``stop_reason``
-    says why the ascent stopped (see ``_kernels.mle_ascend``).
+    says which rule stopped the ascent (see ``_kernels.mle_ascend``).
     """
 
     rho_linear: np.ndarray
@@ -100,10 +100,14 @@ class ReconstructionResult:
     loglik: float
     linear_loglik: float
     iterations: int
-    converged: bool
     stop_reason: str
     linear_psd: bool
-    pm: PMatrix
+
+    @property
+    def converged(self) -> bool:
+        """True unless the ascent hit the step cap: a local stopping rule
+        fired, which does not certify that ``rho_mle`` is the maximum."""
+        return self.stop_reason != "max_iter"
 
 
 def mle_from_frequencies(
@@ -114,8 +118,8 @@ def mle_from_frequencies(
     """Linear and likelihood-ascent reconstructions from frequency estimates.
 
     Accepts fractional frequencies, so exact Born probabilities can be
-    fed through the same path as counted data.  Non-convergence within
-    _kernels.MAX_ITER steps returns the best iterate, flagged.
+    fed through the same path as counted data.  An ascent stopped by the
+    _kernels.MAX_ITER step cap returns the best iterate, not converged.
     """
     m = np.asarray(m, dtype=np.float64)
     shots = np.broadcast_to(np.asarray(shots, dtype=np.float64), m.shape).copy()
@@ -127,7 +131,7 @@ def mle_from_frequencies(
     t0 = _lower_square_root(_clip_renormalize(vals, vecs, _SEED_EIGENVALUE_FLOOR))
     projs = quorum.matrices
     weights = shots / shots.sum()
-    t_mat, lik_scaled, iters, converged, reason = _kernels.mle_ascend(
+    t_mat, lik_scaled, iters, reason = _kernels.mle_ascend(
         quorum.likelihood_forms, m, weights, t0
     )
     rho = t_mat.conj().T @ t_mat
@@ -143,8 +147,6 @@ def mle_from_frequencies(
         loglik=float(lik_scaled * shots.sum()),
         linear_loglik=_kernels.loglik(np.einsum("jab,ba->j", projs, rho_linear).real, m, shots),
         iterations=int(iters),
-        converged=bool(converged),
         stop_reason=reason,
         linear_psd=bool(vals[0] >= -PSD_SLACK),
-        pm=pm,
     )

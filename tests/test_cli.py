@@ -482,8 +482,8 @@ def test_a_warm_tomography_run_rebuilds_no_constant(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(quorum, "readout_steps", counting("readout_steps", quorum.readout_steps))
     monkeypatch.setattr(measure, "average_projector",
                         counting("average_projector", measure.average_projector))
-    monkeypatch.setattr(quorum, "pmatrix_entries",
-                        counting("pmatrix", quorum.pmatrix_entries))
+    monkeypatch.setattr(quorum.Quorum._pmatrix, "func",
+                        counting("pmatrix", quorum.Quorum._pmatrix.func))
     monkeypatch.setattr(_kernels, "quadratic_forms",
                         counting("forms", _kernels.quadratic_forms))
     assert main(argvs[0]) == EXIT_OK

@@ -4,6 +4,8 @@ The exchange and gap closed forms are checked on ``hamiltonian6``, the
 Hamiltonian that ``spintomo spectrum`` diagonalises.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,13 +135,14 @@ def test_spectrum_sweep_tracking_continuity():
     grid = np.linspace(0.0, 1.2, 241)
     levels = spectrum_sweep(p, grid)
     assert levels.shape == (241, 6)
-    for empty in ([], [grid]):  # no grid, and a grid that is not 1-d
+    # no grid, a grid that is not 1-d, and a detuning that is not finite
+    for bad in ([], [grid], [0.0, np.nan]):
         with pytest.raises(ValueError, match="non-empty 1-d"):
-            spectrum_sweep(p, empty)
+            spectrum_sweep(p, bad)
     # Weyl: adjacent-level jumps bounded by the Hamiltonian difference norm
     for row in range(1, 241):
-        h_prev = hamiltonian6(p.replace_epsilon(grid[row - 1]))
-        h_next = hamiltonian6(p.replace_epsilon(grid[row]))
+        h_prev = hamiltonian6(dataclasses.replace(p, epsilon=grid[row - 1]))
+        h_next = hamiltonian6(dataclasses.replace(p, epsilon=grid[row]))
         bound = np.linalg.norm(h_next - h_prev, 2) + 1e-12
         assert np.max(np.abs(levels[row] - levels[row - 1])) <= bound
 

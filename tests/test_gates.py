@@ -6,18 +6,20 @@ it against the gate matrices exp(i angle H) of ``support.unitary``.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from spintomo.cli import cmd_quorum
 from spintomo.gates import (
     Circuit,
     Gate,
     GateKind,
     NoiseModel,
+    _kind_tables,
     average_readouts,
     generator,
-    generator_eigh,
     readout_steps,
 )
 from spintomo.qmath import (
@@ -76,9 +78,10 @@ def test_generator_table_matches_independent_oracle(kind):
     h = generator(kind)
     np.testing.assert_array_equal(h, oracle_generator(kind))
     assert not h.flags.writeable
-    # the tabulated eigendecomposition is eigh of the same read-only constant
-    lam, vecs = generator_eigh(kind)
-    for got, fresh in zip((lam, vecs), np.linalg.eigh(h)):
+    # the kind tables hold eigh of the same read-only constant
+    lam, vecs = np.linalg.eigh(h)
+    tables = [table[list(GateKind).index(kind)] for table in _kind_tables()]
+    for got, fresh in zip(tables, (lam[None, :] - lam[:, None], vecs, vecs.conj().T), strict=True):
         np.testing.assert_array_equal(got, fresh)
         assert not got.flags.writeable
 
@@ -89,13 +92,13 @@ def test_generator_table_matches_independent_oracle(kind):
 ], ids=["one_gate_of_each_kind", "mub_readouts"])
 def test_readout_steps_gather_each_gates_own_tables(circuits):
     # the tables gathered by kind equal, bit for bit, the ones a gate by
-    # gate build from generator_eigh makes, and every array is read-only
+    # gate eigh of each generator makes, and every array is read-only
     steps = readout_steps(circuits)
     assert len(steps) == max(len(c.gates) for c in circuits)
     for pos, step in enumerate(steps):
         rows = [i for i, c in enumerate(circuits) if len(c.gates) > pos]
         gates = [circuits[i].gates[-1 - pos] for i in rows]
-        eighs = [generator_eigh(g.kind) for g in gates]
+        eighs = [np.linalg.eigh(generator(g.kind)) for g in gates]
         expected = (
             rows,
             [list(GateKind).index(g.kind) for g in gates],
@@ -144,14 +147,21 @@ def test_esr_rotates_first_qubit_only():
             np.testing.assert_allclose(got, local, atol=1e-14)
 
 
-def test_gate_angle_validation_and_records():
+def _circuit_records() -> list:
+    """The circuits.json records that ``spintomo quorum`` writes for the MUB."""
+    return json.loads(cmd_quorum({"name": "mub"})["circuits.json"])["circuits"]
+
+
+def test_gate_angle_validation_and_records(capsys):
     with pytest.raises(ValueError):
         Gate(GateKind.EXCHANGE_PULSE, np.nan)
-    g = Gate(GateKind.GRADIENT_Z, 0.25)
-    rec = g.to_record()
-    assert rec == {"kind": "gradient_z", "angle_radians": 0.25}
     # string kinds are coerced
     assert Gate("exchange_pulse", 1.0).kind is GateKind.EXCHANGE_PULSE
+    # a gate's record is its kind's name and its angle as a float
+    assert _circuit_records()[9]["gates"] == [
+        {"kind": "gradient_z", "angle_radians": np.pi / 2},
+        {"kind": "esr_x_qubit1", "angle_radians": np.pi / 4},
+    ]
 
 
 def test_circuit_order_and_adjoint():
@@ -169,7 +179,7 @@ def test_circuit_order_and_adjoint():
                                atol=1e-14)
 
 
-def test_circuit_records_round_trip_and_esr_count():
+def test_circuit_records_round_trip_and_esr_count(capsys):
     c = Circuit(
         (
             Gate(GateKind.GRADIENT_Z, np.pi / 2),
@@ -178,10 +188,13 @@ def test_circuit_records_round_trip_and_esr_count():
         )
     )
     assert c.esr_gate_count() == 1
-    records = c.to_records()
-    assert [r["kind"] for r in records] == ["gradient_z", "esr_x_qubit1", "z_rot_both"]
-    again = Circuit(tuple(Gate(r["kind"], r["angle_radians"]) for r in records))
-    assert again == c
+    # every circuit record rebuilds its preparation circuit exactly
+    records = _circuit_records()
+    for rec, prep in zip(records, mub_preparations(), strict=True):
+        again = Circuit(tuple(Gate(r["kind"], r["angle_radians"]) for r in rec["gates"]))
+        assert again == prep.circuit
+        assert rec["esr_gate_count"] == prep.circuit.esr_gate_count()
+    assert mub_preparations()[12].circuit == c  # P13, whose record the loop rebuilt
 
 
 def test_circuit_rejects_non_gate_entries():

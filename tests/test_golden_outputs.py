@@ -185,7 +185,7 @@ from spintomo import cli, gates, quorum
 assert "numpy.random" not in sys.modules, "import loaded numpy.random"
 from test_golden_outputs import PANEL, run_case
 cached = (quorum.mub_preparations, quorum.mub_quorum, quorum.james_quorum, quorum.adjoint_table,
-          quorum.mub_readouts, gates._kind_tables, gates.generator_eigh, cli._build_parser)
+          quorum.mub_readouts, gates._kind_tables, cli._build_parser)
 assert all(fn.cache_info().currsize == 0 for fn in cached), "import built a constant"
 case = next(c for c in PANEL if c[0] == sys.argv[1])
 with tempfile.TemporaryDirectory() as tmp:

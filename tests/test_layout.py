@@ -1,5 +1,6 @@
-"""Every name that src/ defines is used by src/, every name the package
-exports exists, and every name the benchmark's tracer wraps exists.
+"""Every name that src/ defines is used by src/, every default parameter
+of src/ is passed by src/, every name the package exports exists, and
+every name the benchmark's tracer wraps exists.
 
 A name that only the tests call is library code that no command runs:
 the tests would check it instead of the code that produces the outputs.
@@ -23,6 +24,13 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 ALLOWED = {
     "measure.average_projector": "perfbench's noisy_tomo check averages a projector with it",
     "qmath._PhiloxKey.generate_state": "numpy's Philox calls it for its key",
+}
+
+#: default parameters that no src/ caller passes, each with its reason
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the console entry point calls main() without arguments",
+    "measure.average_projector.seed": "perfbench's noisy_tomo check passes it",
+    "qmath._PhiloxKey.generate_state.dtype": "numpy's signature for a key source",
 }
 
 #: (module, attribute) pairs of the tracer's spans that name nothing: their
@@ -82,6 +90,48 @@ def test_every_src_name_has_a_caller_in_src():
     assert sorted(unused - ALLOWED.keys()) == []
     # an allowed name that gains a caller in src/ leaves the list
     assert sorted(ALLOWED.keys() - unused) == []
+
+
+def _passes(call: ast.Call, index: int, name: str) -> bool:
+    """Whether a call passes the parameter at this positional index, or of
+    this name, counting a *args or **kwargs argument as passing it."""
+    return (index < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, name) for kw in call.keywords))
+
+
+def unpassed_defaults() -> list:
+    """Every default parameter of a src/ function or method that no call
+    in src/ passes, by position or by name."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for module, tree in trees.items():
+        for qualified, fn_name, node, is_method in _definitions(module, tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            # a method's first parameter is bound by the attribute access
+            offset = 1 if is_method and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list) else 0
+            with_default = [(i - offset, a.arg) for i, a in enumerate(positional)
+                            if i >= len(positional) - len(node.args.defaults)]
+            with_default += [(float("inf"), a.arg) for a, d in  # passed by name only
+                             zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            callers = [call for call in calls
+                       if getattr(call.func, "attr", None) == fn_name
+                       or (not is_method and getattr(call.func, "id", None) == fn_name)]
+            unpassed += [f"{qualified}.{param}" for index, param in with_default
+                         if not any(_passes(call, index, param) for call in callers)]
+    return unpassed
+
+
+def test_every_default_parameter_is_passed_in_src():
+    # a default that no src/ caller overrides is a knob only tests can set
+    unpassed = set(unpassed_defaults())
+    assert sorted(unpassed - UNPASSED_DEFAULTS.keys()) == []
+    # an allowed default that gains a caller in src/ leaves the list
+    assert sorted(UNPASSED_DEFAULTS.keys() - unpassed) == []
 
 
 def test_every_exported_name_exists():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spintomo.gates import (
-    AngleNoise,
     Circuit,
     Gate,
     GateKind,
@@ -140,19 +139,37 @@ def test_degrade_readout_affine_in_operator():
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
+def _noise(**kinds) -> NoiseModel:
+    """The model of a noise block: gate kind name -> (mean_rad, std_rad)."""
+    return NoiseModel.from_json({kind: {"mean_rad": mean, "std_rad": std}
+                                 for kind, (mean, std) in kinds.items()})
+
+
 def test_noise_model_json_round_trip():
-    # the CLI rejects malformed noise blocks before from_json sees them
-    nm = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.01, 0.05)})
-    data = {k.value: {"mean_rad": n.mean_rad, "std_rad": n.std_rad} for k, n in nm.gates.items()}
-    assert NoiseModel.from_json(data).gates == nm.gates
-    assert NoiseModel.from_json({"exchange_pulse": {}}).gates == {
-        GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.0)
-    }
-    with pytest.raises(ValueError):
-        AngleNoise(0.0, -0.1)
-    with pytest.raises(ValueError, match="finite"):
-        AngleNoise(np.nan, 0.1)
-    # a kind absent from the table is noise-free: a gradient gate averages
+    # the CLI rejects malformed noise blocks before from_json sees them; an
+    # absent kind or field is 0, in GateKind order, read-only
+    nm = NoiseModel.from_json({"exchange_pulse": {"mean_rad": 0.01, "std_rad": 0.05},
+                               "esr_x_qubit1": {"std_rad": 0.2}, "z_rot_both": {}})
+    np.testing.assert_array_equal(nm.means, [0.01, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(nm.stds, [0.05, 0, 0, 0, 0, 0.2])
+    assert not nm.means.flags.writeable and not nm.stds.flags.writeable
+    data = {k.value: {"mean_rad": m, "std_rad": s} for k, m, s in zip(GateKind, nm.means, nm.stds)}
+    again = NoiseModel.from_json(data)
+    np.testing.assert_array_equal(again.means, nm.means)
+    np.testing.assert_array_equal(again.stds, nm.stds)
+    for empty in (NoiseModel(), NoiseModel.from_json({})):
+        np.testing.assert_array_equal([empty.means, empty.stds], np.zeros((2, 6)))
+    # the checks run once, where the model is built
+    with pytest.raises(ValueError, match="nonnegative"):
+        _noise(z_rot_both=(0.0, -0.1))
+    for bad in ((np.nan, 0.1), (0.0, np.nan), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            _noise(z_rot_both=bad)
+    with pytest.raises(ValueError, match="one mean and std per gate kind"):
+        NoiseModel(np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError, match="bogus"):
+        NoiseModel.from_json({"bogus": {}})
+    # a kind absent from the block is noise-free: a gradient gate averages
     # to its exact conjugation under this model
     circuit = Circuit((Gate(GateKind.GRADIENT_Z, 0.7),))
     base = Projector(SINGLET, "P_S")
@@ -163,7 +180,7 @@ def test_noise_model_json_round_trip():
 def test_average_projector_zero_noise_is_exact():
     # with all stds zero the average is the deterministic conjugation by
     # the adjoint circuit
-    noise = NoiseModel({})
+    noise = NoiseModel()
     for prep in mub_preparations()[3:6]:
         base = Projector(BASE_STATES[prep.base_label], prep.base_label)
         meas = prep.measurement_circuit()
@@ -183,7 +200,7 @@ def test_average_projector_gaussian_characteristic_oracle():
     shrink = np.exp(-(std**2) / 2.0)
     circuit = Circuit((Gate(GateKind.GRADIENT_Z, mu),))
     base = Projector(SINGLET, "P_S")
-    noise = NoiseModel({GateKind.GRADIENT_Z: AngleNoise(0.0, std)})
+    noise = _noise(gradient_z=(0.0, std))
     avg = average_projector(circuit, base, noise, seed=3)
     coeffs = pauli_expand(avg.projector.matrix)
     expected = np.zeros(16)
@@ -203,8 +220,8 @@ def _monte_carlo_average(circuit, base, noise, samples, rng):
     for s in range(samples):
         u = np.eye(4, dtype=complex)
         for g in circuit.gates:
-            an = noise.gates.get(g.kind, AngleNoise(0.0, 0.0))
-            angle = g.angle + an.mean_rad + an.std_rad * rng.standard_normal()
+            k = list(GateKind).index(g.kind)
+            angle = g.angle + noise.means[k] + noise.stds[k] * rng.standard_normal()
             u = unitary(g.kind, angle) @ u
         effs[s] = u.conj().T @ base @ u
     se = np.sqrt(effs.real.var(axis=0, ddof=1) + effs.imag.var(axis=0, ddof=1))
@@ -213,17 +230,12 @@ def _monte_carlo_average(circuit, base, noise, samples, rng):
 
 def test_average_projector_matches_monte_carlo_oracle():
     # a MUB readout circuit with exchange, z and ESR gates, all noisy
-    noise = NoiseModel(
-        {
-            GateKind.EXCHANGE_PULSE: AngleNoise(0.02, 0.3),
-            GateKind.Z_ROT_QUBIT2: AngleNoise(-0.01, 0.2),
-            GateKind.Z_ROT_BOTH: AngleNoise(0.0, 0.25),
-            GateKind.ESR_X_QUBIT1: AngleNoise(0.03, 0.15),
-        }
-    )
+    noise = _noise(exchange_pulse=(0.02, 0.3), z_rot_qubit2=(-0.01, 0.2),
+                   z_rot_both=(0.0, 0.25), esr_x_qubit1=(0.03, 0.15))
     prep = mub_preparations()[6]
     circuit = prep.measurement_circuit()
-    assert {g.kind for g in circuit.gates} == set(noise.gates)
+    kinds = {list(GateKind).index(g.kind) for g in circuit.gates}
+    assert kinds == set(np.flatnonzero(noise.stds))
     base = Projector(BASE_STATES[prep.base_label], prep.base_label)
     exact = average_projector(circuit, base, noise).projector.matrix
     mean, se = _monte_carlo_average(circuit, base.matrix, noise, 4000,
@@ -236,7 +248,7 @@ def test_average_projector_matches_monte_carlo_oracle():
 
 def test_average_projector_deterministic_in_seed():
     # nothing is sampled: the average does not depend on the seed at all
-    noise = NoiseModel({GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.1)})
+    noise = _noise(exchange_pulse=(0.0, 0.1))
     circuit = Circuit((Gate(GateKind.EXCHANGE_PULSE, np.pi / 2),))
     base = Projector(UP_DOWN, "P_ud")
     a = average_projector(circuit, base, noise, seed=5).projector.matrix
@@ -247,12 +259,7 @@ def test_average_projector_deterministic_in_seed():
 
 
 def test_averaged_projector_is_valid_operator():
-    noise = NoiseModel(
-        {
-            GateKind.EXCHANGE_PULSE: AngleNoise(0.0, 0.2),
-            GateKind.ESR_X_QUBIT1: AngleNoise(0.01, 0.1),
-        }
-    )
+    noise = _noise(exchange_pulse=(0.0, 0.2), esr_x_qubit1=(0.01, 0.1))
     prep = mub_preparations()[9]
     base = Projector(BASE_STATES[prep.base_label], prep.base_label)
     avg = average_projector(prep.measurement_circuit(), base, noise, seed=2)
@@ -262,7 +269,7 @@ def test_averaged_projector_is_valid_operator():
     assert np.linalg.eigvalsh(m)[0] > -1e-12
     assert isinstance(avg, AveragedProjector)
     # an angle so large that the phases overflow is reported, not averaged
-    huge = NoiseModel({GateKind.ESR_X_QUBIT1: AngleNoise(1e308, 0.0)})
+    huge = _noise(esr_x_qubit1=(1e308, 0.0))
     with pytest.raises(ValueError, match="not finite"):
         average_projector(prep.measurement_circuit(), base, huge)
 
@@ -271,8 +278,8 @@ def test_stacked_average_rows_are_each_circuits_own_average():
     # the 15 MUB readouts hold 0 to 5 gates, so each gate position from the
     # end reaches a different set of rows; under noise on all six kinds,
     # each row of the one batched pass is its circuit's average alone
-    noise = NoiseModel({kind: AngleNoise(0.01 * (i + 1), 0.05 + 0.02 * i)
-                        for i, kind in enumerate(GateKind)})
+    noise = _noise(**{kind.value: (0.01 * (i + 1), 0.05 + 0.02 * i)
+                      for i, kind in enumerate(GateKind)})
     preps = mub_preparations()
     circuits = [prep.measurement_circuit() for prep in preps]
     assert sorted({len(c.gates) for c in circuits}) == [0, 1, 2, 3, 4, 5]
@@ -285,7 +292,7 @@ def test_stacked_average_rows_are_each_circuits_own_average():
     np.testing.assert_array_equal(stacked[:2], bases[:2])  # P01, P02: no gate
     # an overflowing phase names the label of the first readout it
     # reaches: P04 holds the first resonant pulse
-    huge = NoiseModel({GateKind.ESR_X_QUBIT1: AngleNoise(1e308, 0.0)})
+    huge = _noise(esr_x_qubit1=(1e308, 0.0))
     with pytest.raises(ValueError, match="^P04: averaged readout is not finite"):
         average_readouts(readout_steps(circuits), bases, [p.label for p in preps], huge)
 

@@ -1,10 +1,12 @@
 """Quorum construction, P matrix, witnesses and subspace ranks."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from spintomo.cli import cmd_quorum
 from spintomo.gates import (
     Circuit,
     Gate,
@@ -47,8 +49,6 @@ from spintomo.quorum import (
     mub_preparations,
     mub_quorum,
     pmatrix,
-    pmatrix_entries,
-    quorum_records,
     tau_identity_gaps,
 )
 
@@ -228,7 +228,7 @@ def test_mub_condition_all_bases():
 
 def test_pmatrix_entries_against_manual_traces():
     q = mub_quorum()
-    entries = pmatrix_entries(q.matrices)
+    entries = pmatrix(q).entries
     assert entries.shape == (15, 15)
     for j in range(15):
         for k in range(15):
@@ -248,7 +248,7 @@ def test_pmatrix_inverse():
     np.testing.assert_allclose(pm.entries @ pm.inverse, np.eye(15), atol=1e-12)
 
 
-def test_quorum_constants_are_built_once_and_read_only():
+def test_quorum_constants_are_built_once_and_read_only(monkeypatch):
     q = mub_quorum()
     pm, forms = pmatrix(q), q.likelihood_forms
     assert pmatrix(q) is pm and q.likelihood_forms is forms
@@ -256,8 +256,17 @@ def test_quorum_constants_are_built_once_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
-    # still the strided .real view that pmatrix_entries documents
+    # still the strided .real view that Quorum._pmatrix documents
     assert not pm.entries.flags.c_contiguous
+    # the P matrix is built once per quorum: on its first pmatrix call
+    builds = []
+    build = Quorum._pmatrix.func
+    monkeypatch.setattr(Quorum._pmatrix, "func", lambda q: builds.append(q.name) or build(q))
+    fresh = [Quorum(name, LABELS, q.matrices) for name in ("a", "b")]
+    kept = [pmatrix(f) for f in fresh]
+    for _ in range(3):
+        assert all(pmatrix(f) is first for f, first in zip(fresh, kept))
+    assert builds == ["a", "b"] and kept[0] is not kept[1]
 
 
 def test_degenerate_quorum_raises():
@@ -283,13 +292,22 @@ def test_projector_coefficients_match_general_expansion():
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
-def test_quorum_records_schema():
-    recs = quorum_records(mub_quorum())
-    assert len(recs) == 15
-    for rec in recs:
-        assert set(rec) == {"label", "basis_index", "pauli_coefficients"}
-        assert len(rec["pauli_coefficients"]) == 16
-        assert abs(rec["pauli_coefficients"][0] - 0.5) < 1e-14
+def test_quorum_records_schema(capsys):
+    # the operator records of quorum.json, which ``spintomo quorum`` writes
+    for q in (mub_quorum(), james_quorum()):
+        recs = json.loads(cmd_quorum({"name": q.name})["quorum.json"])["projectors"]
+        assert len(recs) == 15
+        for rec, label, basis, m in zip(recs, q.labels, q.basis_index, q.matrices):
+            assert set(rec) == {"label", "basis_index", "pauli_coefficients"}
+            assert (rec["label"], rec["basis_index"]) == (label, basis)
+            assert len(rec["pauli_coefficients"]) == 16
+            assert abs(rec["pauli_coefficients"][0] - 0.5) < 1e-14
+            np.testing.assert_allclose(pauli_assemble(rec["pauli_coefficients"]), m, atol=1e-15)
+
+
+def traced_pmatrix(matrices: np.ndarray) -> np.ndarray:
+    """Oracle: the P matrix of a (15, 4, 4) stack, entries tr(P_j D_k)."""
+    return np.einsum("jab,kba->jk", matrices, PAULI_BASIS[1:]).real
 
 
 def test_det_upper_bound_strict_everywhere():
@@ -299,7 +317,7 @@ def test_det_upper_bound_strict_everywhere():
     dets = [abs(pmatrix(mub_quorum()).det), abs(pmatrix(james_quorum()).det)]
     for trial in range(30):
         stack = np.stack([ket_projector(random_pure(5000 + 31 * trial + i)) for i in range(15)])
-        rows = pmatrix_entries(Quorum("rand", LABELS, stack).matrices)
+        rows = traced_pmatrix(stack)  # some draws fall below the det floor of pmatrix
         assert np.max(np.abs(np.sum(rows**2, axis=1) - 0.75)) <= 1e-15
         dets.append(abs(np.linalg.det(rows)))
     assert max(dets) < 0.75 ** 7.5
@@ -326,7 +344,7 @@ def test_orthogonality_witness_sums():
 def sequential_gram_schmidt(q: Quorum) -> np.ndarray:
     """Oracle: Gram-Schmidt over the P rows one by one, lengths as (5, 3)."""
     basis, lengths = [], []
-    for r in pmatrix_entries(q.matrices):
+    for r in traced_pmatrix(q.matrices):
         v = r.copy()
         for b in basis:
             v -= (v @ b) * b

@@ -1,5 +1,7 @@
 """Linear inversion, covariance prediction, and likelihood-ascent tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,14 @@ def test_mle_stopped_by_the_step_cap_is_not_converged(monkeypatch):
     monkeypatch.setattr(_kernels, "MAX_ITER", 2)
     res = _sampled_run()
     assert (res.stop_reason, res.iterations, res.converged) == ("max_iter", 2, False)
+
+
+def test_converged_is_derived_from_the_stop_reason():
+    # a result stores the reason alone, and converged reads it for every exit
+    res = _sampled_run()
+    assert {f.name for f in dataclasses.fields(res)}.isdisjoint({"converged", "pm"})
+    for reason in ("gradient", "stall", "no_ascent", "max_iter"):
+        assert dataclasses.replace(res, stop_reason=reason).converged == (reason != "max_iter")
 
 
 def test_mle_validates_inputs():
